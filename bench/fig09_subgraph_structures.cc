@@ -2,16 +2,61 @@
 // normalized to dense (higher is better). The paper's result: remap >=
 // dense >= sparse in speed, with remap and sparse using far less memory
 // (see bench/memory_study for the memory side).
+//
+// Each paper structure is timed pure: one PivotCounter<SG, NoStats> per
+// worker over every root, with the driver's cost-weighted chunking but no
+// long-tail splitting and no kernel selection (the pattern of
+// baselines/pivoter_naive.cc). The "production" column is CountCliques
+// itself, which runs the bitmap kernel on every subgraph of at most
+// kBitmapMaxVertices vertices (pivot/count.h); it is not a paper structure.
 #include <iostream>
 
 #include "bench_common.h"
+#include "exec/executor.h"
 #include "graph/dag.h"
 #include "order/core_order.h"
 #include "pivot/count.h"
+#include "pivot/pivoter.h"
+#include "pivot/subgraph_dense.h"
+#include "pivot/subgraph_remap.h"
+#include "pivot/subgraph_sparse.h"
+#include "util/binomial.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 using namespace pivotscale;
+
+namespace {
+
+// Counts k-cliques on structure SG; returns the wall seconds.
+template <typename SG>
+double TimeStructure(const Graph& dag, std::uint32_t k, BigCount* total) {
+  const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
+  const BinomialTable binom(bound + 1);
+  ExecOptions exec_options;
+  exec_options.chunks_per_worker = 16;
+  exec_options.cost = [&dag](std::size_t v) {
+    const double d = dag.Degree(static_cast<NodeId>(v));
+    return (d + 1) * (d + 1);
+  };
+  *total = BigCount{};
+  Timer timer;
+  ParallelForWorkers(
+      dag.NumNodes(), exec_options,
+      [&](int) {
+        return PivotCounter<SG, NoStats>(dag, CountMode::kSingleK, k,
+                                         /*per_vertex=*/false, bound, &binom);
+      },
+      [](PivotCounter<SG, NoStats>& counter, std::size_t v) {
+        counter.ProcessRoot(static_cast<NodeId>(v));
+      },
+      [total](PivotCounter<SG, NoStats>& counter) {
+        *total += counter.total();
+      });
+  return timer.Seconds();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
@@ -21,29 +66,35 @@ int main(int argc, char** argv) {
   TablePrinter table(
       "Figure 9: counting throughput normalized to dense (k=" +
           std::to_string(k) + ", higher is better)",
-      {"graph", "dense", "sparse", "remap", "dense (s)", "sparse (s)",
-       "remap (s)"});
+      {"graph", "dense", "sparse", "remap", "production", "dense (s)",
+       "sparse (s)", "remap (s)", "production (s)"});
 
   for (const Dataset& d : suite) {
     const Graph dag = Directionalize(d.graph, CoreOrdering(d.graph).ranks);
-    double seconds[3] = {0, 0, 0};
-    const SubgraphKind kinds[3] = {SubgraphKind::kDense,
-                                   SubgraphKind::kSparse,
-                                   SubgraphKind::kRemap};
-    for (int i = 0; i < 3; ++i) {
-      CountOptions options;
-      options.k = k;
-      options.structure = kinds[i];
-      Timer timer;
-      CountCliques(dag, options);
-      seconds[i] = timer.Seconds();
+    BigCount totals[3];
+    const double dense = TimeStructure<DenseSubgraph>(dag, k, &totals[0]);
+    const double sparse = TimeStructure<SparseSubgraph>(dag, k, &totals[1]);
+    const double remap = TimeStructure<RemapSubgraph>(dag, k, &totals[2]);
+    CountOptions options;
+    options.k = k;
+    Timer timer;
+    const BigCount production_total = CountCliques(dag, options).total;
+    const double production = timer.Seconds();
+    for (const BigCount& t : totals) {
+      if (t != production_total) {
+        std::cerr << "fig09: " << d.name << " structures disagree: "
+                  << t.ToString() << " vs " << production_total.ToString()
+                  << "\n";
+        return 1;
+      }
     }
     table.AddRow({d.name, TablePrinter::Cell(1.0, 2),
-                  TablePrinter::Cell(seconds[0] / seconds[1], 2),
-                  TablePrinter::Cell(seconds[0] / seconds[2], 2),
-                  TablePrinter::Cell(seconds[0], 3),
-                  TablePrinter::Cell(seconds[1], 3),
-                  TablePrinter::Cell(seconds[2], 3)});
+                  TablePrinter::Cell(dense / sparse, 2),
+                  TablePrinter::Cell(dense / remap, 2),
+                  TablePrinter::Cell(dense / production, 2),
+                  TablePrinter::Cell(dense, 3), TablePrinter::Cell(sparse, 3),
+                  TablePrinter::Cell(remap, 3),
+                  TablePrinter::Cell(production, 3)});
   }
   table.Print();
   return 0;

@@ -1,14 +1,18 @@
 // Microbenchmarks (google-benchmark): first-level subgraph construction and
 // full per-root counting for the three structures. These isolate the access
 // costs the paper discusses — dense's direct indexing, sparse's per-access
-// hash lookup (~1.2x), and remap's pay-hash-once design.
+// hash lookup (~1.2x), and remap's pay-hash-once design. The bitmap rows
+// time the production kernel (pivot/bitmap_counter.h) on the same roots,
+// so the per-root cost of remap and bitmap can be compared directly.
 #include <benchmark/benchmark.h>
 
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "order/core_order.h"
+#include "pivot/bitmap_counter.h"
 #include "pivot/pivoter.h"
+#include "pivot/subgraph_bitmap.h"
 #include "pivot/subgraph_dense.h"
 #include "pivot/subgraph_remap.h"
 #include "pivot/subgraph_sparse.h"
@@ -44,14 +48,28 @@ BENCHMARK(BM_SubgraphBuild<DenseSubgraph>);
 BENCHMARK(BM_SubgraphBuild<SparseSubgraph>);
 BENCHMARK(BM_SubgraphBuild<RemapSubgraph>);
 
-template <typename SG>
+void BM_SubgraphBuildBitmap(benchmark::State& state) {
+  const Graph& dag = BenchDag();
+  SubgraphBitmap sg;
+  sg.Attach(dag);
+  NodeId v = 0;
+  for (auto _ : state) {
+    sg.Build(v);
+    benchmark::DoNotOptimize(sg.data());
+    v = (v + 1) % dag.NumNodes();
+  }
+}
+BENCHMARK(BM_SubgraphBuildBitmap);
+
+// Counter is PivotCounter<SG, NoStats> or BitmapCounter<NoStats>.
+template <typename Counter>
 void BM_ProcessRoot(benchmark::State& state) {
   const Graph& dag = BenchDag();
   const std::uint32_t bound =
       static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   static const BinomialTable binom(bound + 1);
-  PivotCounter<SG, NoStats> counter(dag, CountMode::kSingleK, 8,
-                                    /*per_vertex=*/false, bound, &binom);
+  Counter counter(dag, CountMode::kSingleK, 8, /*per_vertex=*/false, bound,
+                  &binom);
   NodeId v = 0;
   for (auto _ : state) {
     counter.ProcessRoot(v);
@@ -59,8 +77,13 @@ void BM_ProcessRoot(benchmark::State& state) {
     v = (v + 1) % dag.NumNodes();
   }
 }
-BENCHMARK(BM_ProcessRoot<DenseSubgraph>);
-BENCHMARK(BM_ProcessRoot<SparseSubgraph>);
-BENCHMARK(BM_ProcessRoot<RemapSubgraph>);
+using DenseCounter = PivotCounter<DenseSubgraph, NoStats>;
+using SparseCounter = PivotCounter<SparseSubgraph, NoStats>;
+using RemapCounter = PivotCounter<RemapSubgraph, NoStats>;
+using BitmapKernel = BitmapCounter<NoStats>;
+BENCHMARK(BM_ProcessRoot<DenseCounter>);
+BENCHMARK(BM_ProcessRoot<SparseCounter>);
+BENCHMARK(BM_ProcessRoot<RemapCounter>);
+BENCHMARK(BM_ProcessRoot<BitmapKernel>);
 
 }  // namespace

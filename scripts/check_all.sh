@@ -4,8 +4,10 @@
 #   1. tools/lint.py               project-invariant linter
 #   2. -Werror build + full ctest  (build-check/), then the same suite
 #      again under OMP_NUM_THREADS=2 so a 2-thread budget exercises real
-#      multi-worker executor teams even on single-core runners, plus a
-#      micro_exec scheduler-smoke run
+#      multi-worker executor teams even on single-core runners, a
+#      micro_exec scheduler-smoke run, and the benchmark self-test
+#      (perfbench/run.py --smoke: exact counts on every workload, a
+#      corrupted reference that must fail, op counts that must repeat)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
 #   4. TSan build + race shards    (build-check-tsan/)
 # Stage 3 is skipped with a note on toolchains without clang-tidy (the
@@ -32,6 +34,9 @@ OMP_NUM_THREADS=2 ctest --test-dir build-check --output-on-failure \
 
 echo "==> [2/4] micro_exec scheduler smoke"
 ./build-check/bench/micro_exec --benchmark_min_time=0.01
+
+echo "==> [2/4] perfbench smoke (exact counts, corrupted reference, op counts)"
+python3 perfbench/run.py --smoke
 
 if [[ "${FAST}" == "1" ]]; then
   echo "==> --fast: skipping clang-tidy and TSan stages"

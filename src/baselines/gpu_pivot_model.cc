@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "pivot/subgraph_bitmap.h"
 #include "util/binomial.h"
-#include "util/flat_hash.h"
 #include "util/timer.h"
 
 namespace pivotscale {
@@ -32,30 +32,19 @@ class GpuPivotWorker {
  public:
   GpuPivotWorker(const Graph& dag, std::uint32_t k,
                  const BinomialTable* binom)
-      : dag_(dag), k_(k), binom_(binom) {}
+      : k_(k), binom_(binom) {
+    sg_.Attach(dag);
+  }
 
   BigCount ProcessRoot(NodeId root) {
-    const auto nbrs = dag_.Neighbors(root);
-    n_ = static_cast<std::uint32_t>(nbrs.size());
-    words_ = (n_ + 63) / 64;
-    if (n_ == 0) return k_ == 1 ? BigCount{1} : BigCount{};
-
-    // Binary-encoded adjacency matrix over remapped local ids. Unlike
-    // PivotScale this matrix is immutable: every level recomputes its
+    // Binary-encoded adjacency matrix over remapped local ids (the shared
+    // builder of pivot/subgraph_bitmap.h), of any size. This model keeps
+    // no candidate set across levels: every level recomputes its
     // candidate bitset from scratch.
-    remap_.Clear();
-    remap_.Reserve(n_);
-    for (std::uint32_t local = 0; local < n_; ++local)
-      remap_.Insert(nbrs[local], local);
-    matrix_.assign(static_cast<std::size_t>(n_) * words_, 0);
-    for (std::uint32_t a = 0; a < n_; ++a) {
-      for (NodeId b : dag_.Neighbors(nbrs[a])) {
-        const std::uint32_t local = remap_.Find(b);
-        if (local == FlatHashMap::kNotFound) continue;
-        SetBit(Row(a), local);
-        SetBit(Row(local), a);
-      }
-    }
+    sg_.Build(root);
+    n_ = sg_.NumVertices();
+    words_ = sg_.Words();
+    if (n_ == 0) return k_ == 1 ? BigCount{1} : BigCount{};
 
     // Depth-indexed candidate bitsets (a fresh bitset per level is the
     // rebuild-per-level cost).
@@ -70,18 +59,13 @@ class GpuPivotWorker {
   }
 
   std::size_t WorkspaceBytes() const {
-    std::size_t bytes = matrix_.capacity() * sizeof(std::uint64_t);
+    std::size_t bytes = sg_.HeapBytes();
     for (const auto& c : cand_) bytes += c.capacity() * sizeof(std::uint64_t);
     return bytes;
   }
 
  private:
-  std::uint64_t* Row(std::uint32_t u) {
-    return matrix_.data() + static_cast<std::size_t>(u) * words_;
-  }
-  static void SetBit(std::uint64_t* row, std::uint32_t bit) {
-    row[bit / 64] |= std::uint64_t{1} << (bit % 64);
-  }
+  const std::uint64_t* Row(std::uint32_t u) const { return sg_.Row(u); }
   static bool TestBit(const std::uint64_t* row, std::uint32_t bit) {
     return (row[bit / 64] >> (bit % 64)) & 1;
   }
@@ -139,13 +123,11 @@ class GpuPivotWorker {
     return total;
   }
 
-  const Graph& dag_;
   std::uint32_t k_;
   const BinomialTable* binom_;
   std::uint32_t n_ = 0;
   std::size_t words_ = 0;
-  FlatHashMap remap_;
-  std::vector<std::uint64_t> matrix_;
+  SubgraphBitmap sg_;
   std::vector<std::vector<std::uint64_t>> cand_;
 };
 

@@ -111,6 +111,10 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   std::vector<std::optional<Worker>> slots(
       static_cast<std::size_t>(granted));
   std::atomic<std::size_t> cursor{0};
+  // Each worker releases its work here and the caller acquires it after
+  // the region: the ordering libgomp's region-end barrier already gives,
+  // made visible to ThreadSanitizer, which cannot see that barrier.
+  std::atomic<int> finished{0};
   Timer wall;
 #pragma omp parallel num_threads(granted)
   {
@@ -139,8 +143,10 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
     }
     stats.worker_busy_seconds[tid] = busy.Seconds();
     stats.worker_chunks[tid] = my_chunks;
+    finished.fetch_add(1, std::memory_order_release);
   }
   stats.seconds = wall.Seconds();
+  CHECK_EQ(finished.load(std::memory_order_acquire), stats.team);
 
   for (auto& slot : slots)
     if (slot.has_value()) merge(*slot);

@@ -1,0 +1,241 @@
+// The bitmap counting kernel: the Pivoter recursion of pivot/pivoter.h over
+// an immutable bit-matrix subgraph (pivot/subgraph_bitmap.h), the
+// encoding of GPU-Pivot (Almasri et al.) with the pivot rule of Pivoter
+// (Jain & Seshadhri).
+//
+// A candidate set P is a W-word bitset held by value in each recursion
+// frame, so the frames themselves are the depth-indexed candidate sets:
+//   - pivot = argmax over u in P of popcount(row[u] & P), scanning the set
+//     bits of P in ascending local id (ties keep the lowest id);
+//   - the child of branch w is row[w] & P, and removing w from the pool of
+//     later branches is one bit clear — there is no undo stack, no
+//     partitioning and no mark/removed flags;
+//   - when the smallest in-set degree seen by the pivot scan is |P| - 1, P
+//     is a clique. Its subtree would be a chain of pivot branches, one call
+//     per member, ending in the leaf (r, np + |P|); the node counts that
+//     leaf directly instead.
+// The leaf, early-termination and pruning rules are CliqueLeaves', shared
+// with PivotCounter, so both kernels count every mode identically.
+//
+// The kernel takes subgraphs of at most kBitmapMaxVertices vertices (W <= 4
+// words); ProcessRoot/ProcessEdge return false for a larger one, and the
+// driver (pivot/count.cc) runs it on the remap structure instead.
+//
+// Op counters (pivot/stats.h) on this kernel: `calls` counts Recurse
+// invocations, `edge_ops` one per popcount(row[u] & P) of a pivot scan, and
+// `induces` one per child bitset formed (branch descent). There are no
+// membership tests, so `memberships` stays 0.
+#ifndef PIVOTSCALE_PIVOT_BITMAP_COUNTER_H_
+#define PIVOTSCALE_PIVOT_BITMAP_COUNTER_H_
+
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "graph/graph.h"
+#include "pivot/clique_leaves.h"
+#include "pivot/stats.h"
+#include "pivot/subgraph_bitmap.h"
+#include "util/binomial.h"
+#include "util/check.h"
+#include "util/uint128.h"
+
+namespace pivotscale {
+
+// Largest subgraph the bitmap kernel takes: four 64-bit words per
+// candidate set.
+inline constexpr std::uint32_t kBitmapMaxVertices = 256;
+
+// The kernel's loops are popcounts. The x86-64 baseline ISA this project
+// compiles for has no popcount instruction, so there the recursion alone
+// is compiled for it and the CPU is checked once per counter.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#define PIVOTSCALE_POPCNT_TARGET __attribute__((target("popcnt")))
+inline bool BitmapKernelSupported() {
+  return __builtin_cpu_supports("popcnt");
+}
+#else
+#define PIVOTSCALE_POPCNT_TARGET
+inline bool BitmapKernelSupported() { return true; }
+#endif
+
+// One thread's bitmap counting engine; Stats is a policy from
+// pivot/stats.h (the address-tracing policy is not supported).
+template <typename Stats>
+class BitmapCounter {
+ public:
+  // Arguments as for CliqueLeaves (pivot/clique_leaves.h).
+  BitmapCounter(const Graph& dag, CountMode mode, std::uint32_t k,
+                bool per_vertex, std::uint32_t max_clique_bound,
+                const BinomialTable* binom, bool early_termination = true)
+      : leaves_(dag.NumNodes(), mode, k, per_vertex, max_clique_bound, binom,
+                early_termination),
+        supported_(BitmapKernelSupported()) {
+    sg_.Attach(dag);
+  }
+
+  // Counts all cliques rooted at `root`. Returns false, counting nothing,
+  // when N+(root) has more than kBitmapMaxVertices members (or the CPU
+  // lacks popcount).
+  bool ProcessRoot(NodeId root) {
+    if (!supported_ || !sg_.Build(root, kBitmapMaxVertices)) return false;
+    leaves_.SetRoot(root);
+    Start(/*r=*/1);  // the root is the first required vertex
+    return true;
+  }
+
+  // Counts the cliques whose two lowest-ranked members are the DAG edge
+  // (u, v), over N+(u) ∩ N+(v). Returns false as ProcessRoot does.
+  bool ProcessEdge(NodeId u, NodeId v) {
+    if (!supported_ || !sg_.BuildPair(u, v, kBitmapMaxVertices)) return false;
+    leaves_.SetRoot(u);
+    if (leaves_.per_vertex()) leaves_.PushRequired(v);
+    Start(/*r=*/2);
+    if (leaves_.per_vertex()) leaves_.PopRequired();
+    return true;
+  }
+
+  void AddSingleton(NodeId u) { leaves_.AddSingleton(u); }
+
+  BigCount total() const { return leaves_.total(); }
+  const std::vector<BigCount>& per_size() const { return leaves_.per_size(); }
+  const std::vector<BigCount>& per_vertex_counts() const {
+    return leaves_.per_vertex_counts();
+  }
+  const Stats& stats() const { return stats_; }
+  std::size_t WorkspaceBytes() const { return sg_.HeapBytes(); }
+
+ private:
+  template <std::uint32_t W>
+  using Bits = std::array<std::uint64_t, W>;
+
+  // Runs the recursion at the word count of the built subgraph.
+  void Start(std::uint32_t r) {
+    DCHECK_LE(sg_.Words(), 4u);
+    switch (sg_.Words()) {
+      case 0:
+      case 1:
+        return Recurse<1>(AllVertices<1>(), r, 0);
+      case 2:
+        return Recurse<2>(AllVertices<2>(), r, 0);
+      case 3:
+        return Recurse<3>(AllVertices<3>(), r, 0);
+      default:
+        return Recurse<4>(AllVertices<4>(), r, 0);
+    }
+  }
+
+  template <std::uint32_t W>
+  Bits<W> AllVertices() const {
+    Bits<W> bits{};
+    const std::uint32_t n = sg_.NumVertices();
+    for (std::uint32_t i = 0; i < W; ++i) {
+      if (n >= 64 * (i + 1))
+        bits[i] = ~std::uint64_t{0};
+      else if (n > 64 * i)
+        bits[i] = (std::uint64_t{1} << (n - 64 * i)) - 1;
+    }
+    return bits;
+  }
+
+  template <std::uint32_t W>
+  PIVOTSCALE_POPCNT_TARGET void Recurse(const Bits<W>& cand, std::uint32_t r,
+                                        std::uint32_t np) {
+    stats_.OnCall();
+    std::uint32_t size = 0;
+    for (std::uint32_t i = 0; i < W; ++i)
+      size += static_cast<std::uint32_t>(std::popcount(cand[i]));
+    if (leaves_.Settled(r, np, size)) return;
+
+    // Pivot scan: the candidate with the most neighbors inside the set.
+    // Its neighbors need no branches of their own — they are all reachable
+    // through the pivot's branch as optional (pivot) vertices.
+    const std::uint64_t* rows = sg_.data();
+    std::uint32_t pivot = 0;
+    std::uint32_t min_deg = size;
+    int pivot_deg = -1;
+    for (std::uint32_t i = 0; i < W; ++i) {
+      for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t u =
+            64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
+        const std::uint64_t* row = rows + static_cast<std::size_t>(u) * W;
+        std::uint32_t d = 0;
+        for (std::uint32_t j = 0; j < W; ++j)
+          d += static_cast<std::uint32_t>(std::popcount(row[j] & cand[j]));
+        stats_.OnEdgeOp();
+        if (static_cast<int>(d) > pivot_deg) {
+          pivot = u;
+          pivot_deg = static_cast<int>(d);
+        }
+        if (d < min_deg) min_deg = d;
+      }
+    }
+
+    if (min_deg + 1 == size) {
+      // P is a clique: count the end of its all-pivot chain directly.
+      if (leaves_.per_vertex()) {
+        for (std::uint32_t i = 0; i < W; ++i)
+          for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1)
+            leaves_.PushPivot(sg_.OrigId(
+                64 * i + static_cast<std::uint32_t>(std::countr_zero(bits))));
+      }
+      leaves_.Leaf(r, np + size);
+      if (leaves_.per_vertex()) leaves_.PopPivots(size);
+      return;
+    }
+
+    // Branches: the pivot first, then the pivot's non-neighbors in
+    // ascending id. Each branch's vertex leaves `pool` once it has run.
+    const std::uint64_t* pivot_row = rows + static_cast<std::size_t>(pivot) * W;
+    Bits<W> pool = cand;
+    Bits<W> others;
+    for (std::uint32_t i = 0; i < W; ++i)
+      others[i] = cand[i] & ~pivot_row[i];
+    others[pivot / 64] &= ~(std::uint64_t{1} << (pivot % 64));
+
+    Descend<W>(pivot, pool, r, np + 1, /*is_pivot=*/true);
+    pool[pivot / 64] &= ~(std::uint64_t{1} << (pivot % 64));
+    for (std::uint32_t i = 0; i < W; ++i) {
+      for (std::uint64_t bits = others[i]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t w =
+            64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
+        Descend<W>(w, pool, r + 1, np, /*is_pivot=*/false);
+        pool[i] &= ~(std::uint64_t{1} << (w % 64));
+      }
+    }
+  }
+
+  // The branch of `w`: its child candidate set is N(w) within `pool`.
+  template <std::uint32_t W>
+  PIVOTSCALE_POPCNT_TARGET void Descend(std::uint32_t w, const Bits<W>& pool,
+                                        std::uint32_t r, std::uint32_t np,
+                                        bool is_pivot) {
+    const std::uint64_t* row = sg_.data() + static_cast<std::size_t>(w) * W;
+    Bits<W> child;
+    for (std::uint32_t i = 0; i < W; ++i) child[i] = row[i] & pool[i];
+    stats_.OnInduce();
+    if (!leaves_.per_vertex()) {
+      Recurse<W>(child, r, np);
+      return;
+    }
+    if (is_pivot)
+      leaves_.PushPivot(sg_.OrigId(w));
+    else
+      leaves_.PushRequired(sg_.OrigId(w));
+    Recurse<W>(child, r, np);
+    if (is_pivot)
+      leaves_.PopPivots(1);
+    else
+      leaves_.PopRequired();
+  }
+
+  SubgraphBitmap sg_;
+  Stats stats_;
+  CliqueLeaves leaves_;
+  bool supported_;
+};
+
+}  // namespace pivotscale
+
+#endif  // PIVOTSCALE_PIVOT_BITMAP_COUNTER_H_

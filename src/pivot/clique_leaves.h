@@ -1,0 +1,167 @@
+// The leaf rules of the pivoting recursion, shared by both kernels
+// (PivotCounter in pivot/pivoter.h and BitmapCounter in
+// pivot/bitmap_counter.h), so each rule exists exactly once.
+//
+// A recursion node holds r *required* vertices and np *pivots* on its
+// path. A leaf contributes C(np, k - r) k-cliques: every clique formed by
+// the required vertices plus any (k-r)-subset of the pivots. In per-vertex
+// mode each required vertex is in all of them, and each pivot in
+// C(np-1, k-r-1) (the cliques that chose it); the kernels report the path
+// through PushRequired/PushPivot with original vertex ids.
+#ifndef PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_
+#define PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "graph/graph.h"
+#include "util/binomial.h"
+#include "util/check.h"
+#include "util/uint128.h"
+
+namespace pivotscale {
+
+// What the counter accumulates.
+enum class CountMode {
+  kSingleK,   // k-cliques of exactly the target size
+  kAllK,      // every clique size up to the largest present
+  kAllUpToK,  // every clique size up to k (Section V-A: the original
+              // Pivoter's per-size mode, with pruning above k)
+};
+
+// One worker's clique totals and the rules that feed them.
+class CliqueLeaves {
+ public:
+  // `max_clique_bound` sizes the per-size array; the DAG's max out-degree
+  // + 1 is always a valid bound (a clique of size c forces its root's
+  // out-degree to be at least c - 1). `binom` must cover Choose(n, *) for
+  // n <= max_clique_bound and is shared read-only across threads.
+  CliqueLeaves(NodeId num_nodes, CountMode mode, std::uint32_t k,
+               bool per_vertex, std::uint32_t max_clique_bound,
+               const BinomialTable* binom, bool early_termination)
+      : mode_(mode),
+        k_(k),
+        per_vertex_(per_vertex),
+        early_termination_(early_termination),
+        binom_(binom) {
+    CHECK(binom != nullptr);
+    CHECK_GE(k, 1u);
+    // The leaf rule consults C(np, *) for np up to the bound; a short
+    // table would silently read out of range mid-count.
+    CHECK_GE(binom->max_n(), max_clique_bound)
+        << "CliqueLeaves: binomial table does not cover the clique bound";
+    per_size_.assign(max_clique_bound + 2, BigCount{});
+    if (per_vertex_) per_vertex_counts_.assign(num_nodes, BigCount{});
+  }
+
+  bool per_vertex() const { return per_vertex_; }
+
+  // Path bookkeeping for per-vertex attribution (original vertex ids);
+  // kernels call the push/pop pairs only when per_vertex() is set.
+  void SetRoot(NodeId root) { root_ = root; }
+  void PushRequired(NodeId v) { required_.push_back(v); }
+  void PopRequired() { required_.pop_back(); }
+  void PushPivot(NodeId v) { pivots_.push_back(v); }
+  void PopPivots(std::size_t count) {
+    pivots_.resize(pivots_.size() - count);
+  }
+
+  // The checks a node makes before its pivot scan, with `candidates`
+  // vertices left. True when the node needs no expansion: it was counted
+  // here (no candidates left, or early termination at r == k) or it can
+  // contribute to no tracked size.
+  bool Settled(std::uint32_t r, std::uint32_t np, std::size_t candidates) {
+    if (mode_ == CountMode::kSingleK && early_termination_) {
+      // Early termination (Section V-A): once the required set alone
+      // reaches k, the subtree holds exactly one k-clique — the required
+      // set itself (any deeper leaf with r' = k shares it). Disabling this
+      // is a pure ablation: the recursion stays correct, just slower.
+      if (r == k_) {
+        Leaf(r, np);
+        return true;
+      }
+      // Even taking every remaining candidate cannot reach k.
+      if (r + np + candidates < k_) return true;
+    }
+    // Required vertices beyond k contribute to no tracked size.
+    if (mode_ == CountMode::kAllUpToK && r > k_) return true;
+    if (candidates == 0) {
+      Leaf(r, np);
+      return true;
+    }
+    return false;
+  }
+
+  // A leaf with r required vertices and np pivots on the path (the pivots
+  // pushed last are the path's, in per-vertex mode).
+  void Leaf(std::uint32_t r, std::uint32_t np) {
+    if (mode_ == CountMode::kSingleK) {
+      LeafSingleK(r, np);
+      return;
+    }
+    std::uint32_t max_j = np;
+    if (mode_ == CountMode::kAllUpToK && k_ >= r)
+      max_j = std::min(np, k_ - r);
+    DCHECK_LT(r + max_j, per_size_.size());
+    for (std::uint32_t j = 0; j <= max_j; ++j)
+      per_size_[r + j] += binom_->Choose(np, j);
+  }
+
+  // Accounts the singleton clique {u}. Used when a root task is split into
+  // edge subtasks: those only reach cliques of size >= 2, so the split's
+  // owner contributes {u} exactly once through this call, mirroring what
+  // the whole root's empty-candidate leaf would have counted.
+  void AddSingleton(NodeId u) {
+    if (mode_ == CountMode::kSingleK) {
+      if (k_ == 1) {
+        total_ += BigCount{1};
+        if (per_vertex_) per_vertex_counts_[u] += BigCount{1};
+      }
+      return;
+    }
+    per_size_[1] += BigCount{1};
+  }
+
+  // k-cliques counted (kSingleK).
+  BigCount total() const { return total_; }
+  // per_size()[s] = number of s-cliques (kAllK / kAllUpToK; index 0 unused).
+  const std::vector<BigCount>& per_size() const { return per_size_; }
+  // Per-vertex k-clique participation counts (per_vertex mode).
+  const std::vector<BigCount>& per_vertex_counts() const {
+    return per_vertex_counts_;
+  }
+
+ private:
+  void LeafSingleK(std::uint32_t r, std::uint32_t np) {
+    DCHECK_LT(np, per_size_.size());  // bound from the DAG's max out-degree
+    if (k_ < r || k_ - r > np) return;
+    const BigCount cliques = binom_->Choose(np, k_ - r);
+    total_ += cliques;
+    if (per_vertex_ && cliques != BigCount{}) {
+      per_vertex_counts_[root_] += cliques;
+      for (NodeId u : required_) per_vertex_counts_[u] += cliques;
+      if (k_ > r) {
+        const BigCount per_pivot = binom_->Choose(np - 1, k_ - r - 1);
+        for (NodeId u : pivots_) per_vertex_counts_[u] += per_pivot;
+      }
+    }
+  }
+
+  CountMode mode_;
+  std::uint32_t k_;
+  bool per_vertex_;
+  bool early_termination_;
+  const BinomialTable* binom_;
+
+  NodeId root_ = 0;
+  BigCount total_{};
+  std::vector<BigCount> per_size_;
+  std::vector<BigCount> per_vertex_counts_;
+  std::vector<NodeId> required_;  // per-vertex mode only
+  std::vector<NodeId> pivots_;    // per-vertex mode only
+};
+
+}  // namespace pivotscale
+
+#endif  // PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_

@@ -1,10 +1,12 @@
 #include "pivot/count.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "exec/executor.h"
+#include "pivot/bitmap_counter.h"
 #include "pivot/subgraph_dense.h"
 #include "pivot/subgraph_remap.h"
 #include "pivot/subgraph_sparse.h"
@@ -43,13 +45,92 @@ struct CountTask {
   static constexpr std::uint32_t kWholeRoot = 0xffffffffu;
 };
 
+// The production counter behind SubgraphKind::kRemap. Each task picks its
+// kernel from the size of its subgraph: the bitmap kernel takes every
+// subgraph of at most kBitmapMaxVertices vertices, and the remap structure
+// the larger ones. The remap counter is built on first use, so a graph
+// whose subgraphs all fit never allocates it.
+template <typename Stats>
+class ProductionCounter {
+ public:
+  ProductionCounter(const Graph& dag, CountMode mode, std::uint32_t k,
+                    bool per_vertex, std::uint32_t max_clique_bound,
+                    const BinomialTable* binom, bool early_termination)
+      : dag_(&dag),
+        mode_(mode),
+        k_(k),
+        per_vertex_(per_vertex),
+        bound_(max_clique_bound),
+        binom_(binom),
+        early_termination_(early_termination),
+        bitmap_(dag, mode, k, per_vertex, max_clique_bound, binom,
+                early_termination) {}
+
+  void ProcessRoot(NodeId root) {
+    if (!bitmap_.ProcessRoot(root)) Remap().ProcessRoot(root);
+  }
+  void ProcessEdge(NodeId u, NodeId v) {
+    if (!bitmap_.ProcessEdge(u, v)) Remap().ProcessEdge(u, v);
+  }
+  void AddSingleton(NodeId u) { bitmap_.AddSingleton(u); }
+
+  // Calls f on each kernel that ran.
+  template <typename F>
+  void ForEachKernel(F&& f) const {
+    f(bitmap_);
+    if (remap_.has_value()) f(*remap_);
+  }
+  // Subgraphs too large for the bitmap kernel.
+  std::uint64_t remap_fallbacks() const { return remap_fallbacks_; }
+
+ private:
+  PivotCounter<RemapSubgraph, Stats>& Remap() {
+    if (!remap_.has_value())
+      remap_.emplace(*dag_, mode_, k_, per_vertex_, bound_, binom_,
+                     early_termination_);
+    ++remap_fallbacks_;
+    return *remap_;
+  }
+
+  const Graph* dag_;
+  CountMode mode_;
+  std::uint32_t k_;
+  bool per_vertex_;
+  std::uint32_t bound_;
+  const BinomialTable* binom_;
+  bool early_termination_;
+  BitmapCounter<Stats> bitmap_;
+  std::optional<PivotCounter<RemapSubgraph, Stats>> remap_;
+  std::uint64_t remap_fallbacks_ = 0;
+};
+
+// Calls f on each kernel of `counter` that ran; a paper structure's
+// PivotCounter is its own only kernel.
+template <typename Counter, typename F>
+void ForEachKernel(const Counter& counter, F&& f) {
+  if constexpr (requires { counter.ForEachKernel(f); })
+    counter.ForEachKernel(f);
+  else
+    f(counter);
+}
+
+template <typename Counter>
+OpCounters Ops(const Counter& counter) {
+  OpCounters ops;
+  ForEachKernel(counter, [&ops](const auto& kernel) {
+    ops += kernel.stats().Snapshot();
+  });
+  return ops;
+}
+
 // Dumps one finished driver run into the registry: per-thread series, op
 // totals, and load-balance gauges. `items` is the number of top-level work
 // items under `item_counter` ("count.roots" / "count.edge_owners").
 void RecordCountTelemetry(TelemetryRegistry* telemetry,
                           const CountResult& result,
                           const ExecStats& exec_stats, std::uint64_t items,
-                          const char* item_counter) {
+                          const char* item_counter,
+                          std::uint64_t remap_fallbacks) {
   if (telemetry == nullptr) return;
   telemetry->SetSeries("count.thread_busy_seconds",
                        result.thread_busy_seconds);
@@ -60,6 +141,7 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
   telemetry->AddCounter("count.chunks", exec_stats.chunks);
   telemetry->AddCounter("count.splits", exec_stats.splits);
   telemetry->AddCounter(item_counter, items);
+  telemetry->AddCounter("count.remap_fallbacks", remap_fallbacks);
   telemetry->AddCounter("count.recursion_calls", result.ops.calls);
   telemetry->AddCounter("count.edge_ops", result.ops.edge_ops);
   telemetry->AddCounter("count.induces", result.ops.induces);
@@ -73,16 +155,17 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
   telemetry->RecordSpan("count.wall", result.seconds);
 }
 
-// The driver body, instantiated per (structure, stats policy) pair. One
-// exec-layer region over the task list; each worker owns a PivotCounter
-// (its reduction slot) and the merge runs serially after the region.
-template <typename SG, typename Stats>
+// The driver body, instantiated per counter type (production or one paper
+// structure) and stats policy. One exec-layer region over the task list;
+// each worker owns a Counter (its reduction slot) and the merge runs
+// serially after the region.
+template <typename Counter>
 CountResult Run(const Graph& dag, const CountOptions& options,
                 const char* item_counter) {
-  // Long-tail splitting needs first-level pair builds, which only the
-  // remap structure implements.
+  // Long-tail splitting needs first-level pair builds, which the paper's
+  // dense and sparse structures do not implement.
   constexpr bool kCanSplit =
-      requires(SG sg, NodeId a, NodeId b) { sg.BuildPair(a, b); };
+      requires(Counter c, NodeId a, NodeId b) { c.ProcessEdge(a, b); };
 
   const NodeId n = dag.NumNodes();
   const auto max_out = static_cast<std::uint32_t>(dag.MaxDegree());
@@ -128,25 +211,23 @@ CountResult Run(const Graph& dag, const CountOptions& options,
   exec_options.splits = splits;
   exec_options.telemetry = options.telemetry;
 
+  std::uint64_t remap_fallbacks = 0;
   const ExecStats exec_stats = ParallelForWorkers(
       tasks.size(), exec_options,
       [&](int) {
-        return PivotCounter<SG, Stats>(dag, options.mode, options.k,
-                                       options.per_vertex, bound, &binom,
-                                       options.early_termination);
+        return Counter(dag, options.mode, options.k, options.per_vertex,
+                       bound, &binom, options.early_termination);
       },
-      [&](PivotCounter<SG, Stats>& counter, std::size_t ti) {
+      [&](Counter& counter, std::size_t ti) {
         const CountTask& task = tasks[ti];
         if (task.edge_begin == CountTask::kWholeRoot) {
           if (options.collect_work_trace) {
-            const std::uint64_t ops_before =
-                counter.stats().Snapshot().edge_ops;
+            const std::uint64_t ops_before = Ops(counter).edge_ops;
             Timer root_timer;
             counter.ProcessRoot(task.root);
             result.work_trace.roots[task.root] = {
                 task.root, root_timer.Nanos(),
-                counter.stats().Snapshot().edge_ops - ops_before,
-                dag.Degree(task.root)};
+                Ops(counter).edge_ops - ops_before, dag.Degree(task.root)};
           } else {
             counter.ProcessRoot(task.root);
           }
@@ -161,23 +242,27 @@ CountResult Run(const Graph& dag, const CountOptions& options,
             counter.ProcessEdge(task.root, neighbors[j]);
         }
       },
-      [&](PivotCounter<SG, Stats>& counter) {
-        result.total += counter.total();
-        if (options.mode != CountMode::kSingleK) {
-          const auto& sizes = counter.per_size();
-          CHECK_LE(sizes.size(), result.per_size.size())
-              << "count: per-thread per-size table outgrew the result "
-                 "table";
-          for (std::size_t s = 0; s < sizes.size(); ++s)
-            result.per_size[s] += sizes[s];
-        }
-        if (options.per_vertex) {
-          const auto& pv = counter.per_vertex_counts();
-          CHECK_EQ(pv.size(), result.per_vertex.size());
-          for (NodeId v = 0; v < n; ++v) result.per_vertex[v] += pv[v];
-        }
-        result.ops += counter.stats().Snapshot();
-        result.workspace_bytes += counter.WorkspaceBytes();
+      [&](Counter& counter) {
+        if constexpr (requires { counter.remap_fallbacks(); })
+          remap_fallbacks += counter.remap_fallbacks();
+        ForEachKernel(counter, [&](const auto& kernel) {
+          result.total += kernel.total();
+          if (options.mode != CountMode::kSingleK) {
+            const auto& sizes = kernel.per_size();
+            CHECK_LE(sizes.size(), result.per_size.size())
+                << "count: per-thread per-size table outgrew the result "
+                   "table";
+            for (std::size_t s = 0; s < sizes.size(); ++s)
+              result.per_size[s] += sizes[s];
+          }
+          if (options.per_vertex) {
+            const auto& pv = kernel.per_vertex_counts();
+            CHECK_EQ(pv.size(), result.per_vertex.size());
+            for (NodeId v = 0; v < n; ++v) result.per_vertex[v] += pv[v];
+          }
+          result.ops += kernel.stats().Snapshot();
+          result.workspace_bytes += kernel.WorkspaceBytes();
+        });
       });
 
   result.seconds = exec_stats.seconds;
@@ -189,19 +274,26 @@ CountResult Run(const Graph& dag, const CountOptions& options,
                        : BigCount{};
   }
   RecordCountTelemetry(options.telemetry, result, exec_stats, n,
-                       item_counter);
+                       item_counter, remap_fallbacks);
   return result;
 }
 
-template <typename SG>
+// Instantiates the driver for counter template C at the stats policy the
+// options ask for.
+template <template <typename> class C>
 CountResult Dispatch(const Graph& dag, const CountOptions& options,
                      const char* item_counter) {
   // Telemetry wants the op totals, so it rides the counting stats policy.
   if (options.collect_op_stats || options.collect_work_trace ||
       options.telemetry != nullptr)
-    return Run<SG, OpCountStats>(dag, options, item_counter);
-  return Run<SG, NoStats>(dag, options, item_counter);
+    return Run<C<OpCountStats>>(dag, options, item_counter);
+  return Run<C<NoStats>>(dag, options, item_counter);
 }
+
+template <typename Stats>
+using DenseCounter = PivotCounter<DenseSubgraph, Stats>;
+template <typename Stats>
+using SparseCounter = PivotCounter<SparseSubgraph, Stats>;
 
 }  // namespace
 
@@ -223,7 +315,7 @@ CountResult CountCliquesEdgeParallel(const Graph& dag,
   CountOptions edge_options = options;
   edge_options.structure = SubgraphKind::kRemap;
   edge_options.split_threshold = 0;  // split every root with out-edges
-  return Dispatch<RemapSubgraph>(dag, edge_options, "count.edge_owners");
+  return Dispatch<ProductionCounter>(dag, edge_options, "count.edge_owners");
 }
 
 CountResult CountCliques(const Graph& dag, const CountOptions& options) {
@@ -239,11 +331,11 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options) {
 
   switch (options.structure) {
     case SubgraphKind::kDense:
-      return Dispatch<DenseSubgraph>(dag, options, "count.roots");
+      return Dispatch<DenseCounter>(dag, options, "count.roots");
     case SubgraphKind::kSparse:
-      return Dispatch<SparseSubgraph>(dag, options, "count.roots");
+      return Dispatch<SparseCounter>(dag, options, "count.roots");
     case SubgraphKind::kRemap:
-      return Dispatch<RemapSubgraph>(dag, options, "count.roots");
+      return Dispatch<ProductionCounter>(dag, options, "count.roots");
   }
   throw std::invalid_argument("CountCliques: unknown subgraph structure");
 }

@@ -4,11 +4,12 @@
 // is an independent work item (its induced subgraph is thread-local). The
 // driver builds a task list — one task per root, with heavy roots split
 // into first-level edge subtasks past `split_threshold` — and runs it on
-// the exec layer (src/exec/executor.h) with one PivotCounter per worker,
+// the exec layer (src/exec/executor.h) with one counter per worker,
 // merging the per-worker counters serially at the end. Options select the
-// subgraph structure (dense / sparse / remap), the counting mode, per-vertex
-// attribution, operation-count instrumentation, and per-root work tracing
-// for the scaling study. See docs/parallelism.md.
+// subgraph structure (production / paper dense / paper sparse), the
+// counting mode, per-vertex attribution, operation-count instrumentation,
+// and per-root work tracing for the scaling study. See docs/parallelism.md
+// and docs/algorithm.md.
 #ifndef PIVOTSCALE_PIVOT_COUNT_H_
 #define PIVOTSCALE_PIVOT_COUNT_H_
 
@@ -26,11 +27,16 @@ namespace pivotscale {
 
 class TelemetryRegistry;
 
-// The three thread-local subgraph representations of Section IV.
+// The thread-local subgraph representations of Section IV.
 enum class SubgraphKind {
   kDense,   // |V|-sized index (original Pivoter layout)
   kSparse,  // hash-indexed compact slots
-  kRemap,   // first-level id remap + compact dense arrays (default)
+  // The default production path. Each task picks its kernel from the size
+  // of its subgraph: the bitmap kernel (pivot/bitmap_counter.h) takes
+  // subgraphs of at most kBitmapMaxVertices vertices, and the paper's
+  // remap structure (first-level id remap + compact dense arrays) takes
+  // the larger ones. The name stays "remap" on the CLI and the protocol.
+  kRemap,
 };
 
 std::string SubgraphKindName(SubgraphKind kind);
@@ -84,7 +90,13 @@ struct CountResult {
   std::vector<BigCount> per_size;
   // Per-vertex participation counts; filled when per_vertex was set.
   std::vector<BigCount> per_vertex;
-  // Aggregated recursion operations (op stats / work trace modes).
+  // Aggregated recursion operations (op stats / work trace modes), summed
+  // over whichever kernel ran each task. `calls` counts recursion nodes on
+  // both kernels. On the bitmap kernel `edge_ops` is one per
+  // popcount(row[u] & P) of a pivot scan, `induces` one per child bitset
+  // and `memberships` is 0; on the remap kernel they count adjacency
+  // entries scanned, child sets narrowed and mark/removed tests. See
+  // pivot/stats.h and docs/algorithm.md.
   OpCounters ops;
   // Per-root work (work trace mode).
   WorkTrace work_trace;
@@ -107,9 +119,11 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options);
 // cliques whose two lowest-ranked members are that edge. Better load
 // balance on skewed graphs at the cost of one intersection per edge.
 // Since the exec-layer refactor this is CountCliques with
-// split_threshold = 0 on the remap structure (the only one with pair
-// builds); per-root work traces are not supported (work is per edge).
-// k = 1 is answered directly (the vertex count).
+// split_threshold = 0 on the production path (the paper's dense and sparse
+// structures have no pair builds); per-root work traces are not supported
+// (work is per edge). Singletons still come from the recursion: each root
+// without out-edges is a whole-root task whose leaf counts {v}, and each
+// split root adds {v} once through its first slice.
 CountResult CountCliquesEdgeParallel(const Graph& dag,
                                      const CountOptions& options);
 

@@ -26,20 +26,13 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "pivot/clique_leaves.h"
 #include "pivot/stats.h"
 #include "util/binomial.h"
 #include "util/check.h"
 #include "util/uint128.h"
 
 namespace pivotscale {
-
-// What the counter accumulates.
-enum class CountMode {
-  kSingleK,   // k-cliques of exactly the target size
-  kAllK,      // every clique size up to the largest present
-  kAllUpToK,  // every clique size up to k (Section V-A: the original
-              // Pivoter's per-size mode, with pruning above k)
-};
 
 // One thread's counting engine. SG is one of {DenseSubgraph,
 // SparseSubgraph, RemapSubgraph}; Stats is a policy from pivot/stats.h.
@@ -48,27 +41,13 @@ class PivotCounter {
  public:
   using Id = typename SG::Id;
 
-  // `max_clique_bound` sizes the per-size array; the DAG's max out-degree
-  // + 1 is always a valid bound (a clique of size c forces its root's
-  // out-degree to be at least c - 1). `binom` must cover Choose(n, *) for
-  // n <= max_clique_bound and is shared read-only across threads.
+  // Arguments as for CliqueLeaves (pivot/clique_leaves.h).
   PivotCounter(const Graph& dag, CountMode mode, std::uint32_t k,
                bool per_vertex, std::uint32_t max_clique_bound,
                const BinomialTable* binom, bool early_termination = true)
-      : mode_(mode),
-        k_(k),
-        per_vertex_(per_vertex),
-        early_termination_(early_termination),
-        binom_(binom) {
-    CHECK(binom != nullptr);
-    CHECK_GE(k, 1u);
-    // The leaf rule consults C(np, *) for np up to the bound; a short
-    // table would silently read out of range mid-count.
-    CHECK_GE(binom->max_n(), max_clique_bound)
-        << "PivotCounter: binomial table does not cover the clique bound";
+      : leaves_(dag.NumNodes(), mode, k, per_vertex, max_clique_bound, binom,
+                early_termination) {
     sg_.Attach(dag);
-    per_size_.assign(max_clique_bound + 2, BigCount{});
-    if (per_vertex_) per_vertex_counts_.assign(dag.NumNodes(), BigCount{});
   }
 
   // Counts all cliques rooted at `root` and accumulates into this counter.
@@ -77,46 +56,33 @@ class PivotCounter {
     const auto verts = sg_.Vertices();
     EnsureDepth(verts.size() + 2);
     // The root itself is the first required vertex (r = 1).
-    root_ = root;
+    leaves_.SetRoot(root);
     bufs_[0].assign(verts.begin(), verts.end());
-    total_ += Recurse(bufs_[0], /*r=*/1, /*np=*/0, /*depth=*/0);
+    Recurse(bufs_[0], /*r=*/1, /*np=*/0, /*depth=*/0);
   }
 
   // Edge-parallel entry point (requires an SG with BuildPair, i.e. the
   // remap structure): counts the cliques whose two lowest-ranked members
   // are the DAG edge (u, v). Both endpoints start as required (r = 2).
-  void ProcessEdge(NodeId u, NodeId v) {
+  void ProcessEdge(NodeId u, NodeId v)
+    requires requires(SG& sg, NodeId a, NodeId b) { sg.BuildPair(a, b); }
+  {
     sg_.BuildPair(u, v);
     const auto verts = sg_.Vertices();
     EnsureDepth(verts.size() + 2);
-    root_ = u;
-    if (per_vertex_) required_stack_.push_back(v);
+    leaves_.SetRoot(u);
+    if (leaves_.per_vertex()) leaves_.PushRequired(v);
     bufs_[0].assign(verts.begin(), verts.end());
-    total_ += Recurse(bufs_[0], /*r=*/2, /*np=*/0, /*depth=*/0);
-    if (per_vertex_) required_stack_.pop_back();
+    Recurse(bufs_[0], /*r=*/2, /*np=*/0, /*depth=*/0);
+    if (leaves_.per_vertex()) leaves_.PopRequired();
   }
 
-  // Accounts the singleton clique {u}. Used when a root task is split
-  // into edge subtasks: ProcessEdge only reaches cliques of size >= 2, so
-  // the split's owner contributes {u} exactly once through this call,
-  // mirroring what ProcessRoot's empty-candidate leaf would have counted.
-  void AddSingleton(NodeId u) {
-    if (mode_ == CountMode::kSingleK) {
-      if (k_ == 1) {
-        total_ += BigCount{1};
-        if (per_vertex_) per_vertex_counts_[u] += BigCount{1};
-      }
-      return;
-    }
-    per_size_[1] += BigCount{1};
-  }
+  void AddSingleton(NodeId u) { leaves_.AddSingleton(u); }
 
-  BigCount total() const { return total_; }
-  // per_size()[s] = number of s-cliques (kAllK mode; index 0 unused).
-  const std::vector<BigCount>& per_size() const { return per_size_; }
-  // per-vertex k-clique participation counts (per_vertex mode).
+  BigCount total() const { return leaves_.total(); }
+  const std::vector<BigCount>& per_size() const { return leaves_.per_size(); }
   const std::vector<BigCount>& per_vertex_counts() const {
-    return per_vertex_counts_;
+    return leaves_.per_vertex_counts();
   }
   const Stats& stats() const { return stats_; }
   Stats& stats() { return stats_; }
@@ -131,57 +97,10 @@ class PivotCounter {
     }
   }
 
-  // Leaf/early-exit contribution when the path holds r required vertices
-  // and the pivots on pivot_stack_. Handles per-vertex attribution: each
-  // required vertex is in all C(np, k-r) cliques; each pivot is in
-  // C(np-1, k-r-1) of them (the cliques that chose it).
-  BigCount LeafSingleK(std::uint32_t r, std::uint32_t np) {
-    DCHECK_LT(np, per_size_.size());  // bound from the DAG's max out-degree
-    if (k_ < r || k_ - r > np) return BigCount{};
-    const BigCount cliques = binom_->Choose(np, k_ - r);
-    if (per_vertex_ && cliques != BigCount{}) {
-      per_vertex_counts_[root_] += cliques;
-      for (NodeId u : required_stack_) per_vertex_counts_[u] += cliques;
-      if (k_ > r) {
-        const BigCount per_pivot = binom_->Choose(np - 1, k_ - r - 1);
-        for (NodeId u : pivot_stack_) per_vertex_counts_[u] += per_pivot;
-      }
-    }
-    return cliques;
-  }
-
-  void LeafAllK(std::uint32_t r, std::uint32_t np) {
-    std::uint32_t max_j = np;
-    if (mode_ == CountMode::kAllUpToK && k_ >= r)
-      max_j = std::min(np, k_ - r);
-    DCHECK_LT(r + max_j, per_size_.size());
-    for (std::uint32_t j = 0; j <= max_j; ++j)
-      per_size_[r + j] += binom_->Choose(np, j);
-  }
-
-  BigCount Recurse(std::span<const Id> candidates, std::uint32_t r,
-                   std::uint32_t np, std::uint32_t depth) {
+  void Recurse(std::span<const Id> candidates, std::uint32_t r,
+               std::uint32_t np, std::uint32_t depth) {
     stats_.OnCall();
-
-    if (mode_ == CountMode::kSingleK && early_termination_) {
-      // Early termination (Section V-A): once the required set alone
-      // reaches k, the subtree holds exactly one k-clique — the required
-      // set itself (any deeper leaf with r' = k shares it). Disabling this
-      // is a pure ablation: the recursion stays correct, just slower.
-      if (r == k_) return LeafSingleK(r, np);
-      // Even taking every remaining candidate cannot reach k.
-      if (r + np + candidates.size() < k_) return BigCount{};
-    }
-    // Required vertices beyond k contribute to no tracked size.
-    if (mode_ == CountMode::kAllUpToK && r > k_) return BigCount{};
-
-    if (candidates.empty()) {
-      if (mode_ != CountMode::kSingleK) {
-        LeafAllK(r, np);
-        return BigCount{};
-      }
-      return LeafSingleK(r, np);
-    }
+    if (leaves_.Settled(r, np, candidates.size())) return;
 
     // Pivot: the candidate with the most neighbors inside the set. Its
     // neighbors need no branches of their own — they are all reachable
@@ -214,7 +133,6 @@ class PivotCounter {
     }
     for (Id v : sg_.AdjPrefix(pivot)) sg_.Unmark(v);
 
-    BigCount total{};
     for (Id w : branches) {
       const bool is_pivot_branch = (w == pivot);
 
@@ -251,21 +169,21 @@ class PivotCounter {
       }
       for (Id v : child) sg_.Unmark(v);
 
-      if (per_vertex_) {
+      if (leaves_.per_vertex()) {
         if (is_pivot_branch)
-          pivot_stack_.push_back(sg_.OrigId(w));
+          leaves_.PushPivot(sg_.OrigId(w));
         else
-          required_stack_.push_back(sg_.OrigId(w));
+          leaves_.PushRequired(sg_.OrigId(w));
       }
 
-      total += Recurse(child, r + (is_pivot_branch ? 0 : 1),
-                       np + (is_pivot_branch ? 1 : 0), depth + 1);
+      Recurse(child, r + (is_pivot_branch ? 0 : 1),
+              np + (is_pivot_branch ? 1 : 0), depth + 1);
 
-      if (per_vertex_) {
+      if (leaves_.per_vertex()) {
         if (is_pivot_branch)
-          pivot_stack_.pop_back();
+          leaves_.PopPivots(1);
         else
-          required_stack_.pop_back();
+          leaves_.PopRequired();
       }
 
       // Ascend: restore every narrowed prefix length.
@@ -280,7 +198,6 @@ class PivotCounter {
     }
     // Restore the removed flags so the parent level sees its own pool.
     for (Id w : branches) sg_.ClearRemoved(w);
-    return total;
   }
 
   // Modeled flat index of adjacency payload accesses (trace policy only):
@@ -292,16 +209,7 @@ class PivotCounter {
 
   SG sg_;
   Stats stats_;
-  CountMode mode_;
-  std::uint32_t k_;
-  bool per_vertex_;
-  bool early_termination_;
-  const BinomialTable* binom_;
-
-  NodeId root_ = 0;
-  BigCount total_{};
-  std::vector<BigCount> per_size_;
-  std::vector<BigCount> per_vertex_counts_;
+  CliqueLeaves leaves_;
 
   struct UndoRecord {
     Id vertex;
@@ -310,8 +218,6 @@ class PivotCounter {
   std::vector<UndoRecord> undo_;
   std::vector<std::vector<Id>> bufs_;         // per-depth candidate sets
   std::vector<std::vector<Id>> branch_bufs_;  // per-depth branch lists
-  std::vector<NodeId> required_stack_;        // per-vertex mode only
-  std::vector<NodeId> pivot_stack_;           // per-vertex mode only
 };
 
 }  // namespace pivotscale

@@ -23,12 +23,18 @@ enum class TouchRegion : int {
   kFlags = 3,    // mark/removed byte maps
 };
 
-// Aggregated operation counters (also the cross-policy result type).
+// Aggregated operation counters (also the cross-policy result type). The
+// units depend on the kernel (docs/algorithm.md, "Operation counters"):
+// PivotCounter over dense/sparse/remap subgraphs counts adjacency entries
+// and flag tests; BitmapCounter counts bitset operations.
 struct OpCounters {
-  std::uint64_t calls = 0;        // recursive CountRecurse invocations
-  std::uint64_t edge_ops = 0;     // adjacency entries scanned
-  std::uint64_t induces = 0;      // subgraph inductions (branch descents)
-  std::uint64_t memberships = 0;  // mark/removed membership tests
+  std::uint64_t calls = 0;        // recursion nodes (Recurse invocations)
+  // PivotCounter: adjacency entries scanned. BitmapCounter: one per
+  // popcount(row[u] & P) in a pivot scan.
+  std::uint64_t edge_ops = 0;
+  std::uint64_t induces = 0;      // child candidate sets (branch descents)
+  // PivotCounter: mark/removed membership tests. BitmapCounter: always 0.
+  std::uint64_t memberships = 0;
 
   OpCounters& operator+=(const OpCounters& o) {
     calls += o.calls;

@@ -1,0 +1,63 @@
+#include "pivot/subgraph_bitmap.h"
+
+#include <algorithm>
+#include <iterator>
+
+namespace pivotscale {
+
+void SubgraphBitmap::Attach(const Graph& dag) {
+  dag_ = &dag;
+  remap_.Clear();
+  orig_.clear();
+  words_ = 0;
+}
+
+bool SubgraphBitmap::Build(NodeId root, std::uint32_t max_vertices) {
+  DCHECK(dag_ != nullptr) << "SubgraphBitmap::Build before Attach";
+  const auto nbrs = dag_->Neighbors(root);
+  if (nbrs.size() > max_vertices) return false;
+  orig_.assign(nbrs.begin(), nbrs.end());
+  FinishBuild();
+  return true;
+}
+
+bool SubgraphBitmap::BuildPair(NodeId u, NodeId v,
+                               std::uint32_t max_vertices) {
+  DCHECK(dag_ != nullptr) << "SubgraphBitmap::BuildPair before Attach";
+  // Sorted intersection of the two out-neighborhoods.
+  const auto nu = dag_->Neighbors(u);
+  const auto nv = dag_->Neighbors(v);
+  orig_.clear();
+  std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                        std::back_inserter(orig_));
+  if (orig_.size() > max_vertices) return false;
+  FinishBuild();
+  return true;
+}
+
+void SubgraphBitmap::FinishBuild() {
+  const auto n = static_cast<std::uint32_t>(orig_.size());
+  words_ = (n + 63) / 64;
+  matrix_.assign(static_cast<std::size_t>(n) * words_, 0);
+  if (n < 2) return;  // no member pairs, so no edges
+
+  remap_.Clear();
+  remap_.Reserve(n);
+  for (std::uint32_t local = 0; local < n; ++local)
+    remap_.Insert(orig_[local], local);
+  for (std::uint32_t a = 0; a < n; ++a) {
+    for (NodeId b : dag_->Neighbors(orig_[a])) {
+      const std::uint32_t local = remap_.Find(b);
+      if (local == FlatHashMap::kNotFound) continue;
+      SetBit(a, local);
+      SetBit(local, a);
+    }
+  }
+}
+
+std::size_t SubgraphBitmap::HeapBytes() const {
+  return orig_.capacity() * sizeof(NodeId) +
+         matrix_.capacity() * sizeof(std::uint64_t) + remap_.HeapBytes();
+}
+
+}  // namespace pivotscale

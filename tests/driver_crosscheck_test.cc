@@ -8,16 +8,24 @@
 // with split_threshold = 1 every root with out-edges becomes edge-slice
 // subtasks, so the split decomposition (including the singleton fixup)
 // carries the entire count and must still match brute force.
+//
+// The kernel-selection section pins the production dispatch: subgraphs of
+// at most kBitmapMaxVertices vertices run the bitmap kernel, larger ones
+// the remap structure, and both kernels, the driver and brute force agree
+// bit for bit on every mode at the size boundaries.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "pivot/bitmap_counter.h"
 #include "pivot/count.h"
 #include "pivot/pivotscale.h"
+#include "pivot/subgraph_remap.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
 #include "util/telemetry.h"
@@ -26,7 +34,10 @@ namespace pivotscale {
 namespace {
 
 using testing_helpers::BruteForceCount;
+using testing_helpers::BruteForcePerVertex;
+using testing_helpers::KernelTotals;
 using testing_helpers::MakeDag;
+using testing_helpers::RunKernel;
 
 // ------------------------------------------------- driver cross-validation
 
@@ -214,6 +225,201 @@ TEST(DriverCrosscheck, PlantedCliquesDeepK) {
     const CountResult vertex = CountCliques(dag, options);
     const CountResult edge = CountCliquesEdgeParallel(dag, options);
     EXPECT_EQ(vertex.total, edge.total) << "k=" << k;
+  }
+}
+
+// ---------------------------------------------------- kernel selection
+
+using RemapKernel = PivotCounter<RemapSubgraph, OpCountStats>;
+using BitmapKernel = BitmapCounter<OpCountStats>;
+
+// A hub (vertex 0) adjacent to `d` spokes. The spokes carry a sparse
+// random graph and two planted cliques, so the hub's subgraph recurses
+// deeply. Ranking by vertex id puts the hub first, so its DAG out-degree
+// is exactly d.
+Graph HubGraph(NodeId d, std::uint64_t seed) {
+  EdgeList spokes = d >= 2 ? ErdosRenyi(d, 0.05, seed) : EdgeList{};
+  if (d >= 12) PlantCliques(&spokes, d, 2, 6, 10, seed + 1);
+  EdgeList edges;
+  for (NodeId i = 1; i <= d; ++i) edges.emplace_back(0, i);
+  for (const auto& [u, v] : spokes) edges.emplace_back(u + 1, v + 1);
+  return BuildUndirected(std::move(edges), d + 1);
+}
+
+Graph IdentityDag(const Graph& g) {
+  std::vector<NodeId> ranks(g.NumNodes());
+  std::iota(ranks.begin(), ranks.end(), NodeId{0});
+  return Directionalize(g, ranks);
+}
+
+CountResult Production(const Graph& dag, CountMode mode, std::uint32_t k,
+                       std::uint64_t split_threshold, bool per_vertex = false,
+                       bool early_termination = true, int threads = 0) {
+  CountOptions options;
+  options.k = k;
+  options.mode = mode;
+  options.per_vertex = per_vertex;
+  options.early_termination = early_termination;
+  options.split_threshold = split_threshold;
+  options.collect_op_stats = true;
+  options.num_threads = threads;
+  return CountCliques(dag, options);
+}
+
+class KernelBoundary : public ::testing::TestWithParam<NodeId> {};
+
+TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
+  const NodeId d = GetParam();
+  const Graph g = HubGraph(d, 500 + d);
+  const Graph dag = IdentityDag(g);
+  ASSERT_EQ(dag.Degree(0), d);
+  const bool fits = d <= kBitmapMaxVertices;
+
+  for (std::uint32_t k = 1; k <= 5; ++k) {
+    const auto truth = static_cast<uint128>(BruteForceCount(g, k));
+    for (const bool early : {true, false}) {
+      const KernelTotals remap =
+          RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, false, early);
+      const KernelTotals bitmap =
+          RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, false, early);
+      EXPECT_EQ(remap.total.value(), truth) << "k=" << k;
+      EXPECT_EQ(bitmap.refused, fits ? 0u : 1u);
+      if (fits) {
+        EXPECT_EQ(bitmap.total, remap.total) << "k=" << k;
+      }
+      for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold,
+                                        std::uint64_t{0}, std::uint64_t{1}}) {
+        const CountResult driver = Production(dag, CountMode::kSingleK, k,
+                                              split, false, early);
+        EXPECT_EQ(driver.total.value(), truth)
+            << "k=" << k << " split=" << split << " early=" << early;
+      }
+    }
+  }
+
+  // Per-size modes: per_size bit for bit, whole and split.
+  for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
+    const KernelTotals remap = RunKernel<RemapKernel>(dag, mode, 4);
+    const KernelTotals bitmap = RunKernel<BitmapKernel>(dag, mode, 4);
+    if (fits) {
+      EXPECT_EQ(bitmap.per_size, remap.per_size);
+    }
+    for (std::uint32_t s = 1; s <= 4; ++s) {
+      const BigCount got =
+          s < remap.per_size.size() ? remap.per_size[s] : BigCount{};
+      EXPECT_EQ(got.value(), static_cast<uint128>(BruteForceCount(g, s)))
+          << "s=" << s;
+    }
+    for (const std::uint64_t split : {kNeverSplit, std::uint64_t{0}}) {
+      const CountResult driver = Production(dag, mode, 4, split);
+      EXPECT_EQ(driver.per_size, remap.per_size) << "split=" << split;
+    }
+  }
+
+  // Per-vertex attribution.
+  for (const std::uint32_t k : {1u, 2u, 4u}) {
+    const auto truth = BruteForcePerVertex(g, k);
+    const KernelTotals remap =
+        RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, true);
+    const KernelTotals bitmap =
+        RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, true);
+    if (fits) {
+      EXPECT_EQ(bitmap.per_vertex, remap.per_vertex) << "k=" << k;
+    }
+    for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
+      const CountResult driver =
+          Production(dag, CountMode::kSingleK, k, split, true);
+      ASSERT_EQ(driver.per_vertex.size(), truth.size());
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        EXPECT_EQ(driver.per_vertex[v].value(),
+                  static_cast<uint128>(truth[v]))
+            << "k=" << k << " split=" << split << " v=" << v;
+        EXPECT_EQ(remap.per_vertex[v], driver.per_vertex[v]) << "v=" << v;
+      }
+    }
+  }
+}
+
+TEST_P(KernelBoundary, OpCountsRepeatAcrossTeamSizes) {
+  const NodeId d = GetParam();
+  const Graph dag = IdentityDag(HubGraph(d, 700 + d));
+  for (const std::uint64_t split : {kNeverSplit, std::uint64_t{0}}) {
+    const CountResult one =
+        Production(dag, CountMode::kSingleK, 5, split, false, true, 1);
+    const CountResult four =
+        Production(dag, CountMode::kSingleK, 5, split, false, true, 4);
+    EXPECT_EQ(one.total, four.total);
+    EXPECT_EQ(one.ops.calls, four.ops.calls) << "split=" << split;
+    EXPECT_EQ(one.ops.edge_ops, four.ops.edge_ops) << "split=" << split;
+    EXPECT_EQ(one.ops.induces, four.ops.induces) << "split=" << split;
+  }
+  // Unsplit, every root that fits runs the bitmap kernel: the driver's
+  // op counts are exactly the bitmap kernel's.
+  if (d <= kBitmapMaxVertices) {
+    const KernelTotals bitmap =
+        RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 5);
+    const CountResult driver =
+        Production(dag, CountMode::kSingleK, 5, kNeverSplit);
+    EXPECT_EQ(driver.ops.calls, bitmap.ops.calls);
+    EXPECT_EQ(driver.ops.edge_ops, bitmap.ops.edge_ops);
+    EXPECT_EQ(driver.ops.induces, bitmap.ops.induces);
+    EXPECT_EQ(driver.ops.memberships, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RootOutDegrees, KernelBoundary,
+    ::testing::Values(0, 1, 63, 64, 65, 128, 255, 256, 257),
+    [](const ::testing::TestParamInfo<NodeId>& param_info) {
+      std::string name = "d";
+      name += std::to_string(param_info.param);
+      return name;
+    });
+
+TEST(KernelSelection, OnlySubgraphsAboveTheLimitFallBackToRemap) {
+  for (const NodeId d : {kBitmapMaxVertices, kBitmapMaxVertices + 1}) {
+    const Graph dag = IdentityDag(HubGraph(d, 900 + d));
+    for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold}) {
+      TelemetryRegistry telemetry;
+      CountOptions options;
+      options.k = 4;
+      options.split_threshold = split;
+      options.telemetry = &telemetry;
+      CountCliques(dag, options);
+      // A split hub runs pair subgraphs, which exclude the pair's second
+      // vertex and so always fit.
+      const bool falls_back =
+          d > kBitmapMaxVertices && split == kNeverSplit;
+      EXPECT_EQ(telemetry.Counter("count.remap_fallbacks"),
+                falls_back ? 1u : 0u)
+          << "d=" << d << " split=" << split;
+    }
+  }
+}
+
+TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
+  // Every candidate set of K_n is a clique, so the bitmap kernel settles
+  // each root in one call; the remap reference walks its pivot chains.
+  for (const NodeId n : {1u, 2u, 64u, 65u, 200u}) {
+    const Graph g = BuildUndirected(CompleteGraph(n), n);
+    const Graph dag = MakeDag(g, OrderingKind::kDegree);
+    const KernelTotals remap = RunKernel<RemapKernel>(dag, CountMode::kAllK, 1);
+    const CountResult driver =
+        Production(dag, CountMode::kAllK, 1, kNeverSplit);
+    EXPECT_EQ(driver.per_size, remap.per_size) << "n=" << n;
+    EXPECT_EQ(driver.ops.calls, n);
+    // A root of out-degree d walks a chain of d + 1 calls.
+    EXPECT_EQ(remap.ops.calls, static_cast<std::uint64_t>(n) * (n + 1) / 2)
+        << "n=" << n;
+    for (std::uint32_t s = 1; s <= std::min<NodeId>(n, 12); ++s)
+      EXPECT_EQ(driver.per_size[s].value(), BinomialChoose(n, s)) << s;
+
+    const CountResult per_vertex =
+        Production(dag, CountMode::kSingleK, 3, kNeverSplit, true);
+    for (NodeId v = 0; v < n; ++v)
+      EXPECT_EQ(per_vertex.per_vertex[v].value(),
+                BinomialChoose(n - 1, 2))
+          << "n=" << n << " v=" << v;
   }
 }
 

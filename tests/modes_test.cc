@@ -7,6 +7,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
+#include "pivot/subgraph_remap.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
 
@@ -125,18 +126,30 @@ TEST(EarlyTerm, NoOpOnPureCliques) {
   // in linear time regardless of k).
   const Graph g = BuildGraph(CompleteGraph(40));
   const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  CountOptions with_term;
-  with_term.k = 5;
-  with_term.collect_op_stats = true;
-  CountOptions without_term = with_term;
-  without_term.early_termination = false;
-  const auto with_calls = CountCliques(dag, with_term).ops.calls;
-  const auto without_calls = CountCliques(dag, without_term).ops.calls;
+  using Remap = PivotCounter<RemapSubgraph, OpCountStats>;
+  const auto with_calls =
+      testing_helpers::RunKernel<Remap>(dag, CountMode::kSingleK, 5, false,
+                                        /*early_termination=*/true)
+          .ops.calls;
+  const auto without_calls =
+      testing_helpers::RunKernel<Remap>(dag, CountMode::kSingleK, 5, false,
+                                        /*early_termination=*/false)
+          .ops.calls;
   // The only prunable work is the short-root chains: a root with
   // out-degree d < k-1 cannot reach k, so its (d+1)-call chain collapses to
   // one call, saving sum_{d=1}^{k-2} d = 6 calls for k=5. The cliques'
   // own pivot chains are untouched.
   EXPECT_EQ(without_calls - with_calls, 6u);
+
+  // The production path's bitmap kernel counts each chain as one clique
+  // leaf, so every root is a single call either way.
+  CountOptions with_term;
+  with_term.k = 5;
+  with_term.collect_op_stats = true;
+  CountOptions without_term = with_term;
+  without_term.early_termination = false;
+  EXPECT_EQ(CountCliques(dag, with_term).ops.calls, 40u);
+  EXPECT_EQ(CountCliques(dag, without_term).ops.calls, 40u);
 }
 
 }  // namespace

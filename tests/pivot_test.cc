@@ -9,8 +9,10 @@
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "order/core_order.h"
+#include "pivot/bitmap_counter.h"
 #include "pivot/count.h"
 #include "pivot/pivotscale.h"
+#include "pivot/subgraph_remap.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
 
@@ -19,7 +21,9 @@ namespace {
 
 using testing_helpers::BruteForceCount;
 using testing_helpers::BruteForcePerVertex;
+using testing_helpers::KernelTotals;
 using testing_helpers::MakeDag;
+using testing_helpers::RunKernel;
 
 BigCount Count(const Graph& g, std::uint32_t k, SubgraphKind structure,
                OrderingKind order = OrderingKind::kCore) {
@@ -142,6 +146,64 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.2, 0.45, 0.7),
                        ::testing::Values(1, 2, 3),
                        ::testing::Values(2, 3, 4, 5, 6)));
+
+// ------------------------------------------------- bitmap vs remap kernel
+
+// (n, edge probability, seed)
+using KernelParam = std::tuple<int, double, int>;
+
+class KernelSweep : public ::testing::TestWithParam<KernelParam> {};
+
+TEST_P(KernelSweep, BitmapMatchesRemapAndBruteForceInEveryMode) {
+  using Remap = PivotCounter<RemapSubgraph, NoStats>;
+  using Bitmap = BitmapCounter<NoStats>;
+  const auto [n, p, seed] = GetParam();
+  const Graph g = BuildGraph(
+      ErdosRenyi(static_cast<NodeId>(n), p, static_cast<std::uint64_t>(seed)));
+  if (g.NumNodes() == 0) GTEST_SKIP() << "degenerate empty instance";
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+
+  for (std::uint32_t k = 1; k <= 7; ++k) {
+    const auto truth = static_cast<uint128>(BruteForceCount(g, k));
+    for (const bool early : {true, false}) {
+      const KernelTotals remap =
+          RunKernel<Remap>(dag, CountMode::kSingleK, k, false, early);
+      const KernelTotals bitmap =
+          RunKernel<Bitmap>(dag, CountMode::kSingleK, k, false, early);
+      EXPECT_EQ(bitmap.refused, 0u);
+      EXPECT_EQ(remap.total.value(), truth) << "k=" << k;
+      EXPECT_EQ(bitmap.total.value(), truth) << "k=" << k;
+    }
+    const KernelTotals remap_upto =
+        RunKernel<Remap>(dag, CountMode::kAllUpToK, k);
+    const KernelTotals bitmap_upto =
+        RunKernel<Bitmap>(dag, CountMode::kAllUpToK, k);
+    EXPECT_EQ(bitmap_upto.per_size, remap_upto.per_size) << "k=" << k;
+    EXPECT_EQ(bitmap_upto.total.value(), truth) << "k=" << k;
+  }
+
+  const KernelTotals remap_all = RunKernel<Remap>(dag, CountMode::kAllK, 3);
+  const KernelTotals bitmap_all = RunKernel<Bitmap>(dag, CountMode::kAllK, 3);
+  EXPECT_EQ(bitmap_all.per_size, remap_all.per_size);
+
+  for (const std::uint32_t k : {1u, 2u, 3u, 5u}) {
+    const auto truth = BruteForcePerVertex(g, k);
+    const KernelTotals remap =
+        RunKernel<Remap>(dag, CountMode::kSingleK, k, true);
+    const KernelTotals bitmap =
+        RunKernel<Bitmap>(dag, CountMode::kSingleK, k, true);
+    EXPECT_EQ(bitmap.per_vertex, remap.per_vertex) << "k=" << k;
+    for (NodeId v = 0; v < g.NumNodes(); ++v)
+      EXPECT_EQ(bitmap.per_vertex[v].value(), static_cast<uint128>(truth[v]))
+          << "k=" << k << " v=" << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomGraphs, KernelSweep,
+    ::testing::Combine(::testing::Values(12, 30, 70),
+                       ::testing::Values(0.15, 0.5, 0.8),
+                       ::testing::Values(1, 2)));
 
 // ---------------------------------------------------------------- all-k mode
 

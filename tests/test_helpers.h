@@ -4,12 +4,16 @@
 #define PIVOTSCALE_TESTS_TEST_HELPERS_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/graph.h"
 #include "order/ordering.h"
+#include "pivot/clique_leaves.h"
+#include "pivot/stats.h"
+#include "util/binomial.h"
 #include "util/uint128.h"
 
 namespace pivotscale {
@@ -88,6 +92,43 @@ inline Graph MakeDag(const Graph& g, OrderingKind kind) {
   spec.kind = kind;
   const Ordering ordering = ComputeOrdering(g, spec);
   return Directionalize(g, ordering.ranks);
+}
+
+// Totals of one counting kernel run serially over every root of a DAG.
+struct KernelTotals {
+  BigCount total{};                 // kSingleK
+  std::vector<BigCount> per_size;   // kAllK / kAllUpToK
+  std::vector<BigCount> per_vertex;
+  OpCounters ops;
+  std::uint64_t refused = 0;  // roots the bitmap kernel would not take
+};
+
+// Runs kernel `Counter` — PivotCounter<SG, Stats> or BitmapCounter<Stats>
+// — over every root of `dag` on one thread: no driver, no splitting and no
+// kernel selection, so each kernel can be checked on its own.
+template <typename Counter>
+KernelTotals RunKernel(const Graph& dag, CountMode mode, std::uint32_t k,
+                       bool per_vertex = false,
+                       bool early_termination = true) {
+  const auto bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
+  const BinomialTable binom(bound + 1);
+  Counter counter(dag, mode, k, per_vertex, bound, &binom,
+                  early_termination);
+  KernelTotals out;
+  for (NodeId v = 0; v < dag.NumNodes(); ++v) {
+    if constexpr (std::is_same_v<decltype(counter.ProcessRoot(v)), bool>) {
+      if (!counter.ProcessRoot(v)) ++out.refused;
+    } else {
+      counter.ProcessRoot(v);
+    }
+  }
+  out.total = counter.total();
+  out.per_size = counter.per_size();
+  out.per_vertex = counter.per_vertex_counts();
+  out.ops = counter.stats().Snapshot();
+  if (mode != CountMode::kSingleK)
+    out.total = k < out.per_size.size() ? out.per_size[k] : BigCount{};
+  return out;
 }
 
 }  // namespace testing_helpers
