@@ -8,6 +8,9 @@
 //  3. Scheduling (Section IV): the paper sweeps chunk sizes and scheduler
 //     types and finds load balance is a minor factor; replay the work
 //     trace under static and dynamic scheduling with several chunk sizes.
+// Ablations 1 and 2 exit 1 when a count differs from the default single-k
+// run, so a small-scale run (--scale 0.05) doubles as a CI exactness check
+// of the early-termination and closed-form tail rules.
 #include <iostream>
 
 #include "bench_common.h"
@@ -69,8 +72,12 @@ int main(int argc, char** argv) {
     CountOptions upto = base;
     upto.mode = CountMode::kAllUpToK;
     Timer t3;
-    CountCliques(dag, upto);
+    const CountResult up_to_k = CountCliques(dag, upto);
     const double upto_seconds = t3.Seconds();
+    if (up_to_k.total != with_term.total) {
+      std::cerr << "ALL-UP-TO-K MISMATCH on " << d.name << "\n";
+      return 1;
+    }
 
     modes.AddRow(
         {d.name, TablePrinter::Cell(base_seconds, 3),

@@ -178,7 +178,7 @@ inline OrderingRun EvaluateOrdering(const Graph& g, const NamedSpec& named,
 inline bool EmitTelemetryIfRequested(const ArgParser& args,
                                      const TelemetryRegistry& registry) {
   if (!args.Has("telemetry-json")) return false;
-  const std::string path = args.GetString("telemetry-json", "");
+  const std::string path = args.GetPath("telemetry-json", "");
   WriteRunReport(path, registry);
   std::cout << "telemetry written to " << path << "\n";
   return true;

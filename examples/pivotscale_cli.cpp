@@ -61,7 +61,9 @@ int main(int argc, char** argv) {
       std::cout << "pivotscale_cli " << VersionString() << "\n";
       return 0;
     }
-    const std::string path = args.GetString("graph", "");
+    const std::string path = args.GetPath("graph", "");
+    const std::string telemetry_path = args.GetPath("telemetry-json", "");
+    const std::string save_path = args.GetPath("save-binary", "");
 
     Graph g;
     if (!path.empty()) {
@@ -79,10 +81,9 @@ int main(int argc, char** argv) {
               << g.NumUndirectedEdges() << " edges, avg degree "
               << TablePrinter::Cell(g.AverageDegree(), 2) << "\n";
 
-    if (args.Has("save-binary")) {
-      const std::string out = args.GetString("save-binary", "");
-      WriteBinaryGraph(out, g);
-      std::cout << "wrote binary graph to " << out << "\n";
+    if (!save_path.empty()) {
+      WriteBinaryGraph(save_path, g);
+      std::cout << "wrote binary graph to " << save_path << "\n";
     }
 
     PivotScaleOptions options;
@@ -101,8 +102,6 @@ int main(int argc, char** argv) {
       options.forced_ordering =
           ParseOrdering(ordering, args.GetDouble("eps", -0.5));
 
-    const std::string telemetry_path =
-        args.GetString("telemetry-json", "");
     TelemetryRegistry telemetry;
     if (!telemetry_path.empty()) options.telemetry = &telemetry;
 

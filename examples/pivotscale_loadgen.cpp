@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
     w.EndObject();
 
     const std::string report = w.str();
-    const std::string json_path = args.GetString("json", "");
+    const std::string json_path = args.GetPath("json", "");
     if (!json_path.empty()) {
       std::ofstream out(json_path);
       if (!out)

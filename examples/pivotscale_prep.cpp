@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
     // shared budget, so capping the budget is the whole-binary --threads.
     if (args.Has("threads"))
       ThreadBudget::Global().SetCapacity(args.GetThreads());
-    const std::string path = args.GetString("graph", "");
-    const std::string out = args.GetString("out", "graph.psx");
+    const std::string path = args.GetPath("graph", "");
+    const std::string telemetry_path = args.GetPath("telemetry-json", "");
+    const std::string out = args.GetPath("out", "graph.psx");
 
     Graph g;
     if (!path.empty()) {
@@ -77,8 +78,6 @@ int main(int argc, char** argv) {
       options.forced_ordering =
           ParseOrdering(ordering, args.GetDouble("eps", -0.5));
 
-    const std::string telemetry_path =
-        args.GetString("telemetry-json", "");
     TelemetryRegistry telemetry;
     if (!telemetry_path.empty()) options.telemetry = &telemetry;
 

@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const std::string telemetry_path =
-        args.GetString("telemetry-json", "");
+    const std::string telemetry_path = args.GetPath("telemetry-json", "");
     TelemetryRegistry telemetry;
 
     QueryEngineOptions options;
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
       std::cerr << "preloaded " << preload_path << "\n";
     }
 
-    const std::string batch_path = args.GetString("batch", "");
+    const std::string batch_path = args.GetPath("batch", "");
     std::ifstream batch_file;
     if (!batch_path.empty()) {
       batch_file.open(batch_path);

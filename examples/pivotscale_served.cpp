@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const std::string telemetry_path =
-        args.GetString("telemetry-json", "");
+    const std::string telemetry_path = args.GetPath("telemetry-json", "");
     TelemetryRegistry telemetry;
 
     QueryEngineOptions engine_options;
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, HandleSignal);
     std::signal(SIGINT, HandleSignal);
 
-    const std::string port_file = args.GetString("port-file", "");
+    const std::string port_file = args.GetPath("port-file", "");
     if (!port_file.empty()) {
       std::ofstream out(port_file);
       if (!out)

@@ -5,9 +5,12 @@
 #   2. -Werror build + full ctest  (build-check/), then the same suite
 #      again under OMP_NUM_THREADS=2 so a 2-thread budget exercises real
 #      multi-worker executor teams even on single-core runners, a
-#      micro_exec scheduler-smoke run, and the benchmark self-test
-#      (perfbench/run.py --smoke: exact counts on every workload, a
-#      corrupted reference that must fail, op counts that must repeat)
+#      micro_exec scheduler-smoke run, the small-scale ablation_design
+#      exactness check (early termination off and all-up-to-k must match
+#      single-k on every suite graph at k = 3, 4, 5, 8), and the benchmark
+#      self-test (perfbench/run.py --smoke: exact counts on every
+#      workload, a corrupted reference that must fail, op counts that must
+#      repeat)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
 #   4. TSan build + race shards    (build-check-tsan/)
 # Stage 3 is skipped with a note on toolchains without clang-tidy (the
@@ -34,6 +37,14 @@ OMP_NUM_THREADS=2 ctest --test-dir build-check --output-on-failure \
 
 echo "==> [2/4] micro_exec scheduler smoke"
 ./build-check/bench/micro_exec --benchmark_min_time=0.01
+
+echo "==> [2/4] ablation_design exactness (every suite graph, scale 0.05)"
+SUITE=dblp-like,skitter-like,baidu-like,wikitalk-like,orkut-like
+SUITE+=,livejournal-like,webedu-like,friendster-like
+for k in 3 4 5 8; do
+  ./build-check/bench/ablation_design --scale 0.05 --k "${k}" \
+    --datasets "${SUITE}" >/dev/null
+done
 
 echo "==> [2/4] perfbench smoke (exact counts, corrupted reference, op counts)"
 python3 perfbench/run.py --smoke

@@ -13,18 +13,21 @@
 //   - when the smallest in-set degree seen by the pivot scan is |P| - 1, P
 //     is a clique. Its subtree would be a chain of pivot branches, one call
 //     per member, ending in the leaf (r, np + |P|); the node counts that
-//     leaf directly instead.
-// The leaf, early-termination and pruning rules are CliqueLeaves', shared
-// with PivotCounter, so both kernels count every mode identically.
+//     leaf directly instead;
+//   - at r = k - 2 (CliqueLeaves::AtEdgeTail) the node sums
+//     popcount(row[u] & P) over P instead of scanning for a pivot, and
+//     settles in closed form from |P| and |E(P)|.
+// The leaf, early-termination, tail and pruning rules are CliqueLeaves',
+// shared with PivotCounter, so both kernels count every mode identically.
 //
 // The kernel takes subgraphs of at most kBitmapMaxVertices vertices (W <= 4
 // words); ProcessRoot/ProcessEdge return false for a larger one, and the
 // driver (pivot/count.cc) runs it on the remap structure instead.
 //
 // Op counters (pivot/stats.h) on this kernel: `calls` counts Recurse
-// invocations, `edge_ops` one per popcount(row[u] & P) of a pivot scan, and
-// `induces` one per child bitset formed (branch descent). There are no
-// membership tests, so `memberships` stays 0.
+// invocations, `edge_ops` one per popcount(row[u] & P) of a pivot or tail
+// degree scan, and `induces` one per child bitset formed (branch descent).
+// There are no membership tests, so `memberships` stays 0.
 #ifndef PIVOTSCALE_PIVOT_BITMAP_COUNTER_H_
 #define PIVOTSCALE_PIVOT_BITMAP_COUNTER_H_
 
@@ -148,10 +151,28 @@ class BitmapCounter {
       size += static_cast<std::uint32_t>(std::popcount(cand[i]));
     if (leaves_.Settled(r, np, size)) return;
 
+    const std::uint64_t* rows = sg_.data();
+    if (leaves_.AtEdgeTail(r)) {
+      // In-set degrees in place of the pivot scan: their sum is 2 |E(P)|.
+      std::uint32_t degree_sum = 0;
+      for (std::uint32_t i = 0; i < W; ++i) {
+        for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1) {
+          const std::uint32_t u =
+              64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
+          const std::uint64_t* row = rows + static_cast<std::size_t>(u) * W;
+          for (std::uint32_t j = 0; j < W; ++j)
+            degree_sum +=
+                static_cast<std::uint32_t>(std::popcount(row[j] & cand[j]));
+          stats_.OnEdgeOp();
+        }
+      }
+      leaves_.Tail(r, np, size, degree_sum / 2);
+      return;
+    }
+
     // Pivot scan: the candidate with the most neighbors inside the set.
     // Its neighbors need no branches of their own — they are all reachable
     // through the pivot's branch as optional (pivot) vertices.
-    const std::uint64_t* rows = sg_.data();
     std::uint32_t pivot = 0;
     std::uint32_t min_deg = size;
     int pivot_deg = -1;

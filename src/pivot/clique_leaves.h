@@ -8,6 +8,15 @@
 // mode each required vertex is in all of them, and each pivot in
 // C(np-1, k-r-1) (the cliques that chose it); the kernels report the path
 // through PushRequired/PushPivot with original vertex ids.
+//
+// More generally, the subtree of a node with candidate set P holds every
+// clique made of the required vertices, any subset of the pivots and any
+// clique inside P, each exactly once: sum_j c_j(P) * C(np, k - r - j)
+// k-cliques, where c_j(P) counts the j-cliques of G[P] (c_0 = 1,
+// c_1 = |P|, c_2 = |E(P)|). Once r >= k - 2 only j <= 2 contributes, so
+// the closed-form tail settles such a node from |P| and |E(P)| instead of
+// recursing: at r = k - 1 inside Settled, at r = k - 2 through Tail after
+// the kernel's in-set degree scan.
 #ifndef PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_
 #define PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_
 
@@ -44,6 +53,9 @@ class CliqueLeaves {
         k_(k),
         per_vertex_(per_vertex),
         early_termination_(early_termination),
+        // Per-vertex attribution needs each member's id, and kAllK has no
+        // upper size, so both keep the full recursion.
+        tail_(early_termination && !per_vertex && mode != CountMode::kAllK),
         binom_(binom) {
     CHECK(binom != nullptr);
     CHECK_GE(k, 1u);
@@ -86,11 +98,49 @@ class CliqueLeaves {
     }
     // Required vertices beyond k contribute to no tracked size.
     if (mode_ == CountMode::kAllUpToK && r > k_) return true;
+    // Closed-form tail, first level: cliques of P add at most one vertex.
+    if (tail_ && r + 1 >= k_) {
+      Tail(r, np, candidates, 0);
+      return true;
+    }
     if (candidates == 0) {
       Leaf(r, np);
       return true;
     }
     return false;
+  }
+
+  // True when a node that Settled left open is at the tail's second level
+  // (r = k - 2): the kernel sums the in-set degrees of P in place of its
+  // pivot scan and settles the node through Tail, with |E(P)| = sum / 2.
+  bool AtEdgeTail(std::uint32_t r) const { return tail_ && r + 2 == k_; }
+
+  // Closed-form tail: adds sum_{j<=2} c_j(P) * C(np, k - r - j), with
+  // c_1 = `vertices` and c_2 = `edges` (0 unless r = k - 2), to every
+  // tracked size.
+  void Tail(std::uint32_t r, std::uint32_t np, std::uint64_t vertices,
+            std::uint64_t edges) {
+    DCHECK(tail_);
+    DCHECK_GE(r + 2, k_);
+    DCHECK(edges == 0 || r + 2 == k_);
+    if (r > k_) return;
+    const std::uint32_t rest = k_ - r;  // at most 2
+    if (mode_ == CountMode::kSingleK) {
+      // Every term is below 2^64 (np and |P| fit 32 bits), so the sum is
+      // exact in 128 bits.
+      uint128 cliques = binom_->Choose(np, rest) + edges;
+      if (rest > 0) cliques += vertices * binom_->Choose(np, rest - 1);
+      total_ += cliques;
+      return;
+    }
+    Leaf(r, np);
+    if (vertices == 0) return;
+    // R, the pivots and one vertex of P form a clique, so r + np + 1 (and
+    // r + np + 2 when P has an edge) is within the clique bound.
+    DCHECK_LT(r + 1 + np, per_size_.size());
+    for (std::uint32_t j = 0; j < rest && j <= np; ++j)
+      per_size_[r + 1 + j] += vertices * binom_->Choose(np, j);
+    if (edges != 0) per_size_[k_] += edges;
   }
 
   // A leaf with r required vertices and np pivots on the path (the pivots
@@ -152,6 +202,7 @@ class CliqueLeaves {
   std::uint32_t k_;
   bool per_vertex_;
   bool early_termination_;
+  bool tail_;  // closed-form tail on (see the file comment)
   const BinomialTable* binom_;
 
   NodeId root_ = 0;

@@ -56,7 +56,9 @@ struct CountOptions {
   // Accumulate per-vertex k-clique participation counts (kSingleK only).
   bool per_vertex = false;
   // Disable Section V-A early termination (ablation only; slower, same
-  // counts). Applies to kSingleK.
+  // counts). This also turns off the closed-form tail, which settles nodes
+  // with r >= k - 2 in kSingleK and kAllUpToK runs without per-vertex
+  // attribution (pivot/clique_leaves.h).
   bool early_termination = true;
   // Count recursion operations (Table II proxy); small overhead.
   bool collect_op_stats = false;

@@ -105,16 +105,24 @@ class PivotCounter {
     // Pivot: the candidate with the most neighbors inside the set. Its
     // neighbors need no branches of their own — they are all reachable
     // through the pivot's branch as optional (pivot) vertices.
+    // The same scan sums the in-set degrees, 2 |E(P)|, for the
+    // closed-form tail (pivot/clique_leaves.h).
     Id pivot = candidates[0];
     std::uint32_t pivot_deg = sg_.Deg(pivot);
+    std::uint64_t degree_sum = 0;
     for (Id u : candidates) {
       const std::uint32_t d = sg_.Deg(u);
       if constexpr (Stats::kTrace)
         stats_.OnTouch(TouchRegion::kDeg, sg_.ModelIndex(u));
+      degree_sum += d;
       if (d > pivot_deg) {
         pivot = u;
         pivot_deg = d;
       }
+    }
+    if (leaves_.AtEdgeTail(r)) {
+      leaves_.Tail(r, np, candidates.size(), degree_sum / 2);
+      return;
     }
 
     // Branch list: the pivot first, then the non-neighbors of the pivot.

@@ -17,6 +17,7 @@ ArgParser::ArgParser(int argc, char** argv) {
     if (arg.size() == 2) throw std::runtime_error("bare '--' argument");
     std::string name = arg.substr(2);
     std::string value;
+    bool valueless = false;
     const std::size_t eq = name.find('=');
     if (eq != std::string::npos) {
       value = name.substr(eq + 1);
@@ -25,8 +26,13 @@ ArgParser::ArgParser(int argc, char** argv) {
       value = argv[++i];
     } else {
       value = "true";  // boolean flag with no value
+      valueless = true;
     }
     flags_[name] = value;
+    if (valueless)
+      valueless_.insert(name);
+    else
+      valueless_.erase(name);  // a repeated flag: the last one wins
   }
 }
 
@@ -84,6 +90,15 @@ int ArgParser::GetThreads(const std::string& name, int def) const {
         "bad --" + name + ": " + std::to_string(v) + " (must be between 1 "
         "and " + std::to_string(kMaxThreadsFlag) + ")");
   return static_cast<int>(v);
+}
+
+std::string ArgParser::GetPath(const std::string& name,
+                               const std::string& def) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return def;
+  if (it->second.empty() || valueless_.count(name) != 0)
+    throw std::runtime_error("bad --" + name + ": expected a path");
+  return it->second;
 }
 
 std::vector<std::int64_t> ArgParser::GetIntList(

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,12 @@ class ArgParser {
   // mistakes the binary should refuse, not absorb.
   int GetThreads(const std::string& name = "threads", int def = 0) const;
 
+  // Path-valued flag: absent -> `def`. When present it must name a path:
+  // an empty value ("--out=") or none at all ("--out" before another flag)
+  // raises std::runtime_error, instead of silently disabling the output
+  // or input the flag names.
+  std::string GetPath(const std::string& name, const std::string& def) const;
+
   // Comma-separated list of integers, e.g. "--ks 4,6,8".
   std::vector<std::int64_t> GetIntList(
       const std::string& name, const std::vector<std::int64_t>& def) const;
@@ -59,6 +66,7 @@ class ArgParser {
  private:
   std::string program_name_;
   std::map<std::string, std::string> flags_;
+  std::set<std::string> valueless_;  // boolean-style flags given no value
   std::vector<std::string> positional_;
 };
 

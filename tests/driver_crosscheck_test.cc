@@ -179,6 +179,137 @@ TEST_P(DriverCrosscheck, ForcedSplitPerVertexAndAllKAgreeWithUnsplit) {
     EXPECT_EQ(split_all.per_size[s], whole_all.per_size[s]) << "size=" << s;
 }
 
+// ------------------------------------------------- closed-form tail
+//
+// With early termination on, kSingleK and kAllUpToK nodes with r >= k - 2
+// are settled from |P| and |E(P)| (pivot/clique_leaves.h). Each case runs
+// the production driver whole and with every root split (edge tasks start
+// at r = 2, so k = 3 and 4 reach the tail at the task root), and the remap
+// and bitmap kernels on their own; early_termination = false is the full
+// recursion they must match.
+
+// The param's G(n, p) graph, alone or with planted cliques of 5 to 8
+// vertices, which give the recursion deep r >= k - 2 subtrees.
+Graph TailGraph(const CrossParam& param, bool planted) {
+  EdgeList edges = ErdosRenyi(param.n, param.p, param.seed + 5000);
+  if (planted) PlantCliques(&edges, param.n, 3, 5, 8, param.seed + 5001);
+  return BuildGraph(std::move(edges));
+}
+
+using RemapKernel = PivotCounter<RemapSubgraph, OpCountStats>;
+using BitmapKernel = BitmapCounter<OpCountStats>;
+
+TEST_P(DriverCrosscheck, ClosedFormTailMatchesBruteForceAndFullRecursion) {
+  for (const bool planted : {false, true}) {
+    const Graph g = TailGraph(GetParam(), planted);
+    const Graph dag = MakeDag(g, OrderingKind::kCore);
+    std::vector<uint128> truth(7);
+    for (std::uint32_t s = 1; s <= 6; ++s) truth[s] = BruteForceCount(g, s);
+
+    for (std::uint32_t k = 1; k <= 6; ++k) {
+      for (const CountMode mode : {CountMode::kSingleK, CountMode::kAllUpToK}) {
+        // The sizes a run must get right: k alone, or every size up to k.
+        const auto expect_exact = [&](const std::vector<BigCount>& per_size,
+                                      BigCount total, const char* what) {
+          EXPECT_EQ(total.value(), truth[k])
+              << what << " planted=" << planted << " k=" << k;
+          if (mode != CountMode::kAllUpToK) return;
+          for (std::uint32_t s = 1; s <= k; ++s) {
+            const BigCount got =
+                s < per_size.size() ? per_size[s] : BigCount{};
+            EXPECT_EQ(got.value(), truth[s]) << what << " planted=" << planted
+                                             << " k=" << k << " s=" << s;
+          }
+        };
+        for (const bool early : {true, false}) {
+          for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
+            CountOptions options;
+            options.k = k;
+            options.mode = mode;
+            options.early_termination = early;
+            options.split_threshold = split;
+            const CountResult driver = CountCliques(dag, options);
+            expect_exact(driver.per_size, driver.total, "driver");
+          }
+        }
+        // A tail node costs one call and at most its pivot scan, so the
+        // tail can only cut work. At k = 3 it settles every root that has
+        // out-neighbors in one call, so it must cut calls outright.
+        const auto expect_less_work = [&](const KernelTotals& tail,
+                                          const KernelTotals& full,
+                                          const char* what) {
+          expect_exact(tail.per_size, tail.total, what);
+          expect_exact(full.per_size, full.total, what);
+          EXPECT_LE(tail.ops.calls, full.ops.calls) << what << " k=" << k;
+          EXPECT_LE(tail.ops.edge_ops, full.ops.edge_ops) << what << " k=" << k;
+          if (k == 3) {
+            EXPECT_LT(tail.ops.calls, full.ops.calls) << what;
+          }
+        };
+        expect_less_work(RunKernel<RemapKernel>(dag, mode, k),
+                         RunKernel<RemapKernel>(dag, mode, k, false, false),
+                         "remap");
+        expect_less_work(RunKernel<BitmapKernel>(dag, mode, k),
+                         RunKernel<BitmapKernel>(dag, mode, k, false, false),
+                         "bitmap");
+      }
+    }
+  }
+}
+
+TEST_P(DriverCrosscheck, ClosedFormTailLeavesPerVertexUnchanged) {
+  // Per-vertex runs keep the full recursion: the tail must not change a
+  // single vertex's count.
+  const Graph g = TailGraph(GetParam(), /*planted=*/true);
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+  for (std::uint32_t k = 1; k <= 6; ++k) {
+    const auto truth = BruteForcePerVertex(g, k);
+    for (const bool early : {true, false}) {
+      for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
+        CountOptions options;
+        options.k = k;
+        options.per_vertex = true;
+        options.early_termination = early;
+        options.split_threshold = split;
+        const CountResult driver = CountCliques(dag, options);
+        ASSERT_EQ(driver.per_vertex.size(), truth.size());
+        for (NodeId v = 0; v < g.NumNodes(); ++v)
+          EXPECT_EQ(driver.per_vertex[v].value(),
+                    static_cast<uint128>(truth[v]))
+              << "k=" << k << " early=" << early << " split=" << split
+              << " v=" << v;
+      }
+      const KernelTotals remap =
+          RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, true, early);
+      for (NodeId v = 0; v < g.NumNodes(); ++v)
+        EXPECT_EQ(remap.per_vertex[v].value(), static_cast<uint128>(truth[v]))
+            << "remap k=" << k << " early=" << early << " v=" << v;
+    }
+  }
+}
+
+TEST(ClosedFormTail, SettlesEveryCompleteGraphRootInOneCall) {
+  // At k = 3 every root of K_n starts at r = 1 = k - 2, so the tail
+  // settles it in one call from its d out-neighbors and their C(d, 2)
+  // edges, which are the root's triangles. Without it the
+  // remap kernel walks each root's d + 1 call pivot chain; §V-A early
+  // termination alone never fires there (r stays 1).
+  for (const NodeId n : {2u, 5u, 40u}) {
+    const Graph dag =
+        MakeDag(BuildGraph(CompleteGraph(n)), OrderingKind::kDegree);
+    for (const CountMode mode : {CountMode::kSingleK, CountMode::kAllUpToK}) {
+      const KernelTotals tail = RunKernel<RemapKernel>(dag, mode, 3);
+      const KernelTotals full =
+          RunKernel<RemapKernel>(dag, mode, 3, false, false);
+      EXPECT_EQ(tail.total.value(), BinomialChoose(n, 3)) << "n=" << n;
+      EXPECT_EQ(full.total, tail.total) << "n=" << n;
+      EXPECT_EQ(tail.ops.calls, n) << "n=" << n;
+      EXPECT_EQ(full.ops.calls, static_cast<std::uint64_t>(n) * (n + 1) / 2)
+          << "n=" << n;
+    }
+  }
+}
+
 TEST(ForcedSplit, NonRemapStructuresIgnoreThresholdAndStayCorrect) {
   // Dense/Sparse structures cannot run edge subtasks (no BuildPair);
   // split_threshold must be ignored, not mis-applied.
@@ -229,9 +360,6 @@ TEST(DriverCrosscheck, PlantedCliquesDeepK) {
 }
 
 // ---------------------------------------------------- kernel selection
-
-using RemapKernel = PivotCounter<RemapSubgraph, OpCountStats>;
-using BitmapKernel = BitmapCounter<OpCountStats>;
 
 // A hub (vertex 0) adjacent to `d` spokes. The spokes carry a sparse
 // random graph and two planted cliques, so the hub's subgraph recurses

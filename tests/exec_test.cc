@@ -279,5 +279,34 @@ TEST(ThreadsFlag, UnparseableValueIsRejected) {
                std::runtime_error);
 }
 
+// ------------------------------------------------ path flag validation
+
+TEST(PathFlag, AbsentFallsBackToDefaultAndValueIsKept) {
+  EXPECT_EQ(ParseArgs({"bin"}).GetPath("telemetry-json", ""), "");
+  EXPECT_EQ(ParseArgs({"bin"}).GetPath("out", "graph.psx"), "graph.psx");
+  EXPECT_EQ(ParseArgs({"bin", "--telemetry-json=r.json"})
+                .GetPath("telemetry-json", ""),
+            "r.json");
+  EXPECT_EQ(ParseArgs({"bin", "--out", "a.psx"}).GetPath("out", "graph.psx"),
+            "a.psx");
+}
+
+TEST(PathFlag, EmptyOrMissingValueIsRejected) {
+  // Regression: "--telemetry-json=" used to read as "no report" and
+  // silently skip writing it.
+  EXPECT_THROW(ParseArgs({"bin", "--telemetry-json="})
+                   .GetPath("telemetry-json", ""),
+               std::runtime_error);
+  EXPECT_THROW(ParseArgs({"bin", "--telemetry-json", "--k", "4"})
+                   .GetPath("telemetry-json", ""),
+               std::runtime_error);
+  EXPECT_THROW(ParseArgs({"bin", "--out"}).GetPath("out", "graph.psx"),
+               std::runtime_error);
+  // A repeated flag: the last occurrence decides.
+  EXPECT_EQ(ParseArgs({"bin", "--out", "--out=b.psx"})
+                .GetPath("out", "graph.psx"),
+            "b.psx");
+}
+
 }  // namespace
 }  // namespace pivotscale

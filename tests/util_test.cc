@@ -1,5 +1,5 @@
 // Unit tests for the utility substrate: RNG, 128-bit saturating counters,
-// binomial tables, byte maps, sparse sets, prefix sums, CLI parsing, stats.
+// binomial tables, byte maps, prefix sums, CLI parsing, stats.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,7 +10,6 @@
 #include "util/cli.h"
 #include "util/prefix_sum.h"
 #include "util/rng.h"
-#include "util/sparse_set.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/uint128.h"
@@ -238,50 +237,6 @@ TEST(ByteMap, EnsureCapacityPreserves) {
   EXPECT_TRUE(m.Test(2));
   EXPECT_FALSE(m.Test(99));
   EXPECT_GE(m.capacity(), 100u);
-}
-
-// ---------------------------------------------------------------- sparse set
-
-TEST(SparseSet, InsertEraseContains) {
-  SparseSet s(10);
-  EXPECT_TRUE(s.Insert(4));
-  EXPECT_FALSE(s.Insert(4));  // duplicate
-  EXPECT_TRUE(s.Contains(4));
-  EXPECT_EQ(s.size(), 1u);
-  EXPECT_TRUE(s.Erase(4));
-  EXPECT_FALSE(s.Erase(4));
-  EXPECT_FALSE(s.Contains(4));
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(SparseSet, SwapEraseKeepsOthers) {
-  SparseSet s(10);
-  for (std::uint32_t v : {1u, 3u, 5u, 7u}) s.Insert(v);
-  s.Erase(3);
-  EXPECT_TRUE(s.Contains(1));
-  EXPECT_TRUE(s.Contains(5));
-  EXPECT_TRUE(s.Contains(7));
-  EXPECT_FALSE(s.Contains(3));
-  EXPECT_EQ(s.size(), 3u);
-}
-
-TEST(SparseSet, ClearIsCheapAndComplete) {
-  SparseSet s(100);
-  for (std::uint32_t v = 0; v < 100; ++v) s.Insert(v);
-  s.Clear();
-  EXPECT_TRUE(s.empty());
-  for (std::uint32_t v = 0; v < 100; ++v) EXPECT_FALSE(s.Contains(v));
-  // Reusable after clear.
-  EXPECT_TRUE(s.Insert(42));
-  EXPECT_TRUE(s.Contains(42));
-}
-
-TEST(SparseSet, StaleSparseEntriesDoNotFalsePositive) {
-  SparseSet s(10);
-  s.Insert(5);
-  s.Erase(5);
-  s.Insert(2);  // occupies dense slot 0, which 5's sparse entry points to
-  EXPECT_FALSE(s.Contains(5));
 }
 
 // ---------------------------------------------------------------- prefix sum
