@@ -9,14 +9,17 @@
 //     types and finds load balance is a minor factor; replay the work
 //     trace under static and dynamic scheduling with several chunk sizes.
 // Ablations 1 and 2 exit 1 when a count differs from the default single-k
-// run, so a small-scale run (--scale 0.05) doubles as a CI exactness check
-// of the early-termination and closed-form tail rules.
+// run, and so does the all-size leaf histogram (a kAllK run's per_size[k]
+// and ComputeCliqueProfile's CountK(k)), so a small-scale run
+// (--scale 0.05) doubles as a CI exactness check of the early-termination,
+// closed-form tail and histogram rules.
 #include <iostream>
 
 #include "bench_common.h"
 #include "graph/dag.h"
 #include "order/core_order.h"
 #include "pivot/count.h"
+#include "pivot/profile.h"
 #include "sim/scaling_sim.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -79,6 +82,18 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    CountOptions all_sizes = base;
+    all_sizes.mode = CountMode::kAllK;
+    // total is per_size[k] in kAllK (0 past the clique bound).
+    if (CountCliques(dag, all_sizes).total != with_term.total) {
+      std::cerr << "ALL-K MISMATCH on " << d.name << "\n";
+      return 1;
+    }
+    if (ComputeCliqueProfile(dag).CountK(k) != with_term.total) {
+      std::cerr << "PROFILE MISMATCH on " << d.name << "\n";
+      return 1;
+    }
+
     modes.AddRow(
         {d.name, TablePrinter::Cell(base_seconds, 3),
          TablePrinter::Cell(no_term_seconds, 3),
@@ -105,8 +120,9 @@ int main(int argc, char** argv) {
     Timer tv;
     const CountResult vertex = CountCliques(dag, options);
     const double vertex_seconds = tv.Seconds();
+    options.split_threshold = 0;  // every root with out-edges splits
     Timer te;
-    const CountResult edge = CountCliquesEdgeParallel(dag, options);
+    const CountResult edge = CountCliques(dag, options);
     const double edge_seconds = te.Seconds();
     if (vertex.total != edge.total) {
       std::cerr << "DECOMPOSITION MISMATCH on " << d.name << "\n";

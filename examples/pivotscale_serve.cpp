@@ -43,7 +43,7 @@ namespace {
 constexpr char kUsage[] =
     "pivotscale_serve: NDJSON clique-query server over .psx artifacts\n"
     "  request : {\"id\":1,\"graph\":\"g.psx\",\"k\":8}  (id required, >= 0)\n"
-    "            optional keys: all_k, per_vertex, top, structure,\n"
+    "            optional keys: all_k, per_vertex, top,\n"
     "            deadline_ms (accepted; enforced by pivotscale_served)\n"
     "  response: {\"id\":1,\"ok\":true,\"k\":8,\"count\":\"...\",...}\n"
     "  a blank line flushes the pending lines as one deduplicated batch\n"

@@ -46,7 +46,7 @@ constexpr char kUsage[] =
     "                    [--preload a.psx,b.psx]\n"
     "                    [--telemetry-json out.json] [--port-file path]\n"
     "  request : {\"id\":1,\"graph\":\"g.psx\",\"k\":8}  (id required, >= 0)\n"
-    "            optional keys: all_k, per_vertex, top, structure,\n"
+    "            optional keys: all_k, per_vertex, top,\n"
     "            deadline_ms (expired work answers \"deadline exceeded\")\n"
     "  a blank line flushes the pending lines as one deduplicated batch;\n"
     "  a full admission queue answers \"overloaded\" instead of queueing.\n"

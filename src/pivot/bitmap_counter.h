@@ -102,7 +102,7 @@ class BitmapCounter {
   void AddSingleton(NodeId u) { leaves_.AddSingleton(u); }
 
   BigCount total() const { return leaves_.total(); }
-  const std::vector<BigCount>& per_size() const { return leaves_.per_size(); }
+  const CliqueProfile& profile() const { return leaves_.profile(); }
   const std::vector<BigCount>& per_vertex_counts() const {
     return leaves_.per_vertex_counts();
   }

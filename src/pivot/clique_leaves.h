@@ -17,14 +17,22 @@
 // the closed-form tail settles such a node from |P| and |E(P)| instead of
 // recursing: at r = k - 1 inside Settled, at r = k - 2 through Tail after
 // the kernel's in-set degree scan.
+//
+// kSingleK folds each leaf into one k-clique total. The all-size modes
+// record each leaf's (r, np) pair once in a CliqueProfile
+// (pivot/profile.h), whose merge answers every size after the run: kAllK
+// walks the full tree, so its profile is exact for every size; kAllUpToK
+// prunes above k and settles its tail as the leaves (r, np), (r + 1, np)
+// per vertex of P and (r + 2, np) per edge of P, so its profile is exact
+// for sizes up to k only.
 #ifndef PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_
 #define PIVOTSCALE_PIVOT_CLIQUE_LEAVES_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
+#include "pivot/profile.h"
 #include "util/binomial.h"
 #include "util/check.h"
 #include "util/uint128.h"
@@ -42,7 +50,7 @@ enum class CountMode {
 // One worker's clique totals and the rules that feed them.
 class CliqueLeaves {
  public:
-  // `max_clique_bound` sizes the per-size array; the DAG's max out-degree
+  // `max_clique_bound` bounds every pivot count; the DAG's max out-degree
   // + 1 is always a valid bound (a clique of size c forces its root's
   // out-degree to be at least c - 1). `binom` must cover Choose(n, *) for
   // n <= max_clique_bound and is shared read-only across threads.
@@ -63,7 +71,6 @@ class CliqueLeaves {
     // table would silently read out of range mid-count.
     CHECK_GE(binom->max_n(), max_clique_bound)
         << "CliqueLeaves: binomial table does not cover the clique bound";
-    per_size_.assign(max_clique_bound + 2, BigCount{});
     if (per_vertex_) per_vertex_counts_.assign(num_nodes, BigCount{});
   }
 
@@ -117,7 +124,7 @@ class CliqueLeaves {
 
   // Closed-form tail: adds sum_{j<=2} c_j(P) * C(np, k - r - j), with
   // c_1 = `vertices` and c_2 = `edges` (0 unless r = k - 2), to every
-  // tracked size.
+  // tracked size; kAllUpToK records it as the leaves those terms stand for.
   void Tail(std::uint32_t r, std::uint32_t np, std::uint64_t vertices,
             std::uint64_t edges) {
     DCHECK(tail_);
@@ -133,14 +140,9 @@ class CliqueLeaves {
       total_ += cliques;
       return;
     }
-    Leaf(r, np);
-    if (vertices == 0) return;
-    // R, the pivots and one vertex of P form a clique, so r + np + 1 (and
-    // r + np + 2 when P has an edge) is within the clique bound.
-    DCHECK_LT(r + 1 + np, per_size_.size());
-    for (std::uint32_t j = 0; j < rest && j <= np; ++j)
-      per_size_[r + 1 + j] += vertices * binom_->Choose(np, j);
-    if (edges != 0) per_size_[k_] += edges;
+    profile_.Add(r, np);
+    if (vertices != 0 && rest > 0) profile_.Add(r + 1, np, vertices);
+    if (edges != 0) profile_.Add(r + 2, np, edges);
   }
 
   // A leaf with r required vertices and np pivots on the path (the pivots
@@ -150,12 +152,7 @@ class CliqueLeaves {
       LeafSingleK(r, np);
       return;
     }
-    std::uint32_t max_j = np;
-    if (mode_ == CountMode::kAllUpToK && k_ >= r)
-      max_j = std::min(np, k_ - r);
-    DCHECK_LT(r + max_j, per_size_.size());
-    for (std::uint32_t j = 0; j <= max_j; ++j)
-      per_size_[r + j] += binom_->Choose(np, j);
+    profile_.Add(r, np);
   }
 
   // Accounts the singleton clique {u}. Used when a root task is split into
@@ -170,13 +167,13 @@ class CliqueLeaves {
       }
       return;
     }
-    per_size_[1] += BigCount{1};
+    profile_.Add(1, 0);
   }
 
   // k-cliques counted (kSingleK).
   BigCount total() const { return total_; }
-  // per_size()[s] = number of s-cliques (kAllK / kAllUpToK; index 0 unused).
-  const std::vector<BigCount>& per_size() const { return per_size_; }
+  // The leaf histogram (kAllK / kAllUpToK; empty in kSingleK).
+  const CliqueProfile& profile() const { return profile_; }
   // Per-vertex k-clique participation counts (per_vertex mode).
   const std::vector<BigCount>& per_vertex_counts() const {
     return per_vertex_counts_;
@@ -184,7 +181,6 @@ class CliqueLeaves {
 
  private:
   void LeafSingleK(std::uint32_t r, std::uint32_t np) {
-    DCHECK_LT(np, per_size_.size());  // bound from the DAG's max out-degree
     if (k_ < r || k_ - r > np) return;
     const BigCount cliques = binom_->Choose(np, k_ - r);
     total_ += cliques;
@@ -207,7 +203,7 @@ class CliqueLeaves {
 
   NodeId root_ = 0;
   BigCount total_{};
-  std::vector<BigCount> per_size_;
+  CliqueProfile profile_;
   std::vector<BigCount> per_vertex_counts_;
   std::vector<NodeId> required_;  // per-vertex mode only
   std::vector<NodeId> pivots_;    // per-vertex mode only

@@ -124,12 +124,10 @@ OpCounters Ops(const Counter& counter) {
 }
 
 // Dumps one finished driver run into the registry: per-thread series, op
-// totals, and load-balance gauges. `items` is the number of top-level work
-// items under `item_counter` ("count.roots" / "count.edge_owners").
+// totals, and load-balance gauges. `roots` is the number of DAG roots.
 void RecordCountTelemetry(TelemetryRegistry* telemetry,
                           const CountResult& result,
-                          const ExecStats& exec_stats, std::uint64_t items,
-                          const char* item_counter,
+                          const ExecStats& exec_stats, std::uint64_t roots,
                           std::uint64_t remap_fallbacks) {
   if (telemetry == nullptr) return;
   telemetry->SetSeries("count.thread_busy_seconds",
@@ -140,7 +138,7 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
   telemetry->SetSeries("count.thread_chunks", std::move(chunk_series));
   telemetry->AddCounter("count.chunks", exec_stats.chunks);
   telemetry->AddCounter("count.splits", exec_stats.splits);
-  telemetry->AddCounter(item_counter, items);
+  telemetry->AddCounter("count.roots", roots);
   telemetry->AddCounter("count.remap_fallbacks", remap_fallbacks);
   telemetry->AddCounter("count.recursion_calls", result.ops.calls);
   telemetry->AddCounter("count.edge_ops", result.ops.edge_ops);
@@ -160,8 +158,7 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
 // each worker owns a Counter (its reduction slot) and the merge runs
 // serially after the region.
 template <typename Counter>
-CountResult Run(const Graph& dag, const CountOptions& options,
-                const char* item_counter) {
+CountResult Run(const Graph& dag, const CountOptions& options) {
   // Long-tail splitting needs first-level pair builds, which the paper's
   // dense and sparse structures do not implement.
   constexpr bool kCanSplit =
@@ -173,7 +170,6 @@ CountResult Run(const Graph& dag, const CountOptions& options,
   const BinomialTable binom(bound + 1);
 
   CountResult result;
-  result.per_size.assign(bound + 2, BigCount{});
   if (options.per_vertex) result.per_vertex.assign(n, BigCount{});
   if (options.collect_work_trace) result.work_trace.roots.resize(n);
 
@@ -247,47 +243,45 @@ CountResult Run(const Graph& dag, const CountOptions& options,
           remap_fallbacks += counter.remap_fallbacks();
         ForEachKernel(counter, [&](const auto& kernel) {
           result.total += kernel.total();
-          if (options.mode != CountMode::kSingleK) {
-            const auto& sizes = kernel.per_size();
-            CHECK_LE(sizes.size(), result.per_size.size())
-                << "count: per-thread per-size table outgrew the result "
-                   "table";
-            for (std::size_t s = 0; s < sizes.size(); ++s)
-              result.per_size[s] += sizes[s];
-          }
+          result.profile.Merge(kernel.profile());
           if (options.per_vertex) {
             const auto& pv = kernel.per_vertex_counts();
             CHECK_EQ(pv.size(), result.per_vertex.size());
             for (NodeId v = 0; v < n; ++v) result.per_vertex[v] += pv[v];
           }
           result.ops += kernel.stats().Snapshot();
-          result.workspace_bytes += kernel.WorkspaceBytes();
+          result.workspace_bytes +=
+              kernel.WorkspaceBytes() + kernel.profile().Bytes();
         });
       });
 
   result.seconds = exec_stats.seconds;
   result.thread_busy_seconds = exec_stats.worker_busy_seconds;
 
-  if (options.mode != CountMode::kSingleK) {
-    result.total = options.k < result.per_size.size()
-                       ? result.per_size[options.k]
-                       : BigCount{};
-  }
+  // Sizes past bound + 1 hold no clique; kAllUpToK's profile is exact only
+  // up to k, and kSingleK's is empty.
+  const std::uint32_t max_size = options.mode == CountMode::kAllUpToK
+                                     ? std::min(options.k, bound + 1)
+                                     : bound + 1;
+  result.per_size = result.profile.PerSize(max_size);
+  result.per_size.resize(bound + 2);
+  if (options.mode != CountMode::kSingleK)
+    result.total = options.k <= max_size ? result.per_size[options.k]
+                                         : BigCount{};
   RecordCountTelemetry(options.telemetry, result, exec_stats, n,
-                       item_counter, remap_fallbacks);
+                       remap_fallbacks);
   return result;
 }
 
 // Instantiates the driver for counter template C at the stats policy the
 // options ask for.
 template <template <typename> class C>
-CountResult Dispatch(const Graph& dag, const CountOptions& options,
-                     const char* item_counter) {
+CountResult Dispatch(const Graph& dag, const CountOptions& options) {
   // Telemetry wants the op totals, so it rides the counting stats policy.
   if (options.collect_op_stats || options.collect_work_trace ||
       options.telemetry != nullptr)
-    return Run<C<OpCountStats>>(dag, options, item_counter);
-  return Run<C<NoStats>>(dag, options, item_counter);
+    return Run<C<OpCountStats>>(dag, options);
+  return Run<C<NoStats>>(dag, options);
 }
 
 template <typename Stats>
@@ -296,27 +290,6 @@ template <typename Stats>
 using SparseCounter = PivotCounter<SparseSubgraph, Stats>;
 
 }  // namespace
-
-CountResult CountCliquesEdgeParallel(const Graph& dag,
-                                     const CountOptions& options) {
-  if (dag.undirected())
-    throw std::invalid_argument(
-        "CountCliquesEdgeParallel: expected a directionalized DAG");
-  if (options.collect_work_trace)
-    throw std::invalid_argument(
-        "CountCliquesEdgeParallel: per-root work traces are vertex-mode "
-        "only");
-  if (options.per_vertex && options.mode != CountMode::kSingleK)
-    throw std::invalid_argument(
-        "CountCliquesEdgeParallel: per-vertex counts require kSingleK");
-  if (options.k < 1)
-    throw std::invalid_argument("CountCliquesEdgeParallel: k must be >= 1");
-
-  CountOptions edge_options = options;
-  edge_options.structure = SubgraphKind::kRemap;
-  edge_options.split_threshold = 0;  // split every root with out-edges
-  return Dispatch<ProductionCounter>(dag, edge_options, "count.edge_owners");
-}
 
 CountResult CountCliques(const Graph& dag, const CountOptions& options) {
   if (dag.undirected())
@@ -331,11 +304,11 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options) {
 
   switch (options.structure) {
     case SubgraphKind::kDense:
-      return Dispatch<DenseCounter>(dag, options, "count.roots");
+      return Dispatch<DenseCounter>(dag, options);
     case SubgraphKind::kSparse:
-      return Dispatch<SparseCounter>(dag, options, "count.roots");
+      return Dispatch<SparseCounter>(dag, options);
     case SubgraphKind::kRemap:
-      return Dispatch<ProductionCounter>(dag, options, "count.roots");
+      return Dispatch<ProductionCounter>(dag, options);
   }
   throw std::invalid_argument("CountCliques: unknown subgraph structure");
 }

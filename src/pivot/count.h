@@ -19,6 +19,7 @@
 
 #include "graph/graph.h"
 #include "pivot/pivoter.h"
+#include "pivot/profile.h"
 #include "pivot/stats.h"
 #include "sim/work_trace.h"
 #include "util/uint128.h"
@@ -75,7 +76,8 @@ struct CountOptions {
   // lowest-ranked members are that DAG edge. Only the remap structure
   // supports pair builds, and work-trace runs never split (work is
   // attributed per root). 0 splits every root with out-edges (the full
-  // edge-parallel decomposition); kNeverSplit disables splitting.
+  // edge-parallel decomposition of GPU-Pivot); kNeverSplit disables
+  // splitting.
   std::uint64_t split_threshold = kDefaultSplitThreshold;
   // When non-null, the driver records "count.*" metrics into this registry:
   // per-thread busy-second and chunk-count series, work-item and dynamic-
@@ -85,11 +87,19 @@ struct CountOptions {
 };
 
 struct CountResult {
-  // k-cliques of the target size (in kAllK mode, per_size[k] when k is in
-  // range, otherwise 0).
+  // k-cliques of the target size (in kAllK / kAllUpToK mode, per_size[k]
+  // when k is in range, otherwise 0).
   BigCount total{};
-  // per_size[s] = number of s-cliques; filled in kAllK mode.
+  // per_size[s] = number of s-cliques, derived from `profile` once after
+  // the merge: every size in kAllK, sizes up to k in kAllUpToK (larger
+  // sizes read 0), all zero in kSingleK. Its length is the DAG's max
+  // out-degree + 3 in every mode.
   std::vector<BigCount> per_size;
+  // The merged (r, np) leaf histogram of kAllK / kAllUpToK runs (empty in
+  // kSingleK): exact for every size in kAllK, for sizes up to k in
+  // kAllUpToK. Which leaves it holds depends on the kernel that ran each
+  // task and on which roots split, never on the thread count.
+  CliqueProfile profile;
   // Per-vertex participation counts; filled when per_vertex was set.
   std::vector<BigCount> per_vertex;
   // Aggregated recursion operations (op stats / work trace modes), summed
@@ -104,7 +114,8 @@ struct CountResult {
   WorkTrace work_trace;
   // Counting wall time.
   double seconds = 0;
-  // Sum of the per-thread subgraph workspace footprints.
+  // Sum of the per-thread subgraph workspace and leaf histogram
+  // footprints.
   std::size_t workspace_bytes = 0;
   // Per-thread busy seconds, for the load-balance CoV analysis (Section IV).
   // Sized to the *actual* OpenMP team size (which may be smaller than the
@@ -115,19 +126,6 @@ struct CountResult {
 // Counts cliques on a directionalized DAG. The DAG must come from
 // Directionalize() (each undirected edge stored once, acyclic).
 CountResult CountCliques(const Graph& dag, const CountOptions& options);
-
-// Edge-parallel counting (GPU-Pivot's finer-grained work decomposition):
-// every root splits into its first-level edge subtasks — each counts the
-// cliques whose two lowest-ranked members are that edge. Better load
-// balance on skewed graphs at the cost of one intersection per edge.
-// Since the exec-layer refactor this is CountCliques with
-// split_threshold = 0 on the production path (the paper's dense and sparse
-// structures have no pair builds); per-root work traces are not supported
-// (work is per edge). Singletons still come from the recursion: each root
-// without out-edges is a whole-root task whose leaf counts {v}, and each
-// split root adds {v} once through its first slice.
-CountResult CountCliquesEdgeParallel(const Graph& dag,
-                                     const CountOptions& options);
 
 }  // namespace pivotscale
 

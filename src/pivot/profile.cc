@@ -1,199 +1,62 @@
 #include "pivot/profile.h"
 
 #include <algorithm>
-#include <stdexcept>
 
-#include "exec/executor.h"
-#include "pivot/subgraph_remap.h"
+#include "pivot/count.h"
 #include "util/binomial.h"
 
 namespace pivotscale {
 
-CliqueProfile::CliqueProfile(
-    std::vector<std::vector<std::uint64_t>> leaf_histogram)
-    : hist_(std::move(leaf_histogram)) {
-  for (std::size_t r = 0; r < hist_.size(); ++r)
-    for (std::size_t np = 0; np < hist_[r].size(); ++np)
-      if (hist_[r][np] > 0)
-        max_r_plus_np_ = std::max(
-            max_r_plus_np_, static_cast<std::uint32_t>(r + np));
+void CliqueProfile::Grow(std::uint32_t rows) {
+  rows_ = rows;
+  cells_.resize(Cell(0, rows), 0);
+}
+
+void CliqueProfile::Merge(const CliqueProfile& other) {
+  if (other.rows_ > rows_) Grow(other.rows_);
+  for (std::size_t i = 0; i < other.cells_.size(); ++i)
+    cells_[i] += other.cells_[i];
+}
+
+std::uint64_t CliqueProfile::Leaves(std::uint32_t r, std::uint32_t np) const {
+  const std::uint32_t s = r + np;
+  return s < rows_ ? cells_[Cell(r, s)] : 0;
 }
 
 BigCount CliqueProfile::CountK(std::uint32_t k) const {
-  if (k == 0) return BigCount{};
-  BinomialTable binom(max_r_plus_np_ + 1);
+  if (k == 0 || k >= rows_) return BigCount{};
+  const BinomialTable binom(rows_);
   BigCount total{};
-  for (std::size_t r = 1; r < hist_.size(); ++r) {
-    if (r > k) continue;
-    const std::uint32_t need = k - static_cast<std::uint32_t>(r);
-    for (std::size_t np = need; np < hist_[r].size(); ++np) {
-      if (hist_[r][np] == 0) continue;
-      total += BigCount{SatMul(binom.Choose(
-                                   static_cast<std::uint32_t>(np), need),
-                               static_cast<uint128>(hist_[r][np]))};
-    }
-  }
+  for (std::uint32_t s = k; s < rows_; ++s)
+    for (std::uint32_t r = 1; r <= k; ++r)
+      if (const std::uint64_t leaves = cells_[Cell(r, s)])
+        total += BigCount{SatMul(binom.Choose(s - r, k - r), leaves)};
   return total;
 }
 
-std::vector<BigCount> CliqueProfile::PerSize() const {
-  std::vector<BigCount> sizes(max_r_plus_np_ + 2, BigCount{});
-  BinomialTable binom(max_r_plus_np_ + 1);
-  for (std::size_t r = 1; r < hist_.size(); ++r)
-    for (std::size_t np = 0; np < hist_[r].size(); ++np) {
-      if (hist_[r][np] == 0) continue;
-      const auto count = static_cast<uint128>(hist_[r][np]);
-      for (std::size_t j = 0; j <= np; ++j)
-        sizes[r + j] +=
-            BigCount{SatMul(binom.Choose(static_cast<std::uint32_t>(np),
-                                         static_cast<std::uint32_t>(j)),
-                            count)};
-    }
+std::vector<BigCount> CliqueProfile::PerSize(std::uint32_t max_size) const {
+  std::vector<BigCount> sizes(std::size_t{max_size} + 1, BigCount{});
+  const BinomialTable binom(rows_);
+  for (std::uint32_t s = 0; s < rows_; ++s)
+    for (std::uint32_t r = 0; r <= std::min(s, max_size); ++r)
+      if (const std::uint64_t leaves = cells_[Cell(r, s)])
+        for (std::uint32_t size = r; size <= std::min(s, max_size); ++size)
+          sizes[size] +=
+              BigCount{SatMul(binom.Choose(s - r, size - r), leaves)};
   return sizes;
-}
-
-std::uint32_t CliqueProfile::MaxCliqueSize() const {
-  return max_r_plus_np_;
 }
 
 std::uint64_t CliqueProfile::TotalLeaves() const {
   std::uint64_t total = 0;
-  for (const auto& row : hist_)
-    for (std::uint64_t c : row) total += c;
+  for (const std::uint64_t leaves : cells_) total += leaves;
   return total;
 }
 
-namespace {
-
-// A second, independent client of the remap subgraph interface: the same
-// pivoting recursion as PivotCounter but recording leaf signatures instead
-// of aggregating binomials. Its PerSize() agreeing with the production
-// counter's kAllK output is itself a strong cross-check (tested).
-class ProfileRecorder {
- public:
-  ProfileRecorder(const Graph& dag, std::uint32_t bound) : bound_(bound) {
-    sg_.Attach(dag);
-  }
-
-  void ProcessRoot(NodeId root,
-                   std::vector<std::vector<std::uint64_t>>* hist) {
-    sg_.Build(root);
-    const auto verts = sg_.Vertices();
-    if (bufs_.size() < verts.size() + 2) {
-      bufs_.resize(verts.size() + 2);
-      branch_bufs_.resize(verts.size() + 2);
-    }
-    hist_ = hist;
-    bufs_[0].assign(verts.begin(), verts.end());
-    Recurse(bufs_[0], 1, 0, 0);
-  }
-
- private:
-  using Id = RemapSubgraph::Id;
-
-  void Recurse(std::span<const Id> candidates, std::uint32_t r,
-               std::uint32_t np, std::uint32_t depth) {
-    if (candidates.empty()) {
-      ++(*hist_)[std::min(r, bound_)][std::min(np, bound_)];
-      return;
-    }
-
-    Id pivot = candidates[0];
-    std::uint32_t pivot_deg = sg_.Deg(pivot);
-    for (Id u : candidates) {
-      if (sg_.Deg(u) > pivot_deg) {
-        pivot = u;
-        pivot_deg = sg_.Deg(u);
-      }
-    }
-
-    auto& branches = branch_bufs_[depth];
-    branches.clear();
-    branches.push_back(pivot);
-    for (Id v : sg_.AdjPrefix(pivot)) sg_.Mark(v);
-    for (Id u : candidates)
-      if (u != pivot && !sg_.Marked(u)) branches.push_back(u);
-    for (Id v : sg_.AdjPrefix(pivot)) sg_.Unmark(v);
-
-    for (Id w : branches) {
-      const bool is_pivot_branch = (w == pivot);
-      auto& child = bufs_[depth + 1];
-      child.clear();
-      for (Id v : sg_.AdjPrefix(w))
-        if (!sg_.Removed(v)) child.push_back(v);
-
-      const std::size_t undo_top = undo_.size();
-      for (Id v : child) sg_.Mark(v);
-      for (Id v : child) {
-        auto adj = sg_.AdjPrefix(v);
-        std::uint32_t kept = 0;
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(adj.size()); ++i)
-          if (sg_.Marked(adj[i])) std::swap(adj[kept++], adj[i]);
-        undo_.push_back({v, sg_.Deg(v)});
-        sg_.SetDeg(v, kept);
-      }
-      for (Id v : child) sg_.Unmark(v);
-
-      Recurse(child, r + (is_pivot_branch ? 0 : 1),
-              np + (is_pivot_branch ? 1 : 0), depth + 1);
-
-      while (undo_.size() > undo_top) {
-        const auto [vertex, old_deg] = undo_.back();
-        undo_.pop_back();
-        sg_.SetDeg(vertex, old_deg);
-      }
-      sg_.SetRemoved(w);
-    }
-    for (Id w : branches) sg_.ClearRemoved(w);
-  }
-
-  RemapSubgraph sg_;
-  std::uint32_t bound_;
-  std::vector<std::vector<std::uint64_t>>* hist_ = nullptr;
-  std::vector<std::pair<Id, std::uint32_t>> undo_;
-  std::vector<std::vector<Id>> bufs_;
-  std::vector<std::vector<Id>> branch_bufs_;
-};
-
-}  // namespace
-
 CliqueProfile ComputeCliqueProfile(const Graph& dag, int num_threads) {
-  if (dag.undirected())
-    throw std::invalid_argument(
-        "ComputeCliqueProfile: expected a directionalized DAG");
-  const NodeId n = dag.NumNodes();
-  const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
-  std::vector<std::vector<std::uint64_t>> hist(
-      bound + 1, std::vector<std::uint64_t>(bound + 1, 0));
-
-  // Per-worker reduction slot: the recorder plus its private 2-D leaf
-  // histogram, merged serially after the region.
-  struct Worker {
-    Worker(const Graph& graph, std::uint32_t clique_bound)
-        : recorder(graph, clique_bound),
-          local(clique_bound + 1,
-                std::vector<std::uint64_t>(clique_bound + 1, 0)) {}
-    ProfileRecorder recorder;
-    std::vector<std::vector<std::uint64_t>> local;
-  };
-
-  ExecOptions exec_options;
-  exec_options.num_threads = num_threads;
-  exec_options.cost = [&dag](std::size_t v) {
-    return static_cast<double>(dag.Degree(static_cast<NodeId>(v)) + 1);
-  };
-  ParallelForWorkers(
-      n, exec_options, [&](int) { return Worker(dag, bound); },
-      [](Worker& w, std::size_t v) {
-        w.recorder.ProcessRoot(static_cast<NodeId>(v), &w.local);
-      },
-      [&hist, bound](Worker& w) {
-        for (std::size_t r = 0; r <= bound; ++r)
-          for (std::size_t np = 0; np <= bound; ++np)
-            hist[r][np] += w.local[r][np];
-      });
-  return CliqueProfile(std::move(hist));
+  CountOptions options;
+  options.mode = CountMode::kAllK;
+  options.num_threads = num_threads;
+  return CountCliques(dag, options).profile;
 }
 
 }  // namespace pivotscale

@@ -26,14 +26,6 @@ bool RequireBool(const JsonValue& v, const char* key) {
   return v.bool_value;
 }
 
-SubgraphKind ParseStructureName(const std::string& name) {
-  if (name == "remap") return SubgraphKind::kRemap;
-  if (name == "sparse") return SubgraphKind::kSparse;
-  if (name == "dense") return SubgraphKind::kDense;
-  throw std::runtime_error("unknown structure \"" + name +
-                           "\" (accepted: remap, sparse, dense)");
-}
-
 }  // namespace
 
 ProtocolRequest ParseRequest(const std::string& line) {
@@ -72,11 +64,6 @@ ProtocolRequest ParseRequest(const std::string& line) {
       if (top < 1 || top > std::numeric_limits<std::uint32_t>::max())
         throw std::runtime_error("request key \"top\" out of range");
       req.query.top = static_cast<std::uint32_t>(top);
-    } else if (key == "structure") {
-      if (!value.IsString())
-        throw std::runtime_error(
-            "request key \"structure\" must be a string");
-      req.query.structure = ParseStructureName(value.string_value);
     } else {
       throw std::runtime_error("unknown request key \"" + key + "\"");
     }

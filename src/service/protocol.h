@@ -7,7 +7,7 @@
 //   {"id": 3, "graph": "web.psx", "all_k": true, "deadline_ms": 250}
 // Accepted keys: id (number >= 0, required), graph (string, required),
 // k (number >= 1), all_k (bool), per_vertex (bool), top (number >= 1),
-// structure ("remap" | "sparse" | "dense"), deadline_ms (number >= 0 —
+// deadline_ms (number >= 0 —
 // a soft per-request deadline enforced by the network server at
 // batch-group boundaries; the stdin server accepts and ignores it).
 // Unknown keys are rejected so a typo like "per_vertx" fails loudly

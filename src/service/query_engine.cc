@@ -126,7 +126,6 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     CountOptions copts;
     copts.k = std::max(need_k, 1u);
     copts.mode = need_all_k ? CountMode::kAllK : CountMode::kAllUpToK;
-    copts.structure = queries[indices.front()].structure;
     copts.num_threads = options_.num_threads;
     copts.telemetry = telemetry;
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");
@@ -147,7 +146,6 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     copts.k = q.k;
     copts.mode = CountMode::kSingleK;
     copts.per_vertex = true;
-    copts.structure = q.structure;
     copts.num_threads = options_.num_threads;
     copts.telemetry = telemetry;
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");

@@ -62,9 +62,6 @@ struct ServiceQuery {
   bool all_k = false;       // report every clique size instead of one k
   bool per_vertex = false;  // top-N per-vertex participation counts
   std::uint32_t top = 1;    // how many top vertices to report (per_vertex)
-  // Execution hint only: counts are identical across structures, so
-  // memoized answers may have been produced with a different one.
-  SubgraphKind structure = SubgraphKind::kRemap;
 };
 
 struct VertexCount {

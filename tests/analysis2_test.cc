@@ -13,6 +13,7 @@
 #include "pivot/count.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
+#include "util/telemetry.h"
 
 namespace pivotscale {
 namespace {
@@ -118,6 +119,14 @@ TEST(Densest, ValidatesArguments) {
 }
 
 // ------------------------------------------------------- edge parallel
+//
+// split_threshold = 0 is GPU-Pivot's edge-parallel decomposition: every
+// root with out-edges runs as first-level edge subtasks.
+
+CountResult EdgeParallel(const Graph& dag, CountOptions options) {
+  options.split_threshold = 0;
+  return CountCliques(dag, options);
+}
 
 TEST(EdgeParallel, MatchesVertexParallelOnSweep) {
   for (int seed : {11, 12}) {
@@ -126,7 +135,7 @@ TEST(EdgeParallel, MatchesVertexParallelOnSweep) {
     for (std::uint32_t k : {1u, 2u, 3u, 5u, 7u}) {
       CountOptions options;
       options.k = k;
-      EXPECT_EQ(CountCliquesEdgeParallel(dag, options).total,
+      EXPECT_EQ(EdgeParallel(dag, options).total,
                 CountCliques(dag, options).total)
           << "seed=" << seed << " k=" << k;
     }
@@ -141,7 +150,7 @@ TEST(EdgeParallel, AllKMatchesVertexMode) {
   CountOptions options;
   options.mode = CountMode::kAllK;
   const CountResult vertex = CountCliques(dag, options);
-  const CountResult edge = CountCliquesEdgeParallel(dag, options);
+  const CountResult edge = EdgeParallel(dag, options);
   ASSERT_EQ(vertex.per_size.size(), edge.per_size.size());
   for (std::size_t s = 1; s < vertex.per_size.size(); ++s)
     EXPECT_EQ(vertex.per_size[s], edge.per_size[s]) << s;
@@ -154,18 +163,29 @@ TEST(EdgeParallel, PerVertexMatches) {
   options.k = 4;
   options.per_vertex = true;
   const CountResult vertex = CountCliques(dag, options);
-  const CountResult edge = CountCliquesEdgeParallel(dag, options);
+  const CountResult edge = EdgeParallel(dag, options);
   for (NodeId v = 0; v < g.NumNodes(); ++v)
     EXPECT_EQ(vertex.per_vertex[v], edge.per_vertex[v]) << v;
 }
 
-TEST(EdgeParallel, RejectsWorkTrace) {
-  const Graph g = BuildGraph(CompleteGraph(4));
+TEST(EdgeParallel, WorkTraceRunsNeverSplit) {
+  // Work traces attribute work per root, so split_threshold = 0 leaves
+  // every root whole: no splits and one trace row per root.
+  const Graph g = BuildGraph(CompleteGraph(12));
   const Graph dag = MakeDag(g, OrderingKind::kDegree);
+  TelemetryRegistry telemetry;
   CountOptions options;
+  options.k = 4;
   options.collect_work_trace = true;
-  EXPECT_THROW(CountCliquesEdgeParallel(dag, options),
-               std::invalid_argument);
+  options.telemetry = &telemetry;
+  const CountResult result = EdgeParallel(dag, options);
+  EXPECT_EQ(result.total.value(), BinomialChoose(12, 4));
+  EXPECT_EQ(telemetry.Counter("count.splits"), 0u);
+  ASSERT_EQ(result.work_trace.roots.size(), g.NumNodes());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    EXPECT_EQ(result.work_trace.roots[v].root, v);
+    EXPECT_EQ(result.work_trace.roots[v].build_ops, dag.Degree(v));
+  }
 }
 
 // ------------------------------------------------------- watts-strogatz

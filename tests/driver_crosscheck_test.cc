@@ -1,13 +1,17 @@
-// Cross-validation of the two counting drivers, plus regression tests for
-// the pipeline mode clobber and the per-thread busy-time sizing fix.
+// Cross-validation of the counting driver's decompositions, plus
+// regression tests for the pipeline mode clobber and the per-thread
+// busy-time sizing fix.
 //
-// CountCliques (vertex-parallel) and CountCliquesEdgeParallel decompose
-// the same recursion differently; comparing them on random graphs for
-// every k, structure, and per-vertex attribution keeps them from drifting.
-// The forced-split section pins the executor's long-tail splitting path:
-// with split_threshold = 1 every root with out-edges becomes edge-slice
-// subtasks, so the split decomposition (including the singleton fixup)
-// carries the entire count and must still match brute force.
+// Whole-root tasks (vertex-parallel) and split_threshold = 0 (GPU-Pivot's
+// edge-parallel decomposition: every root with out-edges becomes edge
+// subtasks) run the same recursion differently; comparing them on random
+// graphs for every k, structure, and per-vertex attribution keeps them
+// from drifting. The forced-split section pins the executor's long-tail
+// splitting path: with split_threshold = 1 every root with out-edges
+// becomes edge-slice subtasks, so the split decomposition (including the
+// singleton fixup) carries the entire count and must still match brute
+// force. The all-size modes are checked against brute force for every
+// size, and their leaf histogram for independence from the team size.
 //
 // The kernel-selection section pins the production dispatch: subgraphs of
 // at most kBitmapMaxVertices vertices run the bitmap kernel, larger ones
@@ -41,6 +45,15 @@ using testing_helpers::RunKernel;
 
 // ------------------------------------------------- driver cross-validation
 
+using RemapKernel = PivotCounter<RemapSubgraph, OpCountStats>;
+using BitmapKernel = BitmapCounter<OpCountStats>;
+
+// The driver with every root that has out-edges split into edge subtasks.
+CountResult EdgeParallel(const Graph& dag, CountOptions options) {
+  options.split_threshold = 0;
+  return CountCliques(dag, options);
+}
+
 struct CrossParam {
   NodeId n;
   double p;
@@ -57,7 +70,7 @@ TEST_P(DriverCrosscheck, EdgeParallelMatchesVertexParallelAllStructures) {
   for (std::uint32_t k = 1; k <= 6; ++k) {
     CountOptions options;
     options.k = k;
-    const CountResult edge = CountCliquesEdgeParallel(dag, options);
+    const CountResult edge = EdgeParallel(dag, options);
     const std::uint64_t truth = BruteForceCount(g, k);
     EXPECT_EQ(edge.total.value(), static_cast<uint128>(truth))
         << "edge-parallel k=" << k;
@@ -80,7 +93,7 @@ TEST_P(DriverCrosscheck, PerVertexCountsAgree) {
     CountOptions options;
     options.k = k;
     options.per_vertex = true;
-    const CountResult edge = CountCliquesEdgeParallel(dag, options);
+    const CountResult edge = EdgeParallel(dag, options);
     ASSERT_EQ(edge.per_vertex.size(), g.NumNodes());
     for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
                       SubgraphKind::kRemap}) {
@@ -96,23 +109,54 @@ TEST_P(DriverCrosscheck, PerVertexCountsAgree) {
 }
 
 TEST_P(DriverCrosscheck, AllKPerSizeAgrees) {
+  // Both all-size modes derive per_size from the merged leaf histogram:
+  // exact for every size in kAllK, for sizes up to k in kAllUpToK (larger
+  // sizes read 0). Planted cliques reach sizes past k.
   const auto [n, p, seed] = GetParam();
-  const Graph g = BuildGraph(ErdosRenyi(n, p, seed + 2000));
+  EdgeList edges = ErdosRenyi(n, p, seed + 2000);
+  PlantCliques(&edges, n, 2, 5, 8, seed + 2001);
+  const Graph g = BuildGraph(std::move(edges));
   const Graph dag = MakeDag(g, OrderingKind::kCore);
+  const std::size_t sizes = dag.MaxDegree() + 3;
+  std::vector<BigCount> truth(sizes);
+  for (std::uint32_t s = 1; s < sizes; ++s) {
+    truth[s] = BruteForceCount(g, s);
+    if (truth[s] == BigCount{}) break;
+  }
 
-  CountOptions options;
-  options.k = 4;
-  options.mode = CountMode::kAllK;
-  const CountResult edge = CountCliquesEdgeParallel(dag, options);
-  for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                    SubgraphKind::kRemap}) {
-    options.structure = kind;
-    const CountResult vertex = CountCliques(dag, options);
-    const std::size_t sizes =
-        std::min(vertex.per_size.size(), edge.per_size.size());
-    for (std::size_t s = 1; s < sizes; ++s)
-      EXPECT_EQ(vertex.per_size[s], edge.per_size[s])
-          << "structure=" << SubgraphKindName(kind) << " size=" << s;
+  constexpr std::uint32_t kUpTo = 4;
+  for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
+    const bool all = mode == CountMode::kAllK;
+    std::vector<BigCount> expected = truth;
+    if (!all)
+      std::fill(expected.begin() + kUpTo + 1, expected.end(), BigCount{});
+    CountOptions options;
+    options.k = kUpTo;
+    options.mode = mode;
+    for (const std::uint64_t split :
+         {kNeverSplit, std::uint64_t{0}, std::uint64_t{1}}) {
+      options.split_threshold = split;
+      options.num_threads = 1;
+      const CountResult one = CountCliques(dag, options);
+      options.num_threads = 4;
+      const CountResult four = CountCliques(dag, options);
+      EXPECT_EQ(one.per_size, expected) << "all=" << all << " split=" << split;
+      EXPECT_EQ(one.total, expected[kUpTo]);
+      // Leaf for leaf: each task's leaves do not depend on its worker.
+      EXPECT_TRUE(four.profile == one.profile)
+          << "all=" << all << " split=" << split;
+      EXPECT_EQ(four.per_size, one.per_size);
+    }
+    options.split_threshold = kDefaultSplitThreshold;
+    for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse}) {
+      options.structure = kind;
+      EXPECT_EQ(CountCliques(dag, options).per_size, expected)
+          << "all=" << all << " structure=" << SubgraphKindName(kind);
+    }
+    EXPECT_EQ(RunKernel<RemapKernel>(dag, mode, kUpTo).per_size, expected)
+        << "all=" << all;
+    EXPECT_EQ(RunKernel<BitmapKernel>(dag, mode, kUpTo).per_size, expected)
+        << "all=" << all;
   }
 }
 
@@ -195,9 +239,6 @@ Graph TailGraph(const CrossParam& param, bool planted) {
   if (planted) PlantCliques(&edges, param.n, 3, 5, 8, param.seed + 5001);
   return BuildGraph(std::move(edges));
 }
-
-using RemapKernel = PivotCounter<RemapSubgraph, OpCountStats>;
-using BitmapKernel = BitmapCounter<OpCountStats>;
 
 TEST_P(DriverCrosscheck, ClosedFormTailMatchesBruteForceAndFullRecursion) {
   for (const bool planted : {false, true}) {
@@ -354,7 +395,7 @@ TEST(DriverCrosscheck, PlantedCliquesDeepK) {
     CountOptions options;
     options.k = k;
     const CountResult vertex = CountCliques(dag, options);
-    const CountResult edge = CountCliquesEdgeParallel(dag, options);
+    const CountResult edge = EdgeParallel(dag, options);
     EXPECT_EQ(vertex.total, edge.total) << "k=" << k;
   }
 }
@@ -551,6 +592,44 @@ TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
   }
 }
 
+TEST(KernelSelection, HubProfileStaysQuadraticInTheCliqueSize) {
+  // A hub of out-degree 4000 whose spokes form 1000 disjoint K4s: every
+  // clique lies in one hub + K4 block (a K5), so omega = 5 and there are
+  // 1000 * C(5, s) s-cliques for s >= 2. The all-size modes' histograms
+  // grow with omega, not with the out-degree: each holds (omega + 1) *
+  // (omega + 2) / 2 cells, where a per-size array sized by the out-degree
+  // would hold 4000.
+  constexpr NodeId kSpokes = 4000;
+  EdgeList edges;
+  for (NodeId i = 1; i <= kSpokes; ++i) edges.emplace_back(0, i);
+  for (NodeId b = 1; b <= kSpokes; b += 4)
+    for (NodeId i = b; i < b + 4; ++i)
+      for (NodeId j = i + 1; j < b + 4; ++j) edges.emplace_back(i, j);
+  const Graph dag = IdentityDag(BuildUndirected(std::move(edges), kSpokes + 1));
+  ASSERT_EQ(dag.MaxDegree(), kSpokes);
+
+  for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold}) {
+    const CountResult single =
+        Production(dag, CountMode::kSingleK, 3, split, false, true, 1);
+    for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
+      const CountResult all = Production(dag, mode, 3, split, false, true, 1);
+      const std::uint32_t last = mode == CountMode::kAllK ? 6 : 3;
+      EXPECT_EQ(all.per_size[1].value(), static_cast<uint128>(kSpokes + 1));
+      for (std::uint32_t s = 2; s <= last; ++s)
+        EXPECT_EQ(all.per_size[s].value(),
+                  (kSpokes / 4) * BinomialChoose(5, s))
+            << "split=" << split << " s=" << s;
+      // kAllUpToK settles every k = 3 root in its closed-form tail.
+      EXPECT_EQ(all.profile.MaxCliqueSize(), last == 6 ? 5u : 3u);
+      EXPECT_LE(all.profile.Bytes(), 1024u);
+      // The one worker's histograms are all the all-size run adds to the
+      // workspace of the same tasks.
+      EXPECT_LE(all.workspace_bytes, single.workspace_bytes + 2048)
+          << "split=" << split;
+    }
+  }
+}
+
 // -------------------------------------------- pipeline mode (regression)
 
 TEST(PipelineMode, AllUpToKFlowsThroughPipeline) {
@@ -611,7 +690,7 @@ TEST(ThreadBusySeconds, SizedToActualTeamNotRequest) {
 #pragma omp single
     {
       vertex = CountCliques(dag, options);
-      edge = CountCliquesEdgeParallel(dag, options);
+      edge = EdgeParallel(dag, options);
     }
   }
   omp_set_max_active_levels(prev_levels);

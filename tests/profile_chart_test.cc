@@ -14,14 +14,15 @@
 namespace pivotscale {
 namespace {
 
+using testing_helpers::BruteForceCount;
 using testing_helpers::MakeDag;
 
 // ---------------------------------------------------------------- profile
 
 TEST(CliqueProfile, MatchesAllKOnRandomGraphs) {
-  // The profile recorder is an independent implementation of the same
-  // recursion; its per-size reconstruction agreeing with the production
-  // all-k counter cross-checks both.
+  // The profile is the kAllK run's leaf histogram; both of its readers
+  // must reproduce brute force for every clique size, and nothing beyond
+  // the largest clique.
   for (int seed : {3, 4, 5}) {
     EdgeList edges = GnM(100, 700, seed);
     PlantCliques(&edges, 100, 2, 6, 10, seed + 10);
@@ -29,15 +30,15 @@ TEST(CliqueProfile, MatchesAllKOnRandomGraphs) {
     const Graph dag = MakeDag(g, OrderingKind::kCore);
 
     const CliqueProfile profile = ComputeCliqueProfile(dag);
-    CountOptions options;
-    options.mode = CountMode::kAllK;
-    const CountResult all = CountCliques(dag, options);
-
-    const auto sizes = profile.PerSize();
-    for (std::size_t s = 1; s < sizes.size(); ++s)
-      EXPECT_EQ(sizes[s], all.per_size[s]) << "seed=" << seed << " s=" << s;
-    for (std::uint32_t k : {2u, 4u, 7u})
-      EXPECT_EQ(profile.CountK(k), all.per_size[k]) << k;
+    const std::uint32_t omega = profile.MaxCliqueSize();
+    ASSERT_GE(omega, 6u) << "seed=" << seed;
+    const auto sizes = profile.PerSize(omega + 1);
+    for (std::uint32_t s = 1; s <= omega + 1; ++s) {
+      const auto truth = static_cast<uint128>(BruteForceCount(g, s));
+      EXPECT_EQ(sizes[s].value(), truth) << "seed=" << seed << " s=" << s;
+      EXPECT_EQ(profile.CountK(s).value(), truth)
+          << "seed=" << seed << " s=" << s;
+    }
   }
 }
 
@@ -50,8 +51,8 @@ TEST(CliqueProfile, CompleteGraphDigest) {
   EXPECT_EQ(profile.TotalLeaves(), 10u);
   EXPECT_EQ(profile.MaxCliqueSize(), 10u);
   EXPECT_EQ(profile.CountK(5).value(), BinomialChoose(10, 5));
-  const auto& hist = profile.histogram();
-  for (std::uint32_t d = 0; d < 10; ++d) EXPECT_EQ(hist[1][d], 1u) << d;
+  for (std::uint32_t d = 0; d < 10; ++d)
+    EXPECT_EQ(profile.Leaves(1, d), 1u) << d;
 }
 
 TEST(CliqueProfile, AnswersManyKWithoutRecount) {

@@ -262,13 +262,12 @@ TEST_F(ServiceTest, PerQueryErrorsDoNotPoisonTheBatch) {
 TEST(Protocol, ParsesFullRequest) {
   const ProtocolRequest req = ParseRequest(
       "{\"id\": 7, \"graph\": \"g.psx\", \"k\": 6, \"per_vertex\": true, "
-      "\"top\": 3, \"structure\": \"sparse\"}");
+      "\"top\": 3}");
   EXPECT_EQ(req.id, 7);
   EXPECT_EQ(req.query.graph, "g.psx");
   EXPECT_EQ(req.query.k, 6u);
   EXPECT_TRUE(req.query.per_vertex);
   EXPECT_EQ(req.query.top, 3u);
-  EXPECT_EQ(req.query.structure, SubgraphKind::kSparse);
   EXPECT_FALSE(req.query.all_k);
 }
 
@@ -280,8 +279,9 @@ TEST(Protocol, RejectsUnknownKeysAndBadValues) {
                std::runtime_error);
   EXPECT_THROW(ParseRequest("{\"graph\": \"g.psx\", \"k\": 2.5}"),
                std::runtime_error);
-  EXPECT_THROW(ParseRequest("{\"graph\": \"g.psx\", \"structure\": "
-                            "\"compressed\"}"),
+  // Execution hints are not part of the protocol.
+  EXPECT_THROW(ParseRequest("{\"id\": 1, \"graph\": \"g.psx\", "
+                            "\"structure\": \"dense\"}"),
                std::runtime_error);
   EXPECT_THROW(ParseRequest("not json"), std::runtime_error);
 }

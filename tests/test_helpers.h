@@ -3,6 +3,7 @@
 #ifndef PIVOTSCALE_TESTS_TEST_HELPERS_H_
 #define PIVOTSCALE_TESTS_TEST_HELPERS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "graph/graph.h"
 #include "order/ordering.h"
 #include "pivot/clique_leaves.h"
+#include "pivot/profile.h"
 #include "pivot/stats.h"
 #include "util/binomial.h"
 #include "util/uint128.h"
@@ -97,7 +99,8 @@ inline Graph MakeDag(const Graph& g, OrderingKind kind) {
 // Totals of one counting kernel run serially over every root of a DAG.
 struct KernelTotals {
   BigCount total{};                 // kSingleK
-  std::vector<BigCount> per_size;   // kAllK / kAllUpToK
+  CliqueProfile profile;            // kAllK / kAllUpToK
+  std::vector<BigCount> per_size;   // from `profile`, as the driver derives it
   std::vector<BigCount> per_vertex;
   OpCounters ops;
   std::uint64_t refused = 0;  // roots the bitmap kernel would not take
@@ -123,11 +126,15 @@ KernelTotals RunKernel(const Graph& dag, CountMode mode, std::uint32_t k,
     }
   }
   out.total = counter.total();
-  out.per_size = counter.per_size();
+  out.profile = counter.profile();
   out.per_vertex = counter.per_vertex_counts();
   out.ops = counter.stats().Snapshot();
+  const std::uint32_t max_size =
+      mode == CountMode::kAllUpToK ? std::min(k, bound + 1) : bound + 1;
+  out.per_size = out.profile.PerSize(max_size);
+  out.per_size.resize(bound + 2);
   if (mode != CountMode::kSingleK)
-    out.total = k < out.per_size.size() ? out.per_size[k] : BigCount{};
+    out.total = k <= max_size ? out.per_size[k] : BigCount{};
   return out;
 }
 
