@@ -12,7 +12,10 @@
 // run, and so does the all-size leaf histogram (a kAllK run's per_size[k]
 // and ComputeCliqueProfile's CountK(k)), so a small-scale run
 // (--scale 0.05) doubles as a CI exactness check of the early-termination,
-// closed-form tail and histogram rules.
+// closed-form tail and histogram rules. Those runs all share the
+// production kernels, so the default run is also checked against the
+// paper's dense structure, a PivotCounter that shares no code with the
+// bitmap kernel (STRUCTURE MISMATCH).
 #include <iostream>
 
 #include "bench_common.h"
@@ -61,6 +64,13 @@ int main(int argc, char** argv) {
     Timer t1;
     const CountResult with_term = CountCliques(dag, base);
     const double base_seconds = t1.Seconds();
+
+    CountOptions dense = base;
+    dense.structure = SubgraphKind::kDense;
+    if (CountCliques(dag, dense).total != with_term.total) {
+      std::cerr << "STRUCTURE MISMATCH on " << d.name << "\n";
+      return 1;
+    }
 
     CountOptions no_term = base;
     no_term.early_termination = false;

@@ -6,9 +6,9 @@
 #      again under OMP_NUM_THREADS=2 so a 2-thread budget exercises real
 #      multi-worker executor teams even on single-core runners, a
 #      micro_exec scheduler-smoke run, the small-scale ablation_design
-#      exactness check (early termination off, all-up-to-k, all-k and the
-#      clique profile must match single-k on every suite graph at
-#      k = 3, 4, 5, 8), and the benchmark
+#      exactness check (early termination off, all-up-to-k, all-k, the
+#      clique profile and the paper's dense structure must match single-k
+#      on every suite graph at k = 3, 4, 5, 8), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)

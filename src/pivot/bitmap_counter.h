@@ -16,7 +16,14 @@
 //     leaf directly instead;
 //   - at r = k - 2 (CliqueLeaves::AtEdgeTail) the node sums
 //     popcount(row[u] & P) over P instead of scanning for a pivot, and
-//     settles in closed form from |P| and |E(P)|.
+//     settles in closed form from |P| and |E(P)|;
+//   - narrowing: a node about to scan whose P fits in fewer words than its
+//     matrix re-indexes P into an N-word matrix, N = ⌈|P| / 64⌉, with
+//     NarrowRows (pivot/subgraph_bitmap.h), and its subtree recurses on
+//     N-word sets. Members keep their order, so pivots, branch order and
+//     every op counter are those of the unnarrowed recursion. Widths only
+//     fall along a path, so one buffer per width below 4 serves every
+//     narrowing; buffers are allocated on first use and reused.
 // The leaf, early-termination, tail and pruning rules are CliqueLeaves',
 // shared with PivotCounter, so both kernels count every mode identically.
 //
@@ -49,19 +56,6 @@ namespace pivotscale {
 // Largest subgraph the bitmap kernel takes: four 64-bit words per
 // candidate set.
 inline constexpr std::uint32_t kBitmapMaxVertices = 256;
-
-// The kernel's loops are popcounts. The x86-64 baseline ISA this project
-// compiles for has no popcount instruction, so there the recursion alone
-// is compiled for it and the CPU is checked once per counter.
-#if defined(__x86_64__) && !defined(__POPCNT__)
-#define PIVOTSCALE_POPCNT_TARGET __attribute__((target("popcnt")))
-inline bool BitmapKernelSupported() {
-  return __builtin_cpu_supports("popcnt");
-}
-#else
-#define PIVOTSCALE_POPCNT_TARGET
-inline bool BitmapKernelSupported() { return true; }
-#endif
 
 // One thread's bitmap counting engine; Stats is a policy from
 // pivot/stats.h (the address-tracing policy is not supported).
@@ -107,11 +101,29 @@ class BitmapCounter {
     return leaves_.per_vertex_counts();
   }
   const Stats& stats() const { return stats_; }
-  std::size_t WorkspaceBytes() const { return sg_.HeapBytes(); }
+  std::size_t WorkspaceBytes() const {
+    std::size_t bytes = sg_.HeapBytes();
+    for (const Narrowed& n : narrowed_)
+      bytes += n.rows.capacity() * sizeof(std::uint64_t) +
+               n.ids.capacity() * sizeof(NodeId);
+    return bytes;
+  }
 
  private:
   template <std::uint32_t W>
   using Bits = std::array<std::uint64_t, W>;
+
+  // The matrix a W-word recursion frame reads, with its local -> original
+  // id map: the built subgraph at its own width, a narrowing buffer below.
+  struct Matrix {
+    const std::uint64_t* rows = nullptr;
+    const NodeId* ids = nullptr;
+  };
+  // A narrowing buffer of N words: 64 N rows of N words and 64 N ids.
+  struct Narrowed {
+    std::vector<std::uint64_t> rows;
+    std::vector<NodeId> ids;
+  };
 
   // Runs the recursion at the word count of the built subgraph.
   void Start(std::uint32_t r) {
@@ -119,20 +131,26 @@ class BitmapCounter {
     switch (sg_.Words()) {
       case 0:
       case 1:
-        return Recurse<1>(AllVertices<1>(), r, 0);
+        return StartAt<1>(r);
       case 2:
-        return Recurse<2>(AllVertices<2>(), r, 0);
+        return StartAt<2>(r);
       case 3:
-        return Recurse<3>(AllVertices<3>(), r, 0);
+        return StartAt<3>(r);
       default:
-        return Recurse<4>(AllVertices<4>(), r, 0);
+        return StartAt<4>(r);
     }
   }
 
   template <std::uint32_t W>
-  Bits<W> AllVertices() const {
+  void StartAt(std::uint32_t r) {
+    matrix_[W] = {sg_.data(), sg_.OrigIds()};
+    Recurse<W>(LowBits<W>(sg_.NumVertices()), r, 0);
+  }
+
+  // The set {0, ..., n - 1}.
+  template <std::uint32_t W>
+  static Bits<W> LowBits(std::uint32_t n) {
     Bits<W> bits{};
-    const std::uint32_t n = sg_.NumVertices();
     for (std::uint32_t i = 0; i < W; ++i) {
       if (n >= 64 * (i + 1))
         bits[i] = ~std::uint64_t{0};
@@ -151,9 +169,9 @@ class BitmapCounter {
       size += static_cast<std::uint32_t>(std::popcount(cand[i]));
     if (leaves_.Settled(r, np, size)) return;
 
-    const std::uint64_t* rows = sg_.data();
     if (leaves_.AtEdgeTail(r)) {
       // In-set degrees in place of the pivot scan: their sum is 2 |E(P)|.
+      const std::uint64_t* rows = matrix_[W].rows;
       std::uint32_t degree_sum = 0;
       for (std::uint32_t i = 0; i < W; ++i) {
         for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1) {
@@ -170,6 +188,36 @@ class BitmapCounter {
       return;
     }
 
+    if constexpr (W > 1) {
+      if (size <= 64 * (W - 1)) return Narrow<W, W - 1>(cand, r, np, size);
+    }
+    Expand<W>(cand, r, np, size);
+  }
+
+  // Re-indexes P (`size` members) into the narrowing buffer of the fewest
+  // words, at most N, that hold it, and expands the node there.
+  template <std::uint32_t W, std::uint32_t N>
+  PIVOTSCALE_POPCNT_TARGET void Narrow(const Bits<W>& cand, std::uint32_t r,
+                                       std::uint32_t np, std::uint32_t size) {
+    if constexpr (N > 1) {
+      if (size <= 64 * (N - 1)) return Narrow<W, N - 1>(cand, r, np, size);
+    }
+    Narrowed& buffer = narrowed_[N - 1];
+    if (buffer.rows.empty()) {
+      buffer.rows.resize(64 * N * N);
+      buffer.ids.resize(64 * N);
+    }
+    NarrowRows<W>(matrix_[W].rows, cand.data(), matrix_[W].ids, N,
+                  buffer.rows.data(), buffer.ids.data());
+    matrix_[N] = {buffer.rows.data(), buffer.ids.data()};
+    Expand<N>(LowBits<N>(size), r, np, size);
+  }
+
+  // A node that needs a pivot scan, with `size` = |P| members.
+  template <std::uint32_t W>
+  PIVOTSCALE_POPCNT_TARGET void Expand(const Bits<W>& cand, std::uint32_t r,
+                                       std::uint32_t np, std::uint32_t size) {
+    const std::uint64_t* rows = matrix_[W].rows;
     // Pivot scan: the candidate with the most neighbors inside the set.
     // Its neighbors need no branches of their own — they are all reachable
     // through the pivot's branch as optional (pivot) vertices.
@@ -196,10 +244,12 @@ class BitmapCounter {
     if (min_deg + 1 == size) {
       // P is a clique: count the end of its all-pivot chain directly.
       if (leaves_.per_vertex()) {
+        const NodeId* ids = matrix_[W].ids;
         for (std::uint32_t i = 0; i < W; ++i)
           for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1)
-            leaves_.PushPivot(sg_.OrigId(
-                64 * i + static_cast<std::uint32_t>(std::countr_zero(bits))));
+            leaves_.PushPivot(
+                ids[64 * i +
+                    static_cast<std::uint32_t>(std::countr_zero(bits))]);
       }
       leaves_.Leaf(r, np + size);
       if (leaves_.per_vertex()) leaves_.PopPivots(size);
@@ -232,7 +282,8 @@ class BitmapCounter {
   PIVOTSCALE_POPCNT_TARGET void Descend(std::uint32_t w, const Bits<W>& pool,
                                         std::uint32_t r, std::uint32_t np,
                                         bool is_pivot) {
-    const std::uint64_t* row = sg_.data() + static_cast<std::size_t>(w) * W;
+    const std::uint64_t* row =
+        matrix_[W].rows + static_cast<std::size_t>(w) * W;
     Bits<W> child;
     for (std::uint32_t i = 0; i < W; ++i) child[i] = row[i] & pool[i];
     stats_.OnInduce();
@@ -240,10 +291,11 @@ class BitmapCounter {
       Recurse<W>(child, r, np);
       return;
     }
+    const NodeId id = matrix_[W].ids[w];
     if (is_pivot)
-      leaves_.PushPivot(sg_.OrigId(w));
+      leaves_.PushPivot(id);
     else
-      leaves_.PushRequired(sg_.OrigId(w));
+      leaves_.PushRequired(id);
     Recurse<W>(child, r, np);
     if (is_pivot)
       leaves_.PopPivots(1);
@@ -252,6 +304,10 @@ class BitmapCounter {
   }
 
   SubgraphBitmap sg_;
+  // matrix_[W]: the matrix of the W-word frames on the current path.
+  // Widths only fall along a path, so one matrix per width is enough.
+  std::array<Matrix, 5> matrix_{};
+  std::array<Narrowed, 3> narrowed_;  // narrowed_[N - 1]: N words
   Stats stats_;
   CliqueLeaves leaves_;
   bool supported_;

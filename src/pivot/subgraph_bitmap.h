@@ -11,10 +11,12 @@
 //
 // Shared by the production bitmap kernel (pivot/bitmap_counter.h) and the
 // GPU-Pivot baseline model (baselines/gpu_pivot_model.cc). All buffers are
-// reused across builds.
+// reused across builds. NarrowRows re-indexes a candidate set into a
+// smaller matrix of the same form; the bitmap kernel narrows with it.
 #ifndef PIVOTSCALE_PIVOT_SUBGRAPH_BITMAP_H_
 #define PIVOTSCALE_PIVOT_SUBGRAPH_BITMAP_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -24,6 +26,20 @@
 #include "util/flat_hash.h"
 
 namespace pivotscale {
+
+// The bitmap kernel's loops are popcounts. The x86-64 baseline ISA this
+// project compiles for has no popcount instruction, so there the recursion
+// and NarrowRows alone are compiled for it and the CPU is checked once per
+// counter.
+#if defined(__x86_64__) && !defined(__POPCNT__)
+#define PIVOTSCALE_POPCNT_TARGET __attribute__((target("popcnt")))
+inline bool BitmapKernelSupported() {
+  return __builtin_cpu_supports("popcnt");
+}
+#else
+#define PIVOTSCALE_POPCNT_TARGET
+inline bool BitmapKernelSupported() { return true; }
+#endif
 
 class SubgraphBitmap {
  public:
@@ -49,7 +65,8 @@ class SubgraphBitmap {
   }
   // The matrix itself: row u starts at data() + u * Words().
   const std::uint64_t* data() const { return matrix_.data(); }
-  NodeId OrigId(std::uint32_t u) const { return orig_[u]; }
+  // The local -> original id map: OrigIds()[u] is local u's original id.
+  const NodeId* OrigIds() const { return orig_.data(); }
   std::size_t HeapBytes() const;
 
  private:
@@ -67,6 +84,52 @@ class SubgraphBitmap {
   std::vector<std::uint64_t> matrix_;
   std::uint32_t words_ = 0;
 };
+
+// Narrowing: re-indexes the members of `set`, a W-word bitset over the
+// matrix `rows` (row stride W), to the local ids 0..|set|-1, keeping their
+// order, and writes their rows restricted to `set` to `out` with row stride
+// `out_words` >= ⌈|set| / 64⌉: bit j of out row i is set iff members i and
+// j are adjacent. `ids` maps the local ids of `rows` to original ids;
+// out_ids[i] receives member i's original id. A member's new id is the
+// number of members below it: one popcount per adjacent bit. Needs
+// BitmapKernelSupported().
+template <std::uint32_t W>
+PIVOTSCALE_POPCNT_TARGET void NarrowRows(const std::uint64_t* rows,
+                                         const std::uint64_t* set,
+                                         const NodeId* ids,
+                                         std::uint32_t out_words,
+                                         std::uint64_t* out, NodeId* out_ids) {
+  std::uint32_t below[W] = {};  // members in the words before word i
+  std::uint32_t count = 0;
+  for (std::uint32_t i = 0; i < W; ++i) {
+    below[i] = count;
+    count += static_cast<std::uint32_t>(std::popcount(set[i]));
+  }
+  DCHECK_LE(count, 64 * out_words);
+  std::uint64_t* out_row = out;
+  for (std::uint32_t i = 0; i < W; ++i) {
+    for (std::uint64_t members = set[i]; members != 0;
+         members &= members - 1) {
+      const std::uint32_t u =
+          64 * i + static_cast<std::uint32_t>(std::countr_zero(members));
+      *out_ids++ = ids[u];
+      for (std::uint32_t j = 0; j < out_words; ++j) out_row[j] = 0;
+      const std::uint64_t* row = rows + static_cast<std::size_t>(u) * W;
+      for (std::uint32_t j = 0; j < W; ++j) {
+        for (std::uint64_t bits = row[j] & set[j]; bits != 0;
+             bits &= bits - 1) {
+          const std::uint64_t lower =
+              (std::uint64_t{1} << std::countr_zero(bits)) - 1;
+          const std::uint32_t rank =
+              below[j] +
+              static_cast<std::uint32_t>(std::popcount(set[j] & lower));
+          out_row[rank / 64] |= std::uint64_t{1} << (rank % 64);
+        }
+      }
+      out_row += out_words;
+    }
+  }
+}
 
 }  // namespace pivotscale
 

@@ -16,12 +16,17 @@
 // The kernel-selection section pins the production dispatch: subgraphs of
 // at most kBitmapMaxVertices vertices run the bitmap kernel, larger ones
 // the remap structure, and both kernels, the driver and brute force agree
-// bit for bit on every mode at the size boundaries.
+// bit for bit on every mode at the size boundaries. The narrowing section
+// checks the bitmap kernel's re-indexing into narrower matrices: on nested
+// hubs that narrow through every width, and against the recursion tree
+// (op counts, leaf histogram, per-vertex counts) recorded before the
+// kernel narrowed.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "graph/builder.h"
@@ -538,7 +543,8 @@ TEST_P(KernelBoundary, OpCountsRepeatAcrossTeamSizes) {
 
 INSTANTIATE_TEST_SUITE_P(
     RootOutDegrees, KernelBoundary,
-    ::testing::Values(0, 1, 63, 64, 65, 128, 255, 256, 257),
+    ::testing::Values(0, 1, 63, 64, 65, 128, 129, 192, 193, 255, 256,
+                      257),
     [](const ::testing::TestParamInfo<NodeId>& param_info) {
       std::string name = "d";
       name += std::to_string(param_info.param);
@@ -627,6 +633,135 @@ TEST(KernelSelection, HubProfileStaysQuadraticInTheCliqueSize) {
       EXPECT_LE(all.workspace_bytes, single.workspace_bytes + 2048)
           << "split=" << split;
     }
+  }
+}
+
+// ------------------------------------------------------------- narrowing
+
+// A hub of out-degree 256 over HubGraph-style random spokes, three of which
+// are nested sub-hubs: vertex 1 is adjacent to vertices 2..170, vertex 2 to
+// 3..110 and vertex 3 to 4..50. Each sub-hub is the pivot of its parent's
+// candidate set, so below the hub's root the bitmap kernel narrows its
+// sets from 4 words to 3, then 2, then 1.
+Graph NestedHubGraph(std::uint64_t seed) {
+  constexpr NodeId kSpokes = 256;
+  EdgeList spokes = ErdosRenyi(kSpokes, 0.05, seed);
+  PlantCliques(&spokes, kSpokes, 2, 6, 10, seed + 1);
+  const NodeId reach[] = {170, 110, 50};
+  for (NodeId hub = 0; hub < 3; ++hub)
+    for (NodeId v = hub + 1; v < reach[hub]; ++v) spokes.emplace_back(hub, v);
+  EdgeList edges;
+  for (NodeId i = 1; i <= kSpokes; ++i) edges.emplace_back(0, i);
+  for (const auto& [u, v] : spokes) edges.emplace_back(u + 1, v + 1);
+  return BuildUndirected(std::move(edges), kSpokes + 1);
+}
+
+TEST(Narrowing, NestedHubsNarrowThroughEveryWidthAndStayExact) {
+  const Graph g = NestedHubGraph(700);
+  const Graph dag = IdentityDag(g);
+  ASSERT_EQ(dag.Degree(0), kBitmapMaxVertices);
+
+  for (std::uint32_t k = 1; k <= 6; ++k) {
+    const auto truth = static_cast<uint128>(BruteForceCount(g, k));
+    for (const bool early : {true, false}) {
+      const KernelTotals bitmap =
+          RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, false, early);
+      EXPECT_EQ(bitmap.total.value(), truth) << "k=" << k;
+      EXPECT_EQ(bitmap.refused, 0u);
+    }
+  }
+  for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
+    const KernelTotals remap = RunKernel<RemapKernel>(dag, mode, 5);
+    const KernelTotals bitmap = RunKernel<BitmapKernel>(dag, mode, 5);
+    EXPECT_EQ(bitmap.per_size, remap.per_size);
+  }
+  const auto truth = BruteForcePerVertex(g, 4);
+  const KernelTotals bitmap =
+      RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 4, true);
+  for (NodeId v = 0; v < g.NumNodes(); ++v)
+    EXPECT_EQ(bitmap.per_vertex[v].value(), static_cast<uint128>(truth[v]))
+        << "v=" << v;
+
+  // At k = 3 the hub's root settles in the closed-form tail without a
+  // pivot scan; at k = 5 it narrows to every width below 4. The buffers
+  // that adds, 64 N rows of N words and 64 N ids for N = 1, 2, 3, are all
+  // the workspace grows by.
+  const BinomialTable binom(kBitmapMaxVertices + 2);
+  std::size_t workspace[2] = {};
+  for (const std::uint32_t k : {3u, 5u}) {
+    BitmapKernel counter(dag, CountMode::kSingleK, k, false,
+                         kBitmapMaxVertices + 1, &binom);
+    ASSERT_TRUE(counter.ProcessRoot(0));
+    workspace[k == 5] = counter.WorkspaceBytes();
+  }
+  std::size_t buffers = 0;
+  for (std::size_t n = 1; n <= 3; ++n)
+    buffers += 64 * n * (n * sizeof(std::uint64_t) + sizeof(NodeId));
+  EXPECT_EQ(workspace[1] - workspace[0], buffers);
+}
+
+// Narrowing re-indexes candidate sets without reordering them, so the
+// recursion tree is the unnarrowed kernel's. These are the bitmap kernel's
+// k = 5 op counts, kAllK leaf histogram and per-vertex counts on the hub
+// DAGs, recorded before the kernel narrowed.
+struct PinnedTree {
+  NodeId d;  // HubGraph(d, 700 + d); 0 for NestedHubGraph(700)
+  std::uint64_t calls, edge_ops, induces;
+  // Per-vertex k = 5 counts: the hub's, and sum over v of (v + 1) * c(v).
+  std::uint64_t hub, weighted;
+  std::vector<std::array<std::uint64_t, 3>> leaves;  // {r, np, count}
+};
+
+TEST(Narrowing, RecursionTreeMatchesThePinnedUnnarrowedTree) {
+  const std::vector<PinnedTree> pinned = {
+      {65, 197, 240, 131, 51, 12180, {{1, 0, 19}, {1, 1, 29}, {2, 0, 46},
+       {1, 2, 10}, {2, 1, 39}, {3, 0, 28}, {1, 3, 2}, {2, 2, 12}, {3, 1, 2},
+       {1, 4, 2}, {2, 3, 2}, {1, 5, 2}, {2, 4, 1}, {1, 6, 1}, {2, 5, 1},
+       {1, 7, 1}}},
+      {128, 948, 1172, 819, 285, 163106, {{1, 0, 20}, {1, 1, 65},
+       {2, 0, 278}, {1, 2, 29}, {2, 1, 101}, {3, 0, 264}, {1, 3, 4},
+       {2, 2, 37}, {3, 1, 25}, {4, 0, 5}, {1, 4, 2}, {2, 3, 5}, {3, 2, 1},
+       {1, 5, 2}, {2, 4, 1}, {1, 6, 2}, {2, 5, 1}, {1, 7, 2}, {2, 6, 1},
+       {1, 8, 1}, {2, 7, 1}, {1, 9, 1}, {1, 10, 1}}},
+      {200, 2151, 2375, 1950, 148, 117472, {{1, 0, 17}, {1, 1, 103},
+       {2, 0, 684}, {1, 2, 67}, {2, 1, 196}, {3, 0, 671}, {1, 3, 6},
+       {2, 2, 82}, {3, 1, 89}, {4, 0, 3}, {1, 4, 2}, {2, 3, 8}, {1, 5, 2},
+       {2, 4, 1}, {1, 6, 1}, {2, 5, 1}, {1, 7, 1}, {1, 8, 1}, {1, 9, 1}}},
+      {256, 3307, 3602, 3050, 146, 125716, {{1, 0, 18}, {1, 1, 115},
+       {2, 0, 1058}, {1, 2, 114}, {2, 1, 296}, {3, 0, 1049}, {1, 3, 3},
+       {2, 2, 129}, {3, 1, 182}, {4, 0, 8}, {1, 4, 2}, {2, 3, 7}, {1, 5, 1},
+       {2, 4, 2}, {1, 6, 1}, {2, 5, 1}, {1, 7, 1}, {1, 8, 1}, {1, 9, 1}}},
+      {0, 4692, 5928, 4435, 881, 354382, {{1, 0, 18}, {1, 1, 107},
+       {2, 0, 1056}, {1, 2, 115}, {2, 1, 352}, {3, 0, 1052}, {1, 3, 6},
+       {2, 2, 233}, {3, 1, 712}, {4, 0, 13}, {1, 4, 3}, {2, 3, 146},
+       {3, 2, 261}, {4, 1, 4}, {1, 5, 3}, {2, 4, 43}, {3, 3, 29}, {4, 2, 1},
+       {1, 6, 2}, {2, 5, 5}, {1, 7, 2}, {2, 6, 4}, {1, 8, 1}, {2, 7, 4},
+       {2, 8, 2}}},
+  };
+  for (const PinnedTree& pin : pinned) {
+    const Graph dag = IdentityDag(pin.d == 0 ? NestedHubGraph(700)
+                                             : HubGraph(pin.d, 700 + pin.d));
+    const KernelTotals single =
+        RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 5);
+    EXPECT_EQ(single.ops.calls, pin.calls) << "d=" << pin.d;
+    EXPECT_EQ(single.ops.edge_ops, pin.edge_ops) << "d=" << pin.d;
+    EXPECT_EQ(single.ops.induces, pin.induces) << "d=" << pin.d;
+
+    CliqueProfile expected;
+    for (const auto& [r, np, count] : pin.leaves)
+      expected.Add(static_cast<std::uint32_t>(r),
+                   static_cast<std::uint32_t>(np), count);
+    EXPECT_EQ(RunKernel<BitmapKernel>(dag, CountMode::kAllK, 5).profile,
+              expected)
+        << "d=" << pin.d;
+
+    const KernelTotals per_vertex =
+        RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 5, true);
+    uint128 weighted = 0;
+    for (NodeId v = 0; v < dag.NumNodes(); ++v)
+      weighted += (v + 1) * per_vertex.per_vertex[v].value();
+    EXPECT_EQ(per_vertex.per_vertex[0].value(), pin.hub) << "d=" << pin.d;
+    EXPECT_EQ(weighted, pin.weighted) << "d=" << pin.d;
   }
 }
 
