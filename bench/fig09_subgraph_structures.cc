@@ -7,8 +7,8 @@
 // worker over every root, with the driver's cost-weighted chunking but no
 // long-tail splitting and no kernel selection (the pattern of
 // baselines/pivoter_naive.cc). The "production" column is CountCliques
-// itself, which runs the bitmap kernel on every subgraph of at most
-// kBitmapMaxVertices vertices (pivot/count.h); it is not a paper structure.
+// itself, which runs the bitmap kernel (pivot/bitmap_counter.h) on every
+// subgraph; it is not a paper structure.
 #include <iostream>
 
 #include "bench_common.h"

@@ -3,8 +3,13 @@
 // costs the paper discusses — dense's direct indexing, sparse's per-access
 // hash lookup (~1.2x), and remap's pay-hash-once design. The bitmap rows
 // time the production kernel (pivot/bitmap_counter.h) on the same roots,
-// so the per-root cost of remap and bitmap can be compared directly.
+// so the per-root cost of remap and bitmap can be compared directly. The
+// planted-clique rows compare the two on roots wider than four words.
 #include <benchmark/benchmark.h>
+
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/dag.h"
@@ -17,6 +22,7 @@
 #include "pivot/subgraph_remap.h"
 #include "pivot/subgraph_sparse.h"
 #include "util/binomial.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -27,6 +33,29 @@ const Graph& BenchDag() {
     EdgeList edges = Rmat(13, 10.0, 7);
     PlantCliques(&edges, 4096, 16, 8, 20, 8);
     const Graph g = BuildGraph(std::move(edges));
+    return Directionalize(g, CoreOrdering(g).ranks);
+  }();
+  return dag;
+}
+
+// A 450-clique, the size of WebEdu's largest (PAPER.md Table I), plus 30
+// vertices each joined to a seeded half of it, in core order: the clique's
+// roots have out-degrees up to 449, up to eight words.
+const Graph& PlantedCliqueDag() {
+  static const Graph dag = [] {
+    constexpr NodeId kClique = 450;
+    constexpr NodeId kOutside = 30;
+    EdgeList edges = CompleteGraph(kClique);
+    Rng rng(17);
+    std::vector<NodeId> members(kClique);
+    for (NodeId x = kClique; x < kClique + kOutside; ++x) {
+      std::iota(members.begin(), members.end(), NodeId{0});
+      for (NodeId i = 0; i < kClique / 2; ++i) {
+        std::swap(members[i], members[i + rng.Below(kClique - i)]);
+        edges.emplace_back(x, members[i]);
+      }
+    }
+    const Graph g = BuildUndirected(std::move(edges), kClique + kOutside);
     return Directionalize(g, CoreOrdering(g).ranks);
   }();
   return dag;
@@ -61,13 +90,13 @@ void BM_SubgraphBuildBitmap(benchmark::State& state) {
 }
 BENCHMARK(BM_SubgraphBuildBitmap);
 
+// Counts k = 8 cliques root after root of `dag`, one root per iteration.
 // Counter is PivotCounter<SG, NoStats> or BitmapCounter<NoStats>.
 template <typename Counter>
-void BM_ProcessRoot(benchmark::State& state) {
-  const Graph& dag = BenchDag();
+void ProcessRoots(benchmark::State& state, const Graph& dag) {
   const std::uint32_t bound =
       static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
-  static const BinomialTable binom(bound + 1);
+  const BinomialTable binom(bound + 1);
   Counter counter(dag, CountMode::kSingleK, 8, /*per_vertex=*/false, bound,
                   &binom);
   NodeId v = 0;
@@ -77,6 +106,15 @@ void BM_ProcessRoot(benchmark::State& state) {
     v = (v + 1) % dag.NumNodes();
   }
 }
+
+template <typename Counter>
+void BM_ProcessRoot(benchmark::State& state) {
+  ProcessRoots<Counter>(state, BenchDag());
+}
+template <typename Counter>
+void BM_ProcessRootPlanted(benchmark::State& state) {
+  ProcessRoots<Counter>(state, PlantedCliqueDag());
+}
 using DenseCounter = PivotCounter<DenseSubgraph, NoStats>;
 using SparseCounter = PivotCounter<SparseSubgraph, NoStats>;
 using RemapCounter = PivotCounter<RemapSubgraph, NoStats>;
@@ -85,5 +123,7 @@ BENCHMARK(BM_ProcessRoot<DenseCounter>);
 BENCHMARK(BM_ProcessRoot<SparseCounter>);
 BENCHMARK(BM_ProcessRoot<RemapCounter>);
 BENCHMARK(BM_ProcessRoot<BitmapKernel>);
+BENCHMARK(BM_ProcessRootPlanted<RemapCounter>);
+BENCHMARK(BM_ProcessRootPlanted<BitmapKernel>);
 
 }  // namespace

@@ -8,7 +8,9 @@
 #      micro_exec scheduler-smoke run, the small-scale ablation_design
 #      exactness check (early termination off, all-up-to-k, all-k, the
 #      clique profile and the paper's dense structure must match single-k
-#      on every suite graph at k = 3, 4, 5, 8), and the benchmark
+#      on every suite graph at k = 3, 4, 5, 8), the wide-path CLI smoke
+#      (K300 at k = 8: subgraphs of up to 299 vertices, five words, must
+#      count C(300, 8) and C(299, 7) per vertex), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)
@@ -46,6 +48,18 @@ for k in 3 4 5 8; do
   ./build-check/bench/ablation_design --scale 0.05 --k "${k}" \
     --datasets "${SUITE}" >/dev/null
 done
+
+echo "==> [2/4] wide-path CLI smoke (K300, k = 8)"
+K300="$(mktemp -d)/k300.el"
+python3 -c "n = 300; print('\n'.join(f'{i} {j}' for i in range(n) for j in range(i + 1, n)))" > "${K300}"
+out="$(./build-check/examples/pivotscale_cli --graph "${K300}" --k 8)"
+grep -qx '8-cliques: 1481062243936275' <<<"${out}" ||
+  { echo "${out}"; echo "K300: wrong 8-clique count"; exit 1; }
+out="$(./build-check/examples/pivotscale_cli --graph "${K300}" --k 8 \
+  --per-vertex --top 1)"
+grep -q ' 39494993171634 ' <<<"${out}" ||
+  { echo "${out}"; echo "K300: wrong per-vertex count"; exit 1; }
+rm -r "$(dirname "${K300}")"
 
 echo "==> [2/4] perfbench smoke (exact counts, corrupted reference, op counts)"
 python3 perfbench/run.py --smoke

@@ -22,14 +22,23 @@
 //     NarrowRows (pivot/subgraph_bitmap.h), and its subtree recurses on
 //     N-word sets. Members keep their order, so pivots, branch order and
 //     every op counter are those of the unnarrowed recursion. Widths only
-//     fall along a path, so one buffer per width below 4 serves every
-//     narrowing; buffers are allocated on first use and reused.
+//     fall along a path, so one buffer per width of at most four words
+//     serves every narrowing; buffers are allocated on first use and
+//     reused.
 // The leaf, early-termination, tail and pruning rules are CliqueLeaves',
 // shared with PivotCounter, so both kernels count every mode identically.
 //
-// The kernel takes subgraphs of at most kBitmapMaxVertices vertices (W <= 4
-// words); ProcessRoot/ProcessEdge return false for a larger one, and the
-// driver (pivot/count.cc) runs it on the remap structure instead.
+// The kernel takes subgraphs of every size. W is 1 to 4 for a matrix of at
+// most 256 vertices; a wider matrix runs at W = kWide, whose sets are heap
+// vectors of the matrix's width, through the same templates (loop bounds
+// read Width<W>(), a compile-time constant for W <= 4). A wide node
+// narrows into at most four words as soon as |P| <= 256, so only the top
+// of a large subgraph's recursion runs wide, and each wide node scans at
+// least 5 |P| words, which dwarfs its heap-allocated frame. The matrix of
+// an n-vertex subgraph takes n * ⌈n / 64⌉ * 8 bytes of workspace.
+//
+// Needs BitmapKernelSupported(); the driver (pivot/count.cc) checks it once
+// per run.
 //
 // Op counters (pivot/stats.h) on this kernel: `calls` counts Recurse
 // invocations, `edge_ops` one per popcount(row[u] & P) of a pivot or tail
@@ -41,6 +50,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -53,10 +63,6 @@
 
 namespace pivotscale {
 
-// Largest subgraph the bitmap kernel takes: four 64-bit words per
-// candidate set.
-inline constexpr std::uint32_t kBitmapMaxVertices = 256;
-
 // One thread's bitmap counting engine; Stats is a policy from
 // pivot/stats.h (the address-tracing policy is not supported).
 template <typename Stats>
@@ -67,30 +73,26 @@ class BitmapCounter {
                 bool per_vertex, std::uint32_t max_clique_bound,
                 const BinomialTable* binom, bool early_termination = true)
       : leaves_(dag.NumNodes(), mode, k, per_vertex, max_clique_bound, binom,
-                early_termination),
-        supported_(BitmapKernelSupported()) {
+                early_termination) {
+    DCHECK(BitmapKernelSupported());
     sg_.Attach(dag);
   }
 
-  // Counts all cliques rooted at `root`. Returns false, counting nothing,
-  // when N+(root) has more than kBitmapMaxVertices members (or the CPU
-  // lacks popcount).
-  bool ProcessRoot(NodeId root) {
-    if (!supported_ || !sg_.Build(root, kBitmapMaxVertices)) return false;
+  // Counts all cliques rooted at `root`.
+  void ProcessRoot(NodeId root) {
+    sg_.Build(root);
     leaves_.SetRoot(root);
     Start(/*r=*/1);  // the root is the first required vertex
-    return true;
   }
 
   // Counts the cliques whose two lowest-ranked members are the DAG edge
-  // (u, v), over N+(u) ∩ N+(v). Returns false as ProcessRoot does.
-  bool ProcessEdge(NodeId u, NodeId v) {
-    if (!supported_ || !sg_.BuildPair(u, v, kBitmapMaxVertices)) return false;
+  // (u, v), over N+(u) ∩ N+(v).
+  void ProcessEdge(NodeId u, NodeId v) {
+    sg_.BuildPair(u, v);
     leaves_.SetRoot(u);
     if (leaves_.per_vertex()) leaves_.PushRequired(v);
     Start(/*r=*/2);
     if (leaves_.per_vertex()) leaves_.PopRequired();
-    return true;
   }
 
   void AddSingleton(NodeId u) { leaves_.AddSingleton(u); }
@@ -110,8 +112,12 @@ class BitmapCounter {
   }
 
  private:
+  // The widest fixed-width candidate set, in words.
+  static constexpr std::uint32_t kMaxWords = 4;
+
   template <std::uint32_t W>
-  using Bits = std::array<std::uint64_t, W>;
+  using Bits = std::conditional_t<W == kWide, std::vector<std::uint64_t>,
+                                  std::array<std::uint64_t, W>>;
 
   // The matrix a W-word recursion frame reads, with its local -> original
   // id map: the built subgraph at its own width, a narrowing buffer below.
@@ -125,9 +131,17 @@ class BitmapCounter {
     std::vector<NodeId> ids;
   };
 
+  // Words per W-word set: W, or the built matrix's width for kWide.
+  template <std::uint32_t W>
+  std::uint32_t Width() const {
+    if constexpr (W == kWide)
+      return sg_.Words();
+    else
+      return W;
+  }
+
   // Runs the recursion at the word count of the built subgraph.
   void Start(std::uint32_t r) {
-    DCHECK_LE(sg_.Words(), 4u);
     switch (sg_.Words()) {
       case 0:
       case 1:
@@ -136,8 +150,10 @@ class BitmapCounter {
         return StartAt<2>(r);
       case 3:
         return StartAt<3>(r);
-      default:
+      case 4:
         return StartAt<4>(r);
+      default:
+        return StartAt<kWide>(r);
     }
   }
 
@@ -149,9 +165,10 @@ class BitmapCounter {
 
   // The set {0, ..., n - 1}.
   template <std::uint32_t W>
-  static Bits<W> LowBits(std::uint32_t n) {
+  Bits<W> LowBits(std::uint32_t n) const {
     Bits<W> bits{};
-    for (std::uint32_t i = 0; i < W; ++i) {
+    if constexpr (W == kWide) bits.resize(Width<W>());
+    for (std::uint32_t i = 0; i < Width<W>(); ++i) {
       if (n >= 64 * (i + 1))
         bits[i] = ~std::uint64_t{0};
       else if (n > 64 * i)
@@ -164,23 +181,25 @@ class BitmapCounter {
   PIVOTSCALE_POPCNT_TARGET void Recurse(const Bits<W>& cand, std::uint32_t r,
                                         std::uint32_t np) {
     stats_.OnCall();
+    const std::uint32_t width = Width<W>();
     std::uint32_t size = 0;
-    for (std::uint32_t i = 0; i < W; ++i)
+    for (std::uint32_t i = 0; i < width; ++i)
       size += static_cast<std::uint32_t>(std::popcount(cand[i]));
     if (leaves_.Settled(r, np, size)) return;
 
     if (leaves_.AtEdgeTail(r)) {
       // In-set degrees in place of the pivot scan: their sum is 2 |E(P)|.
       const std::uint64_t* rows = matrix_[W].rows;
-      std::uint32_t degree_sum = 0;
-      for (std::uint32_t i = 0; i < W; ++i) {
+      std::uint64_t degree_sum = 0;
+      for (std::uint32_t i = 0; i < width; ++i) {
         for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1) {
           const std::uint32_t u =
               64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
-          const std::uint64_t* row = rows + static_cast<std::size_t>(u) * W;
-          for (std::uint32_t j = 0; j < W; ++j)
+          const std::uint64_t* row =
+              rows + static_cast<std::size_t>(u) * width;
+          for (std::uint32_t j = 0; j < width; ++j)
             degree_sum +=
-                static_cast<std::uint32_t>(std::popcount(row[j] & cand[j]));
+                static_cast<std::uint64_t>(std::popcount(row[j] & cand[j]));
           stats_.OnEdgeOp();
         }
       }
@@ -188,7 +207,10 @@ class BitmapCounter {
       return;
     }
 
-    if constexpr (W > 1) {
+    if constexpr (W == kWide) {
+      if (size <= 64 * kMaxWords)
+        return Narrow<W, kMaxWords>(cand, r, np, size);
+    } else if constexpr (W > 1) {
       if (size <= 64 * (W - 1)) return Narrow<W, W - 1>(cand, r, np, size);
     }
     Expand<W>(cand, r, np, size);
@@ -208,7 +230,7 @@ class BitmapCounter {
       buffer.ids.resize(64 * N);
     }
     NarrowRows<W>(matrix_[W].rows, cand.data(), matrix_[W].ids, N,
-                  buffer.rows.data(), buffer.ids.data());
+                  buffer.rows.data(), buffer.ids.data(), Width<W>());
     matrix_[N] = {buffer.rows.data(), buffer.ids.data()};
     Expand<N>(LowBits<N>(size), r, np, size);
   }
@@ -218,19 +240,20 @@ class BitmapCounter {
   PIVOTSCALE_POPCNT_TARGET void Expand(const Bits<W>& cand, std::uint32_t r,
                                        std::uint32_t np, std::uint32_t size) {
     const std::uint64_t* rows = matrix_[W].rows;
+    const std::uint32_t width = Width<W>();
     // Pivot scan: the candidate with the most neighbors inside the set.
     // Its neighbors need no branches of their own — they are all reachable
     // through the pivot's branch as optional (pivot) vertices.
     std::uint32_t pivot = 0;
     std::uint32_t min_deg = size;
     int pivot_deg = -1;
-    for (std::uint32_t i = 0; i < W; ++i) {
+    for (std::uint32_t i = 0; i < width; ++i) {
       for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1) {
         const std::uint32_t u =
             64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
-        const std::uint64_t* row = rows + static_cast<std::size_t>(u) * W;
+        const std::uint64_t* row = rows + static_cast<std::size_t>(u) * width;
         std::uint32_t d = 0;
-        for (std::uint32_t j = 0; j < W; ++j)
+        for (std::uint32_t j = 0; j < width; ++j)
           d += static_cast<std::uint32_t>(std::popcount(row[j] & cand[j]));
         stats_.OnEdgeOp();
         if (static_cast<int>(d) > pivot_deg) {
@@ -245,7 +268,7 @@ class BitmapCounter {
       // P is a clique: count the end of its all-pivot chain directly.
       if (leaves_.per_vertex()) {
         const NodeId* ids = matrix_[W].ids;
-        for (std::uint32_t i = 0; i < W; ++i)
+        for (std::uint32_t i = 0; i < width; ++i)
           for (std::uint64_t bits = cand[i]; bits != 0; bits &= bits - 1)
             leaves_.PushPivot(
                 ids[64 * i +
@@ -258,16 +281,16 @@ class BitmapCounter {
 
     // Branches: the pivot first, then the pivot's non-neighbors in
     // ascending id. Each branch's vertex leaves `pool` once it has run.
-    const std::uint64_t* pivot_row = rows + static_cast<std::size_t>(pivot) * W;
+    const std::uint64_t* pivot_row =
+        rows + static_cast<std::size_t>(pivot) * width;
     Bits<W> pool = cand;
-    Bits<W> others;
-    for (std::uint32_t i = 0; i < W; ++i)
-      others[i] = cand[i] & ~pivot_row[i];
+    Bits<W> others = cand;
+    for (std::uint32_t i = 0; i < width; ++i) others[i] &= ~pivot_row[i];
     others[pivot / 64] &= ~(std::uint64_t{1} << (pivot % 64));
 
     Descend<W>(pivot, pool, r, np + 1, /*is_pivot=*/true);
     pool[pivot / 64] &= ~(std::uint64_t{1} << (pivot % 64));
-    for (std::uint32_t i = 0; i < W; ++i) {
+    for (std::uint32_t i = 0; i < width; ++i) {
       for (std::uint64_t bits = others[i]; bits != 0; bits &= bits - 1) {
         const std::uint32_t w =
             64 * i + static_cast<std::uint32_t>(std::countr_zero(bits));
@@ -282,10 +305,11 @@ class BitmapCounter {
   PIVOTSCALE_POPCNT_TARGET void Descend(std::uint32_t w, const Bits<W>& pool,
                                         std::uint32_t r, std::uint32_t np,
                                         bool is_pivot) {
+    const std::uint32_t width = Width<W>();
     const std::uint64_t* row =
-        matrix_[W].rows + static_cast<std::size_t>(w) * W;
-    Bits<W> child;
-    for (std::uint32_t i = 0; i < W; ++i) child[i] = row[i] & pool[i];
+        matrix_[W].rows + static_cast<std::size_t>(w) * width;
+    Bits<W> child = pool;
+    for (std::uint32_t i = 0; i < width; ++i) child[i] &= row[i];
     stats_.OnInduce();
     if (!leaves_.per_vertex()) {
       Recurse<W>(child, r, np);
@@ -304,13 +328,13 @@ class BitmapCounter {
   }
 
   SubgraphBitmap sg_;
-  // matrix_[W]: the matrix of the W-word frames on the current path.
-  // Widths only fall along a path, so one matrix per width is enough.
-  std::array<Matrix, 5> matrix_{};
-  std::array<Narrowed, 3> narrowed_;  // narrowed_[N - 1]: N words
+  // matrix_[W]: the matrix of the W-word frames on the current path, with
+  // matrix_[kWide] = matrix_[0] the built subgraph when it is wide. Widths
+  // only fall along a path, so one matrix per width is enough.
+  std::array<Matrix, kMaxWords + 1> matrix_{};
+  std::array<Narrowed, kMaxWords> narrowed_;  // narrowed_[N - 1]: N words
   Stats stats_;
   CliqueLeaves leaves_;
-  bool supported_;
 };
 
 }  // namespace pivotscale

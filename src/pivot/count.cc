@@ -1,7 +1,6 @@
 #include "pivot/count.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -45,90 +44,11 @@ struct CountTask {
   static constexpr std::uint32_t kWholeRoot = 0xffffffffu;
 };
 
-// The production counter behind SubgraphKind::kRemap. Each task picks its
-// kernel from the size of its subgraph: the bitmap kernel takes every
-// subgraph of at most kBitmapMaxVertices vertices, and the remap structure
-// the larger ones. The remap counter is built on first use, so a graph
-// whose subgraphs all fit never allocates it.
-template <typename Stats>
-class ProductionCounter {
- public:
-  ProductionCounter(const Graph& dag, CountMode mode, std::uint32_t k,
-                    bool per_vertex, std::uint32_t max_clique_bound,
-                    const BinomialTable* binom, bool early_termination)
-      : dag_(&dag),
-        mode_(mode),
-        k_(k),
-        per_vertex_(per_vertex),
-        bound_(max_clique_bound),
-        binom_(binom),
-        early_termination_(early_termination),
-        bitmap_(dag, mode, k, per_vertex, max_clique_bound, binom,
-                early_termination) {}
-
-  void ProcessRoot(NodeId root) {
-    if (!bitmap_.ProcessRoot(root)) Remap().ProcessRoot(root);
-  }
-  void ProcessEdge(NodeId u, NodeId v) {
-    if (!bitmap_.ProcessEdge(u, v)) Remap().ProcessEdge(u, v);
-  }
-  void AddSingleton(NodeId u) { bitmap_.AddSingleton(u); }
-
-  // Calls f on each kernel that ran.
-  template <typename F>
-  void ForEachKernel(F&& f) const {
-    f(bitmap_);
-    if (remap_.has_value()) f(*remap_);
-  }
-  // Subgraphs too large for the bitmap kernel.
-  std::uint64_t remap_fallbacks() const { return remap_fallbacks_; }
-
- private:
-  PivotCounter<RemapSubgraph, Stats>& Remap() {
-    if (!remap_.has_value())
-      remap_.emplace(*dag_, mode_, k_, per_vertex_, bound_, binom_,
-                     early_termination_);
-    ++remap_fallbacks_;
-    return *remap_;
-  }
-
-  const Graph* dag_;
-  CountMode mode_;
-  std::uint32_t k_;
-  bool per_vertex_;
-  std::uint32_t bound_;
-  const BinomialTable* binom_;
-  bool early_termination_;
-  BitmapCounter<Stats> bitmap_;
-  std::optional<PivotCounter<RemapSubgraph, Stats>> remap_;
-  std::uint64_t remap_fallbacks_ = 0;
-};
-
-// Calls f on each kernel of `counter` that ran; a paper structure's
-// PivotCounter is its own only kernel.
-template <typename Counter, typename F>
-void ForEachKernel(const Counter& counter, F&& f) {
-  if constexpr (requires { counter.ForEachKernel(f); })
-    counter.ForEachKernel(f);
-  else
-    f(counter);
-}
-
-template <typename Counter>
-OpCounters Ops(const Counter& counter) {
-  OpCounters ops;
-  ForEachKernel(counter, [&ops](const auto& kernel) {
-    ops += kernel.stats().Snapshot();
-  });
-  return ops;
-}
-
 // Dumps one finished driver run into the registry: per-thread series, op
 // totals, and load-balance gauges. `roots` is the number of DAG roots.
 void RecordCountTelemetry(TelemetryRegistry* telemetry,
                           const CountResult& result,
-                          const ExecStats& exec_stats, std::uint64_t roots,
-                          std::uint64_t remap_fallbacks) {
+                          const ExecStats& exec_stats, std::uint64_t roots) {
   if (telemetry == nullptr) return;
   telemetry->SetSeries("count.thread_busy_seconds",
                        result.thread_busy_seconds);
@@ -139,7 +59,6 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
   telemetry->AddCounter("count.chunks", exec_stats.chunks);
   telemetry->AddCounter("count.splits", exec_stats.splits);
   telemetry->AddCounter("count.roots", roots);
-  telemetry->AddCounter("count.remap_fallbacks", remap_fallbacks);
   telemetry->AddCounter("count.recursion_calls", result.ops.calls);
   telemetry->AddCounter("count.edge_ops", result.ops.edge_ops);
   telemetry->AddCounter("count.induces", result.ops.induces);
@@ -153,8 +72,8 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
   telemetry->RecordSpan("count.wall", result.seconds);
 }
 
-// The driver body, instantiated per counter type (production or one paper
-// structure) and stats policy. One exec-layer region over the task list;
+// The driver body, instantiated per counter type (the bitmap kernel or one
+// paper structure) and stats policy. One exec-layer region over the task list;
 // each worker owns a Counter (its reduction slot) and the merge runs
 // serially after the region.
 template <typename Counter>
@@ -207,7 +126,6 @@ CountResult Run(const Graph& dag, const CountOptions& options) {
   exec_options.splits = splits;
   exec_options.telemetry = options.telemetry;
 
-  std::uint64_t remap_fallbacks = 0;
   const ExecStats exec_stats = ParallelForWorkers(
       tasks.size(), exec_options,
       [&](int) {
@@ -218,12 +136,14 @@ CountResult Run(const Graph& dag, const CountOptions& options) {
         const CountTask& task = tasks[ti];
         if (task.edge_begin == CountTask::kWholeRoot) {
           if (options.collect_work_trace) {
-            const std::uint64_t ops_before = Ops(counter).edge_ops;
+            const std::uint64_t ops_before =
+                counter.stats().Snapshot().edge_ops;
             Timer root_timer;
             counter.ProcessRoot(task.root);
             result.work_trace.roots[task.root] = {
                 task.root, root_timer.Nanos(),
-                Ops(counter).edge_ops - ops_before, dag.Degree(task.root)};
+                counter.stats().Snapshot().edge_ops - ops_before,
+                dag.Degree(task.root)};
           } else {
             counter.ProcessRoot(task.root);
           }
@@ -239,20 +159,16 @@ CountResult Run(const Graph& dag, const CountOptions& options) {
         }
       },
       [&](Counter& counter) {
-        if constexpr (requires { counter.remap_fallbacks(); })
-          remap_fallbacks += counter.remap_fallbacks();
-        ForEachKernel(counter, [&](const auto& kernel) {
-          result.total += kernel.total();
-          result.profile.Merge(kernel.profile());
-          if (options.per_vertex) {
-            const auto& pv = kernel.per_vertex_counts();
-            CHECK_EQ(pv.size(), result.per_vertex.size());
-            for (NodeId v = 0; v < n; ++v) result.per_vertex[v] += pv[v];
-          }
-          result.ops += kernel.stats().Snapshot();
-          result.workspace_bytes +=
-              kernel.WorkspaceBytes() + kernel.profile().Bytes();
-        });
+        result.total += counter.total();
+        result.profile.Merge(counter.profile());
+        if (options.per_vertex) {
+          const auto& pv = counter.per_vertex_counts();
+          CHECK_EQ(pv.size(), result.per_vertex.size());
+          for (NodeId v = 0; v < n; ++v) result.per_vertex[v] += pv[v];
+        }
+        result.ops += counter.stats().Snapshot();
+        result.workspace_bytes +=
+            counter.WorkspaceBytes() + counter.profile().Bytes();
       });
 
   result.seconds = exec_stats.seconds;
@@ -268,8 +184,7 @@ CountResult Run(const Graph& dag, const CountOptions& options) {
   if (options.mode != CountMode::kSingleK)
     result.total = options.k <= max_size ? result.per_size[options.k]
                                          : BigCount{};
-  RecordCountTelemetry(options.telemetry, result, exec_stats, n,
-                       remap_fallbacks);
+  RecordCountTelemetry(options.telemetry, result, exec_stats, n);
   return result;
 }
 
@@ -288,6 +203,8 @@ template <typename Stats>
 using DenseCounter = PivotCounter<DenseSubgraph, Stats>;
 template <typename Stats>
 using SparseCounter = PivotCounter<SparseSubgraph, Stats>;
+template <typename Stats>
+using RemapCounter = PivotCounter<RemapSubgraph, Stats>;
 
 }  // namespace
 
@@ -308,7 +225,10 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options) {
     case SubgraphKind::kSparse:
       return Dispatch<SparseCounter>(dag, options);
     case SubgraphKind::kRemap:
-      return Dispatch<ProductionCounter>(dag, options);
+      // One kernel per run: the remap structure only where the CPU lacks
+      // the bitmap kernel's popcount.
+      if (BitmapKernelSupported()) return Dispatch<BitmapCounter>(dag, options);
+      return Dispatch<RemapCounter>(dag, options);
   }
   throw std::invalid_argument("CountCliques: unknown subgraph structure");
 }

@@ -32,11 +32,11 @@ class TelemetryRegistry;
 enum class SubgraphKind {
   kDense,   // |V|-sized index (original Pivoter layout)
   kSparse,  // hash-indexed compact slots
-  // The default production path. Each task picks its kernel from the size
-  // of its subgraph: the bitmap kernel (pivot/bitmap_counter.h) takes
-  // subgraphs of at most kBitmapMaxVertices vertices, and the paper's
-  // remap structure (first-level id remap + compact dense arrays) takes
-  // the larger ones. The name stays "remap" on the CLI and the protocol.
+  // The default production path: the bitmap kernel
+  // (pivot/bitmap_counter.h) on every subgraph. On x86-64 CPUs without
+  // POPCNT the whole run uses the paper's remap structure (first-level id
+  // remap + compact dense arrays) instead. The name stays "remap" on the
+  // CLI and the protocol.
   kRemap,
 };
 
@@ -73,8 +73,8 @@ struct CountOptions {
   // Long-tail root splitting (exec layer): a root whose work estimate
   // (out_degree + 1)^2 exceeds this threshold is decomposed into
   // first-level edge subtasks, each counting the cliques whose two
-  // lowest-ranked members are that DAG edge. Only the remap structure
-  // supports pair builds, and work-trace runs never split (work is
+  // lowest-ranked members are that DAG edge. Only the production path
+  // (kRemap) supports pair builds, and work-trace runs never split (work is
   // attributed per root). 0 splits every root with out-edges (the full
   // edge-parallel decomposition of GPU-Pivot); kNeverSplit disables
   // splitting.
@@ -97,18 +97,18 @@ struct CountResult {
   std::vector<BigCount> per_size;
   // The merged (r, np) leaf histogram of kAllK / kAllUpToK runs (empty in
   // kSingleK): exact for every size in kAllK, for sizes up to k in
-  // kAllUpToK. Which leaves it holds depends on the kernel that ran each
-  // task and on which roots split, never on the thread count.
+  // kAllUpToK. Which leaves it holds depends on the kernel and on which
+  // roots split, never on the thread count.
   CliqueProfile profile;
   // Per-vertex participation counts; filled when per_vertex was set.
   std::vector<BigCount> per_vertex;
-  // Aggregated recursion operations (op stats / work trace modes), summed
-  // over whichever kernel ran each task. `calls` counts recursion nodes on
-  // both kernels. On the bitmap kernel `edge_ops` is one per
-  // popcount(row[u] & P) of a pivot scan, `induces` one per child bitset
-  // and `memberships` is 0; on the remap kernel they count adjacency
-  // entries scanned, child sets narrowed and mark/removed tests. See
-  // pivot/stats.h and docs/algorithm.md.
+  // Aggregated recursion operations (op stats / work trace modes) of the
+  // run's kernel. `calls` counts recursion nodes on every kernel. On the
+  // bitmap kernel `edge_ops` is one per popcount(row[u] & P) of a pivot
+  // scan, `induces` one per child bitset and `memberships` is 0; on the
+  // paper structures they count adjacency entries scanned, child sets
+  // narrowed and mark/removed tests. See pivot/stats.h and
+  // docs/algorithm.md.
   OpCounters ops;
   // Per-root work (work trace mode).
   WorkTrace work_trace;

@@ -12,17 +12,14 @@ void SubgraphBitmap::Attach(const Graph& dag) {
   words_ = 0;
 }
 
-bool SubgraphBitmap::Build(NodeId root, std::uint32_t max_vertices) {
+void SubgraphBitmap::Build(NodeId root) {
   DCHECK(dag_ != nullptr) << "SubgraphBitmap::Build before Attach";
   const auto nbrs = dag_->Neighbors(root);
-  if (nbrs.size() > max_vertices) return false;
   orig_.assign(nbrs.begin(), nbrs.end());
   FinishBuild();
-  return true;
 }
 
-bool SubgraphBitmap::BuildPair(NodeId u, NodeId v,
-                               std::uint32_t max_vertices) {
+void SubgraphBitmap::BuildPair(NodeId u, NodeId v) {
   DCHECK(dag_ != nullptr) << "SubgraphBitmap::BuildPair before Attach";
   // Sorted intersection of the two out-neighborhoods.
   const auto nu = dag_->Neighbors(u);
@@ -30,9 +27,7 @@ bool SubgraphBitmap::BuildPair(NodeId u, NodeId v,
   orig_.clear();
   std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
                         std::back_inserter(orig_));
-  if (orig_.size() > max_vertices) return false;
   FinishBuild();
-  return true;
 }
 
 void SubgraphBitmap::FinishBuild() {

@@ -10,15 +10,18 @@
 // no undo stack, flags or partitioning (compare subgraph_remap.h).
 //
 // Shared by the production bitmap kernel (pivot/bitmap_counter.h) and the
-// GPU-Pivot baseline model (baselines/gpu_pivot_model.cc). All buffers are
-// reused across builds. NarrowRows re-indexes a candidate set into a
-// smaller matrix of the same form; the bitmap kernel narrows with it.
+// GPU-Pivot baseline model (baselines/gpu_pivot_model.cc). Subgraphs of
+// every size build; the matrix of n vertices takes n * ⌈n / 64⌉ words, and
+// all buffers are reused across builds. NarrowRows re-indexes a candidate
+// set into a smaller matrix of the same form; the bitmap kernel narrows
+// with it.
 #ifndef PIVOTSCALE_PIVOT_SUBGRAPH_BITMAP_H_
 #define PIVOTSCALE_PIVOT_SUBGRAPH_BITMAP_H_
 
+#include <array>
 #include <bit>
 #include <cstdint>
-#include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -41,18 +44,18 @@ inline bool BitmapKernelSupported() {
 inline bool BitmapKernelSupported() { return true; }
 #endif
 
+// The word count template argument of a set wider than four words, whose
+// width is known only at run time (NarrowRows, pivot/bitmap_counter.h).
+inline constexpr std::uint32_t kWide = 0;
+
 class SubgraphBitmap {
  public:
-  static constexpr std::uint32_t kUnbounded =
-      std::numeric_limits<std::uint32_t>::max();
-
   void Attach(const Graph& dag);
-  // Induces the subgraph on N+(root). Returns false, leaving the matrix
-  // unbuilt, when it would have more than `max_vertices` members.
-  bool Build(NodeId root, std::uint32_t max_vertices = kUnbounded);
+  // Induces the subgraph on N+(root).
+  void Build(NodeId root);
   // Edge-parallel variant: induces the subgraph on N+(u) ∩ N+(v) — the
   // candidate pool of cliques whose two lowest-ranked members are (u, v).
-  bool BuildPair(NodeId u, NodeId v, std::uint32_t max_vertices = kUnbounded);
+  void BuildPair(NodeId u, NodeId v);
 
   std::uint32_t NumVertices() const {
     return static_cast<std::uint32_t>(orig_.size());
@@ -85,37 +88,45 @@ class SubgraphBitmap {
   std::uint32_t words_ = 0;
 };
 
-// Narrowing: re-indexes the members of `set`, a W-word bitset over the
-// matrix `rows` (row stride W), to the local ids 0..|set|-1, keeping their
-// order, and writes their rows restricted to `set` to `out` with row stride
-// `out_words` >= ⌈|set| / 64⌉: bit j of out row i is set iff members i and
-// j are adjacent. `ids` maps the local ids of `rows` to original ids;
-// out_ids[i] receives member i's original id. A member's new id is the
-// number of members below it: one popcount per adjacent bit. Needs
+// Narrowing: re-indexes the members of `set`, a `words`-word bitset over
+// the matrix `rows` (row stride `words`), to the local ids 0..|set|-1,
+// keeping their order, and writes their rows restricted to `set` to `out`
+// with row stride `out_words` >= ⌈|set| / 64⌉: bit j of out row i is set
+// iff members i and j are adjacent. `ids` maps the local ids of `rows` to
+// original ids; out_ids[i] receives member i's original id. A member's new
+// id is the number of members below it: one popcount per adjacent bit.
+// `words` is W, or the source width for W = kWide. Needs
 // BitmapKernelSupported().
 template <std::uint32_t W>
 PIVOTSCALE_POPCNT_TARGET void NarrowRows(const std::uint64_t* rows,
                                          const std::uint64_t* set,
                                          const NodeId* ids,
                                          std::uint32_t out_words,
-                                         std::uint64_t* out, NodeId* out_ids) {
-  std::uint32_t below[W] = {};  // members in the words before word i
+                                         std::uint64_t* out, NodeId* out_ids,
+                                         std::uint32_t words = W) {
+  DCHECK(W == kWide || words == W);
+  if constexpr (W != kWide) words = W;  // a compile-time loop bound
+  // below[i]: members in the words before word i.
+  std::conditional_t<W == kWide, std::vector<std::uint32_t>,
+                     std::array<std::uint32_t, W>>
+      below{};
+  if constexpr (W == kWide) below.resize(words);
   std::uint32_t count = 0;
-  for (std::uint32_t i = 0; i < W; ++i) {
+  for (std::uint32_t i = 0; i < words; ++i) {
     below[i] = count;
     count += static_cast<std::uint32_t>(std::popcount(set[i]));
   }
   DCHECK_LE(count, 64 * out_words);
   std::uint64_t* out_row = out;
-  for (std::uint32_t i = 0; i < W; ++i) {
+  for (std::uint32_t i = 0; i < words; ++i) {
     for (std::uint64_t members = set[i]; members != 0;
          members &= members - 1) {
       const std::uint32_t u =
           64 * i + static_cast<std::uint32_t>(std::countr_zero(members));
       *out_ids++ = ids[u];
       for (std::uint32_t j = 0; j < out_words; ++j) out_row[j] = 0;
-      const std::uint64_t* row = rows + static_cast<std::size_t>(u) * W;
-      for (std::uint32_t j = 0; j < W; ++j) {
+      const std::uint64_t* row = rows + static_cast<std::size_t>(u) * words;
+      for (std::uint32_t j = 0; j < words; ++j) {
         for (std::uint64_t bits = row[j] & set[j]; bits != 0;
              bits &= bits - 1) {
           const std::uint64_t lower =

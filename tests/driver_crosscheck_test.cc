@@ -13,10 +13,11 @@
 // force. The all-size modes are checked against brute force for every
 // size, and their leaf histogram for independence from the team size.
 //
-// The kernel-selection section pins the production dispatch: subgraphs of
-// at most kBitmapMaxVertices vertices run the bitmap kernel, larger ones
-// the remap structure, and both kernels, the driver and brute force agree
-// bit for bit on every mode at the size boundaries. The narrowing section
+// The kernel section pins the production path: the bitmap kernel takes
+// subgraphs of every size — sets of one to four words and wide ones — and
+// it, the remap reference (whole roots and pair tasks), the driver and
+// brute force agree bit for bit on every mode at the word boundaries and
+// on planted cliques far past four words. The narrowing section
 // checks the bitmap kernel's re-indexing into narrower matrices: on nested
 // hubs that narrow through every width, and against the recursion tree
 // (op counts, leaf histogram, per-vertex counts) recorded before the
@@ -28,6 +29,8 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -37,6 +40,7 @@
 #include "pivot/subgraph_remap.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
+#include "util/rng.h"
 #include "util/telemetry.h"
 
 namespace pivotscale {
@@ -44,6 +48,7 @@ namespace {
 
 using testing_helpers::BruteForceCount;
 using testing_helpers::BruteForcePerVertex;
+using testing_helpers::KernelTasks;
 using testing_helpers::KernelTotals;
 using testing_helpers::MakeDag;
 using testing_helpers::RunKernel;
@@ -405,7 +410,7 @@ TEST(DriverCrosscheck, PlantedCliquesDeepK) {
   }
 }
 
-// ---------------------------------------------------- kernel selection
+// ------------------------------------------------------ one kernel
 
 // A hub (vertex 0) adjacent to `d` spokes. The spokes carry a sparse
 // random graph and two planted cliques, so the hub's subgraph recurses
@@ -447,7 +452,6 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
   const Graph g = HubGraph(d, 500 + d);
   const Graph dag = IdentityDag(g);
   ASSERT_EQ(dag.Degree(0), d);
-  const bool fits = d <= kBitmapMaxVertices;
 
   for (std::uint32_t k = 1; k <= 5; ++k) {
     const auto truth = static_cast<uint128>(BruteForceCount(g, k));
@@ -456,11 +460,13 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
           RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, false, early);
       const KernelTotals bitmap =
           RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, false, early);
+      // The split path on CPUs without POPCNT; elsewhere the driver never
+      // runs it.
+      const KernelTotals remap_pairs = RunKernel<RemapKernel>(
+          dag, CountMode::kSingleK, k, false, early, KernelTasks::kPairs);
       EXPECT_EQ(remap.total.value(), truth) << "k=" << k;
-      EXPECT_EQ(bitmap.refused, fits ? 0u : 1u);
-      if (fits) {
-        EXPECT_EQ(bitmap.total, remap.total) << "k=" << k;
-      }
+      EXPECT_EQ(bitmap.total.value(), truth) << "k=" << k;
+      EXPECT_EQ(remap_pairs.total.value(), truth) << "k=" << k;
       for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold,
                                         std::uint64_t{0}, std::uint64_t{1}}) {
         const CountResult driver = Production(dag, CountMode::kSingleK, k,
@@ -475,9 +481,10 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
   for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
     const KernelTotals remap = RunKernel<RemapKernel>(dag, mode, 4);
     const KernelTotals bitmap = RunKernel<BitmapKernel>(dag, mode, 4);
-    if (fits) {
-      EXPECT_EQ(bitmap.per_size, remap.per_size);
-    }
+    const KernelTotals remap_pairs = RunKernel<RemapKernel>(
+        dag, mode, 4, false, true, KernelTasks::kPairs);
+    EXPECT_EQ(bitmap.per_size, remap.per_size);
+    EXPECT_EQ(remap_pairs.per_size, remap.per_size);
     for (std::uint32_t s = 1; s <= 4; ++s) {
       const BigCount got =
           s < remap.per_size.size() ? remap.per_size[s] : BigCount{};
@@ -497,9 +504,10 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
         RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, true);
     const KernelTotals bitmap =
         RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, true);
-    if (fits) {
-      EXPECT_EQ(bitmap.per_vertex, remap.per_vertex) << "k=" << k;
-    }
+    const KernelTotals remap_pairs = RunKernel<RemapKernel>(
+        dag, CountMode::kSingleK, k, true, true, KernelTasks::kPairs);
+    EXPECT_EQ(bitmap.per_vertex, remap.per_vertex) << "k=" << k;
+    EXPECT_EQ(remap_pairs.per_vertex, remap.per_vertex) << "k=" << k;
     for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
       const CountResult driver =
           Production(dag, CountMode::kSingleK, k, split, true);
@@ -527,67 +535,70 @@ TEST_P(KernelBoundary, OpCountsRepeatAcrossTeamSizes) {
     EXPECT_EQ(one.ops.edge_ops, four.ops.edge_ops) << "split=" << split;
     EXPECT_EQ(one.ops.induces, four.ops.induces) << "split=" << split;
   }
-  // Unsplit, every root that fits runs the bitmap kernel: the driver's
-  // op counts are exactly the bitmap kernel's.
-  if (d <= kBitmapMaxVertices) {
-    const KernelTotals bitmap =
-        RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 5);
-    const CountResult driver =
-        Production(dag, CountMode::kSingleK, 5, kNeverSplit);
-    EXPECT_EQ(driver.ops.calls, bitmap.ops.calls);
-    EXPECT_EQ(driver.ops.edge_ops, bitmap.ops.edge_ops);
-    EXPECT_EQ(driver.ops.induces, bitmap.ops.induces);
-    EXPECT_EQ(driver.ops.memberships, 0u);
-  }
+  // Unsplit, every root runs the bitmap kernel: the driver's op counts
+  // are exactly the bitmap kernel's.
+  const KernelTotals bitmap =
+      RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 5);
+  const CountResult driver =
+      Production(dag, CountMode::kSingleK, 5, kNeverSplit);
+  EXPECT_EQ(driver.ops.calls, bitmap.ops.calls);
+  EXPECT_EQ(driver.ops.edge_ops, bitmap.ops.edge_ops);
+  EXPECT_EQ(driver.ops.induces, bitmap.ops.induces);
+  EXPECT_EQ(driver.ops.memberships, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RootOutDegrees, KernelBoundary,
     ::testing::Values(0, 1, 63, 64, 65, 128, 129, 192, 193, 255, 256,
-                      257),
+                      257, 320, 513),
     [](const ::testing::TestParamInfo<NodeId>& param_info) {
       std::string name = "d";
       name += std::to_string(param_info.param);
       return name;
     });
 
-TEST(KernelSelection, OnlySubgraphsAboveTheLimitFallBackToRemap) {
-  for (const NodeId d : {kBitmapMaxVertices, kBitmapMaxVertices + 1}) {
+TEST(KernelSelection, WideRootsRunTheBitmapKernel) {
+  // Roots past four words (W = 5 and 9) run the bitmap kernel too: the
+  // unsplit driver reports exactly its op counts, and no remap membership
+  // test ran.
+  for (const NodeId d : {257u, 513u}) {
     const Graph dag = IdentityDag(HubGraph(d, 900 + d));
-    for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold}) {
-      TelemetryRegistry telemetry;
-      CountOptions options;
-      options.k = 4;
-      options.split_threshold = split;
-      options.telemetry = &telemetry;
-      CountCliques(dag, options);
-      // A split hub runs pair subgraphs, which exclude the pair's second
-      // vertex and so always fit.
-      const bool falls_back =
-          d > kBitmapMaxVertices && split == kNeverSplit;
-      EXPECT_EQ(telemetry.Counter("count.remap_fallbacks"),
-                falls_back ? 1u : 0u)
-          << "d=" << d << " split=" << split;
-    }
+    const KernelTotals bitmap =
+        RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 4);
+    const CountResult driver =
+        Production(dag, CountMode::kSingleK, 4, kNeverSplit);
+    EXPECT_EQ(driver.total, bitmap.total) << "d=" << d;
+    EXPECT_EQ(driver.ops.calls, bitmap.ops.calls) << "d=" << d;
+    EXPECT_EQ(driver.ops.edge_ops, bitmap.ops.edge_ops) << "d=" << d;
+    EXPECT_EQ(driver.ops.induces, bitmap.ops.induces) << "d=" << d;
+    EXPECT_EQ(driver.ops.memberships, 0u) << "d=" << d;
   }
 }
 
 TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
   // Every candidate set of K_n is a clique, so the bitmap kernel settles
-  // each root in one call; the remap reference walks its pivot chains.
-  for (const NodeId n : {1u, 2u, 64u, 65u, 200u}) {
+  // each root in one call, at every width; the remap reference walks its
+  // pivot chains, O(n^4) in all, so it runs only up to n = 200.
+  for (const NodeId n : {1u, 2u, 64u, 65u, 200u, 300u, 449u}) {
     const Graph g = BuildUndirected(CompleteGraph(n), n);
     const Graph dag = MakeDag(g, OrderingKind::kDegree);
-    const KernelTotals remap = RunKernel<RemapKernel>(dag, CountMode::kAllK, 1);
     const CountResult driver =
         Production(dag, CountMode::kAllK, 1, kNeverSplit);
-    EXPECT_EQ(driver.per_size, remap.per_size) << "n=" << n;
     EXPECT_EQ(driver.ops.calls, n);
-    // A root of out-degree d walks a chain of d + 1 calls.
-    EXPECT_EQ(remap.ops.calls, static_cast<std::uint64_t>(n) * (n + 1) / 2)
-        << "n=" << n;
-    for (std::uint32_t s = 1; s <= std::min<NodeId>(n, 12); ++s)
-      EXPECT_EQ(driver.per_size[s].value(), BinomialChoose(n, s)) << s;
+    if (n <= 200) {
+      const KernelTotals remap =
+          RunKernel<RemapKernel>(dag, CountMode::kAllK, 1);
+      EXPECT_EQ(driver.per_size, remap.per_size) << "n=" << n;
+      // A root of out-degree d walks a chain of d + 1 calls.
+      EXPECT_EQ(remap.ops.calls, static_cast<std::uint64_t>(n) * (n + 1) / 2)
+          << "n=" << n;
+    }
+    // Every size, saturated where C(n, s) passes 2^128 - 1, as Pascal's
+    // rule saturates.
+    const BinomialTable binom(n);
+    for (std::uint32_t s = 1; s <= n; ++s)
+      EXPECT_EQ(driver.per_size[s].value(), binom.Choose(n, s))
+          << "n=" << n << " s=" << s;
 
     const CountResult per_vertex =
         Production(dag, CountMode::kSingleK, 3, kNeverSplit, true);
@@ -595,6 +606,83 @@ TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
       EXPECT_EQ(per_vertex.per_vertex[v].value(),
                 BinomialChoose(n - 1, 2))
           << "n=" << n << " v=" << v;
+  }
+}
+
+// A 300-clique (vertices 0..299) plus 20 pairwise non-adjacent vertices,
+// each joined to a seeded half of the clique. Every clique lies in the
+// 300-clique or in one outside vertex x plus its 150 clique neighbors, so
+// there are C(300, s) + sum_x C(150, s - 1) s-cliques. In core order the
+// clique's first vertex has out-degree 299, five words, and under the
+// default threshold its pair subgraphs are wide too.
+constexpr NodeId kPlanted = 300;
+constexpr NodeId kOutside = 20;
+constexpr NodeId kHalf = kPlanted / 2;
+
+Graph PlantedCliqueGraph(std::uint64_t seed,
+                         std::vector<std::vector<NodeId>>* joined) {
+  EdgeList edges = CompleteGraph(kPlanted);
+  Rng rng(seed);
+  joined->assign(kOutside, {});
+  for (NodeId x = 0; x < kOutside; ++x) {
+    std::vector<NodeId> members(kPlanted);
+    std::iota(members.begin(), members.end(), NodeId{0});
+    for (NodeId i = 0; i < kHalf; ++i)
+      std::swap(members[i], members[i + rng.Below(kPlanted - i)]);
+    members.resize(kHalf);
+    for (const NodeId v : members) edges.emplace_back(kPlanted + x, v);
+    (*joined)[x] = std::move(members);
+  }
+  return BuildUndirected(std::move(edges), kPlanted + kOutside);
+}
+
+TEST(KernelSelection, PlantedCliqueMatchesItsClosedForm) {
+  std::vector<std::vector<NodeId>> joined;
+  const Graph g = PlantedCliqueGraph(4242, &joined);
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+  ASSERT_EQ(dag.MaxDegree(), kPlanted - 1);
+  const BinomialTable binom(kPlanted);
+  const auto cliques = [&](std::uint32_t s) {
+    return BigCount(binom.Choose(kPlanted, s)) +
+           BigCount(binom.Choose(kHalf, s - 1)) * BigCount(kOutside);
+  };
+
+  // Split, each run rebuilds a wide pair matrix for each of the ~12,000
+  // out-edges of the 44 roots past the threshold (about 0.8 s of CPU), so
+  // the split runs take the smallest and the largest k only.
+  const std::vector<std::uint32_t> every_k = {3, 4, 5, 6, 7, 8};
+  const std::vector<std::uint32_t> end_k = {3, 8};
+  for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold}) {
+    const CountResult all = Production(dag, CountMode::kAllK, 3, split);
+    for (std::uint32_t s = 1; s <= kPlanted + 1; ++s)
+      EXPECT_EQ(all.per_size[s], cliques(s)) << "split=" << split << " s=" << s;
+
+    for (const std::uint32_t k : split == kNeverSplit ? every_k : end_k) {
+      const CountResult single = Production(dag, CountMode::kSingleK, k, split);
+      EXPECT_EQ(single.total, cliques(k)) << "split=" << split << " k=" << k;
+      const CountResult upto = Production(dag, CountMode::kAllUpToK, k, split);
+      for (std::uint32_t s = 1; s <= k; ++s)
+        EXPECT_EQ(upto.per_size[s], cliques(s))
+            << "split=" << split << " k=" << k << " s=" << s;
+
+      // A clique vertex is in C(299, k - 1) cliques of the 300-clique and
+      // in C(149, k - 2) more per outside vertex joined to it; an outside
+      // vertex is in C(150, k - 1).
+      std::vector<std::uint64_t> joins(kPlanted, 0);
+      for (const auto& members : joined)
+        for (const NodeId v : members) ++joins[v];
+      const CountResult per_vertex =
+          Production(dag, CountMode::kSingleK, k, split, true);
+      for (NodeId v = 0; v < kPlanted; ++v)
+        EXPECT_EQ(per_vertex.per_vertex[v].value(),
+                  binom.Choose(kPlanted - 1, k - 1) +
+                      joins[v] * binom.Choose(kHalf - 1, k - 2))
+            << "split=" << split << " k=" << k << " v=" << v;
+      for (NodeId x = kPlanted; x < kPlanted + kOutside; ++x)
+        EXPECT_EQ(per_vertex.per_vertex[x].value(),
+                  binom.Choose(kHalf, k - 1))
+            << "split=" << split << " k=" << k << " x=" << x;
+    }
   }
 }
 
@@ -659,7 +747,7 @@ Graph NestedHubGraph(std::uint64_t seed) {
 TEST(Narrowing, NestedHubsNarrowThroughEveryWidthAndStayExact) {
   const Graph g = NestedHubGraph(700);
   const Graph dag = IdentityDag(g);
-  ASSERT_EQ(dag.Degree(0), kBitmapMaxVertices);
+  ASSERT_EQ(dag.Degree(0), 256u);
 
   for (std::uint32_t k = 1; k <= 6; ++k) {
     const auto truth = static_cast<uint128>(BruteForceCount(g, k));
@@ -667,7 +755,6 @@ TEST(Narrowing, NestedHubsNarrowThroughEveryWidthAndStayExact) {
       const KernelTotals bitmap =
           RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, false, early);
       EXPECT_EQ(bitmap.total.value(), truth) << "k=" << k;
-      EXPECT_EQ(bitmap.refused, 0u);
     }
   }
   for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
@@ -686,12 +773,11 @@ TEST(Narrowing, NestedHubsNarrowThroughEveryWidthAndStayExact) {
   // pivot scan; at k = 5 it narrows to every width below 4. The buffers
   // that adds, 64 N rows of N words and 64 N ids for N = 1, 2, 3, are all
   // the workspace grows by.
-  const BinomialTable binom(kBitmapMaxVertices + 2);
+  const BinomialTable binom(258);
   std::size_t workspace[2] = {};
   for (const std::uint32_t k : {3u, 5u}) {
-    BitmapKernel counter(dag, CountMode::kSingleK, k, false,
-                         kBitmapMaxVertices + 1, &binom);
-    ASSERT_TRUE(counter.ProcessRoot(0));
+    BitmapKernel counter(dag, CountMode::kSingleK, k, false, 257, &binom);
+    counter.ProcessRoot(0);
     workspace[k == 5] = counter.WorkspaceBytes();
   }
   std::size_t buffers = 0;

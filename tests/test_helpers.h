@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "graph/builder.h"
@@ -16,6 +15,7 @@
 #include "pivot/profile.h"
 #include "pivot/stats.h"
 #include "util/binomial.h"
+#include "util/check.h"
 #include "util/uint128.h"
 
 namespace pivotscale {
@@ -103,26 +103,35 @@ struct KernelTotals {
   std::vector<BigCount> per_size;   // from `profile`, as the driver derives it
   std::vector<BigCount> per_vertex;
   OpCounters ops;
-  std::uint64_t refused = 0;  // roots the bitmap kernel would not take
 };
 
+// How RunKernel hands the DAG to the kernel: one ProcessRoot per root, or
+// the split decomposition of every root — AddSingleton plus one
+// ProcessEdge per out-edge.
+enum class KernelTasks { kRoots, kPairs };
+
 // Runs kernel `Counter` — PivotCounter<SG, Stats> or BitmapCounter<Stats>
-// — over every root of `dag` on one thread: no driver, no splitting and no
-// kernel selection, so each kernel can be checked on its own.
+// — over every root of `dag` on one thread: no driver and no kernel
+// choice, so each kernel can be checked on its own.
 template <typename Counter>
 KernelTotals RunKernel(const Graph& dag, CountMode mode, std::uint32_t k,
-                       bool per_vertex = false,
-                       bool early_termination = true) {
+                       bool per_vertex = false, bool early_termination = true,
+                       KernelTasks tasks = KernelTasks::kRoots) {
   const auto bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
   Counter counter(dag, mode, k, per_vertex, bound, &binom,
                   early_termination);
   KernelTotals out;
   for (NodeId v = 0; v < dag.NumNodes(); ++v) {
-    if constexpr (std::is_same_v<decltype(counter.ProcessRoot(v)), bool>) {
-      if (!counter.ProcessRoot(v)) ++out.refused;
-    } else {
+    if (tasks == KernelTasks::kRoots) {
       counter.ProcessRoot(v);
+      continue;
+    }
+    if constexpr (requires { counter.ProcessEdge(v, v); }) {
+      counter.AddSingleton(v);
+      for (const NodeId u : dag.Neighbors(v)) counter.ProcessEdge(v, u);
+    } else {
+      CHECK(false) << "RunKernel: kPairs needs a kernel with ProcessEdge";
     }
   }
   out.total = counter.total();
