@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       s.push_back(MakeDataset(name, args.GetDouble("scale", 1.0)));
     return s;
   }();
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
 
   // --- 1 & 2: recursion-mode ablations -----------------------------------
   TablePrinter modes("Ablation: early termination and all-k overhead (k=" +
@@ -115,34 +115,6 @@ int main(int argc, char** argv) {
          TablePrinter::Cell(upto_seconds / base_seconds, 2)});
   }
   modes.Print();
-  std::cout << "\n";
-
-  // --- work decomposition: vertex-parallel vs edge-parallel --------------
-  TablePrinter decomp(
-      "Ablation: work decomposition (k=" + std::to_string(k) +
-          ", measured seconds + per-item balance)",
-      {"graph", "vertex-parallel (s)", "edge-parallel (s)",
-       "edge/vertex ratio"});
-  for (const Dataset& d : suite) {
-    const Graph dag = Directionalize(d.graph, CoreOrdering(d.graph).ranks);
-    CountOptions options;
-    options.k = k;
-    Timer tv;
-    const CountResult vertex = CountCliques(dag, options);
-    const double vertex_seconds = tv.Seconds();
-    options.split_threshold = 0;  // every root with out-edges splits
-    Timer te;
-    const CountResult edge = CountCliques(dag, options);
-    const double edge_seconds = te.Seconds();
-    if (vertex.total != edge.total) {
-      std::cerr << "DECOMPOSITION MISMATCH on " << d.name << "\n";
-      return 1;
-    }
-    decomp.AddRow({d.name, TablePrinter::Cell(vertex_seconds, 3),
-                   TablePrinter::Cell(edge_seconds, 3),
-                   TablePrinter::Cell(edge_seconds / vertex_seconds, 2)});
-  }
-  decomp.Print();
   std::cout << "\n";
 
   // --- 3: scheduling ablation (simulated 64 threads) ---------------------

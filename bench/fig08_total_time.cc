@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto suite = bench::LoadSuite(args);
   const auto sweep = bench::OrderingSweep();
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
 
   std::vector<std::string> header = {"graph"};
   for (const auto& named : sweep) header.push_back(named.label + "@64");

@@ -5,7 +5,7 @@
 //
 // Each paper structure is timed pure: one PivotCounter<SG, NoStats> per
 // worker over every root, with the driver's cost-weighted chunking but no
-// long-tail splitting and no kernel selection (the pattern of
+// kernel selection (the pattern of
 // baselines/pivoter_naive.cc). The "production" column is CountCliques
 // itself, which runs the bitmap kernel (pivot/bitmap_counter.h) on every
 // subgraph; it is not a paper structure.
@@ -61,7 +61,7 @@ double TimeStructure(const Graph& dag, std::uint32_t k, BigCount* total) {
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto suite = bench::LoadSuite(args);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
 
   TablePrinter table(
       "Figure 9: counting throughput normalized to dense (k=" +

@@ -13,9 +13,8 @@
 // busy-time CoV column checks the paper's load-balance claim (CoV ~ 0.03).
 //
 // --json <path> additionally re-runs each series for real (whole-machine
-// executor, default split threshold) and writes one JSON document pairing
-// the simulated speedup curves with the measured scheduler stats:
-// exec_splits (long-tail roots the driver split) and the realized team's
+// executor) and writes one JSON document pairing the simulated speedup
+// curves with the measured scheduler stats: the realized team and its
 // busy-time CoV. docs/parallelism.md explains the fields.
 #include <iostream>
 
@@ -100,7 +99,7 @@ int main(int argc, char** argv) {
             cov64 = SimulateScaling(result.work_trace, config).busy_cov;
         }
         if (!json_path.empty()) {
-          // Real run (no trace, whole-machine budget, default threshold):
+          // Real run (no trace, whole-machine budget):
           // the simulated curves say how the trace *should* scale; these
           // fields say what the scheduler actually did to it.
           TelemetryRegistry measured;
@@ -122,8 +121,6 @@ int main(int argc, char** argv) {
           json.EndArray();
           json.Key("sim_cov64");
           json.Value(cov64);
-          json.Key("exec_splits");
-          json.Value(measured.Counter("exec.splits"));
           json.Key("measured_team");
           json.Value(measured.Gauge("exec.team"));
           json.Key("measured_busy_cov");

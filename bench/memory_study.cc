@@ -53,7 +53,7 @@ double ReplayMissRate(const Graph& dag, std::uint32_t k, NodeId sample) {
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto suite = bench::LoadSuite(args);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
   const auto sample = static_cast<NodeId>(args.GetInt("sample-roots", 3000));
   const int threads = static_cast<int>(args.GetInt("threads", 64));
 

@@ -2,7 +2,7 @@
 // Measures what the scheduler adds and costs — chunk-bound construction
 // in both modes, self-scheduling overhead at different granularities,
 // reduction throughput, the thread-budget lease path, and the counting
-// driver across split thresholds (never / default / every root).
+// driver on one whole-root task per vertex.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -85,22 +85,15 @@ const Graph& BenchDag() {
   return dag;
 }
 
-// The counting driver across the splitting spectrum:
-// arg 0 = kNeverSplit (pure vertex-parallel), 1 = default threshold
-// (split only the long tail), 2 = split every root with out-edges.
-void BM_CountCliquesSplitThreshold(benchmark::State& state) {
+// The counting driver: one whole-root task per DAG vertex.
+void BM_CountCliques(benchmark::State& state) {
   CountOptions options;
   options.k = 6;
   options.structure = SubgraphKind::kRemap;
-  switch (state.range(0)) {
-    case 0: options.split_threshold = kNeverSplit; break;
-    case 1: options.split_threshold = kDefaultSplitThreshold; break;
-    default: options.split_threshold = 0; break;
-  }
   for (auto _ : state)
     benchmark::DoNotOptimize(
         CountCliques(BenchDag(), options).total.value());
 }
-BENCHMARK(BM_CountCliquesSplitThreshold)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CountCliques);
 
 }  // namespace

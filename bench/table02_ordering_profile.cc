@@ -65,7 +65,7 @@ Profile ProfileCounting(const Graph& dag, std::uint32_t k,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto suite = bench::LoadSuite(args);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
   const auto sample =
       static_cast<NodeId>(args.GetInt("sample-roots", 4000));
 

@@ -44,7 +44,7 @@ PhaseRow RunWith(const Graph& g, const Ordering& ordering, std::uint32_t k,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto suite = bench::LoadSuite(args);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
 
   TablePrinter table(
       "Table III: core vs degree ordering (k=" + std::to_string(k) + ")",

@@ -44,7 +44,7 @@ double SimTotal64(const Graph& g, const Ordering& ordering,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   const auto suite = bench::LoadSuite(args);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
   const HeuristicConfig config = bench::SuiteHeuristicConfig();
 
   TablePrinter table(

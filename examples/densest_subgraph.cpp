@@ -18,7 +18,7 @@ using namespace pivotscale;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 4));
+  const auto k = args.GetK(4);
   const std::string path = args.GetString("graph", "");
 
   Graph g;

@@ -13,7 +13,7 @@ using namespace pivotscale;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const auto k = args.GetK(8);
   const double eps = args.GetDouble("eps", -0.5);
   const std::string path = args.GetString("graph", "");
 

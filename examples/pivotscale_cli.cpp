@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     }
 
     PivotScaleOptions options;
-    options.k = static_cast<std::uint32_t>(args.GetInt("k", 8));
+    options.k = args.GetK(8);
     options.all_k = args.GetBool("all-k", false);
     options.count.per_vertex = args.GetBool("per-vertex", false);
     options.count.structure =

@@ -15,8 +15,7 @@ using namespace pivotscale;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const std::uint32_t k =
-      static_cast<std::uint32_t>(args.GetInt("k", 8));
+  const std::uint32_t k = args.GetK(8);
   const std::string path = args.GetString("graph", "");
 
   Graph g;

@@ -19,7 +19,7 @@ using namespace pivotscale;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  const auto k = static_cast<std::uint32_t>(args.GetInt("k", 5));
+  const auto k = args.GetK(5);
   const auto top = static_cast<std::size_t>(args.GetInt("top", 10));
   const std::string path = args.GetString("graph", "");
 

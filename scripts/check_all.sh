@@ -5,10 +5,12 @@
 #   2. -Werror build + full ctest  (build-check/), then the same suite
 #      again under OMP_NUM_THREADS=2 so a 2-thread budget exercises real
 #      multi-worker executor teams even on single-core runners, a
-#      micro_exec scheduler-smoke run, the small-scale ablation_design
-#      exactness check (early termination off, all-up-to-k, all-k, the
-#      clique profile and the paper's dense structure must match single-k
-#      on every suite graph at k = 3, 4, 5, 8), the wide-path CLI smoke
+#      micro_exec scheduler-smoke run (one whole-root counting row), the
+#      small-scale ablation_design exactness check (early termination off,
+#      all-up-to-k, all-k, the clique profile and the paper's dense
+#      structure must match single-k on every suite graph at k = 3, 4, 5,
+#      8; its vertex- vs edge-parallel block and DECOMPOSITION MISMATCH
+#      exit went with the deleted root splitting), the wide-path CLI smoke
 #      (K300 at k = 8: subgraphs of up to 299 vertices, five words, must
 #      count C(300, 8) and C(299, 7) per vertex), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every

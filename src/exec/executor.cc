@@ -52,7 +52,6 @@ void RecordExecTelemetry(TelemetryRegistry* telemetry,
   telemetry->AddCounter("exec.regions", 1);
   telemetry->AddCounter("exec.tasks", stats.tasks);
   telemetry->AddCounter("exec.chunks", stats.chunks);
-  telemetry->AddCounter("exec.splits", stats.splits);
   telemetry->SetSeries("exec.worker_busy_seconds",
                        stats.worker_busy_seconds);
   std::vector<double> chunk_series(stats.worker_chunks.size());

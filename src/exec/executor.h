@@ -13,7 +13,7 @@
 //   * cost-weighted adaptive chunking: an optional per-item cost estimate
 //     turns into chunk boundaries of roughly equal estimated work, so a
 //     few heavy items do not serialize the tail of the loop;
-//   * `exec.*` telemetry: tasks, chunks, splits, per-worker busy-second
+//   * `exec.*` telemetry: tasks, chunks, per-worker busy-second
 //     and chunk-count series, team size, and busy-time CoV.
 //
 // Sizing is always realized-team authoritative: per-worker arrays are
@@ -54,10 +54,6 @@ struct ExecOptions {
   // Optional per-item work estimate. When set, chunk boundaries equalize
   // estimated work instead of item count.
   std::function<double(std::size_t)> cost;
-  // Number of long-tail splits the caller performed while building the
-  // item list (recorded as exec.splits; the executor itself runs whatever
-  // list it is given).
-  std::uint64_t splits = 0;
   // When non-null the region records exec.* metrics here. Not owned.
   TelemetryRegistry* telemetry = nullptr;
 };
@@ -68,7 +64,6 @@ struct ExecStats {
   int team = 0;
   std::uint64_t tasks = 0;   // items handed to the region
   std::uint64_t chunks = 0;  // chunk count after (cost-weighted) slicing
-  std::uint64_t splits = 0;  // copied from ExecOptions::splits
   double seconds = 0;        // region wall time
   std::vector<double> worker_busy_seconds;
   std::vector<std::uint64_t> worker_chunks;
@@ -106,7 +101,6 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   ExecStats stats;
   stats.tasks = n;
   stats.chunks = num_chunks;
-  stats.splits = options.splits;
 
   std::vector<std::optional<Worker>> slots(
       static_cast<std::size_t>(granted));

@@ -82,20 +82,8 @@ class BitmapCounter {
   void ProcessRoot(NodeId root) {
     sg_.Build(root);
     leaves_.SetRoot(root);
-    Start(/*r=*/1);  // the root is the first required vertex
+    Start();
   }
-
-  // Counts the cliques whose two lowest-ranked members are the DAG edge
-  // (u, v), over N+(u) ∩ N+(v).
-  void ProcessEdge(NodeId u, NodeId v) {
-    sg_.BuildPair(u, v);
-    leaves_.SetRoot(u);
-    if (leaves_.per_vertex()) leaves_.PushRequired(v);
-    Start(/*r=*/2);
-    if (leaves_.per_vertex()) leaves_.PopRequired();
-  }
-
-  void AddSingleton(NodeId u) { leaves_.AddSingleton(u); }
 
   BigCount total() const { return leaves_.total(); }
   const CliqueProfile& profile() const { return leaves_.profile(); }
@@ -141,26 +129,27 @@ class BitmapCounter {
   }
 
   // Runs the recursion at the word count of the built subgraph.
-  void Start(std::uint32_t r) {
+  void Start() {
     switch (sg_.Words()) {
       case 0:
       case 1:
-        return StartAt<1>(r);
+        return StartAt<1>();
       case 2:
-        return StartAt<2>(r);
+        return StartAt<2>();
       case 3:
-        return StartAt<3>(r);
+        return StartAt<3>();
       case 4:
-        return StartAt<4>(r);
+        return StartAt<4>();
       default:
-        return StartAt<kWide>(r);
+        return StartAt<kWide>();
     }
   }
 
   template <std::uint32_t W>
-  void StartAt(std::uint32_t r) {
+  void StartAt() {
     matrix_[W] = {sg_.data(), sg_.OrigIds()};
-    Recurse<W>(LowBits<W>(sg_.NumVertices()), r, 0);
+    // The root is the first required vertex.
+    Recurse<W>(LowBits<W>(sg_.NumVertices()), /*r=*/1, /*np=*/0);
   }
 
   // The set {0, ..., n - 1}.

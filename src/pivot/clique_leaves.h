@@ -155,21 +155,6 @@ class CliqueLeaves {
     profile_.Add(r, np);
   }
 
-  // Accounts the singleton clique {u}. Used when a root task is split into
-  // edge subtasks: those only reach cliques of size >= 2, so the split's
-  // owner contributes {u} exactly once through this call, mirroring what
-  // the whole root's empty-candidate leaf would have counted.
-  void AddSingleton(NodeId u) {
-    if (mode_ == CountMode::kSingleK) {
-      if (k_ == 1) {
-        total_ += BigCount{1};
-        if (per_vertex_) per_vertex_counts_[u] += BigCount{1};
-      }
-      return;
-    }
-    profile_.Add(1, 0);
-  }
-
   // k-cliques counted (kSingleK).
   BigCount total() const { return total_; }
   // The leaf histogram (kAllK / kAllUpToK; empty in kSingleK).

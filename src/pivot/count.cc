@@ -30,20 +30,6 @@ std::string SubgraphKindName(SubgraphKind kind) {
 
 namespace {
 
-// Edge subtasks from one split root cover at most this many out-edges
-// each, so a mega-hub becomes many independently schedulable slices.
-constexpr std::uint32_t kEdgeSliceLen = 32;
-
-// One schedulable unit: a whole root, or — after a long-tail split — a
-// slice [edge_begin, edge_end) of the root's out-edges.
-struct CountTask {
-  NodeId root = 0;
-  std::uint32_t edge_begin = kWholeRoot;
-  std::uint32_t edge_end = 0;
-
-  static constexpr std::uint32_t kWholeRoot = 0xffffffffu;
-};
-
 // Dumps one finished driver run into the registry: per-thread series, op
 // totals, and load-balance gauges. `roots` is the number of DAG roots.
 void RecordCountTelemetry(TelemetryRegistry* telemetry,
@@ -57,7 +43,6 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
     chunk_series[t] = static_cast<double>(exec_stats.worker_chunks[t]);
   telemetry->SetSeries("count.thread_chunks", std::move(chunk_series));
   telemetry->AddCounter("count.chunks", exec_stats.chunks);
-  telemetry->AddCounter("count.splits", exec_stats.splits);
   telemetry->AddCounter("count.roots", roots);
   telemetry->AddCounter("count.recursion_calls", result.ops.calls);
   telemetry->AddCounter("count.edge_ops", result.ops.edge_ops);
@@ -73,16 +58,11 @@ void RecordCountTelemetry(TelemetryRegistry* telemetry,
 }
 
 // The driver body, instantiated per counter type (the bitmap kernel or one
-// paper structure) and stats policy. One exec-layer region over the task list;
+// paper structure) and stats policy. One exec-layer region over the roots;
 // each worker owns a Counter (its reduction slot) and the merge runs
 // serially after the region.
 template <typename Counter>
 CountResult Run(const Graph& dag, const CountOptions& options) {
-  // Long-tail splitting needs first-level pair builds, which the paper's
-  // dense and sparse structures do not implement.
-  constexpr bool kCanSplit =
-      requires(Counter c, NodeId a, NodeId b) { c.ProcessEdge(a, b); };
-
   const NodeId n = dag.NumNodes();
   const auto max_out = static_cast<std::uint32_t>(dag.MaxDegree());
   const std::uint32_t bound = max_out + 1;
@@ -92,71 +72,35 @@ CountResult Run(const Graph& dag, const CountOptions& options) {
   if (options.per_vertex) result.per_vertex.assign(n, BigCount{});
   if (options.collect_work_trace) result.work_trace.roots.resize(n);
 
-  // Task list: one task per root; a root whose estimated work
-  // (out_degree + 1)^2 exceeds the split threshold is decomposed into
-  // edge slices. The estimates double as the chunking cost model.
-  const bool may_split = kCanSplit && !options.collect_work_trace &&
-                         options.split_threshold != kNeverSplit;
-  std::vector<CountTask> tasks;
-  tasks.reserve(n);
-  std::vector<double> costs;
-  costs.reserve(n);
-  std::uint64_t splits = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const auto d = static_cast<std::uint64_t>(dag.Degree(v));
-    const std::uint64_t estimate = (d + 1) * (d + 1);
-    if (may_split && d > 0 && estimate > options.split_threshold) {
-      ++splits;
-      const auto deg = static_cast<std::uint32_t>(d);
-      for (std::uint32_t b = 0; b < deg; b += kEdgeSliceLen) {
-        const std::uint32_t e = std::min(deg, b + kEdgeSliceLen);
-        tasks.push_back({v, b, e});
-        costs.push_back(static_cast<double>((d + 1) * (e - b + 1)));
-      }
-    } else {
-      tasks.push_back({v, CountTask::kWholeRoot, 0});
-      costs.push_back(static_cast<double>(estimate));
-    }
-  }
-
+  // One task per root, weighted by the estimate (out_degree + 1)^2 for
+  // the chunking cost model.
   ExecOptions exec_options;
   exec_options.num_threads = options.num_threads;
   exec_options.chunks_per_worker = 16;
-  exec_options.cost = [&costs](std::size_t i) { return costs[i]; };
-  exec_options.splits = splits;
+  exec_options.cost = [&dag](std::size_t root) {
+    const auto d = static_cast<double>(dag.Degree(static_cast<NodeId>(root)));
+    return (d + 1) * (d + 1);
+  };
   exec_options.telemetry = options.telemetry;
 
   const ExecStats exec_stats = ParallelForWorkers(
-      tasks.size(), exec_options,
+      n, exec_options,
       [&](int) {
         return Counter(dag, options.mode, options.k, options.per_vertex,
                        bound, &binom, options.early_termination);
       },
-      [&](Counter& counter, std::size_t ti) {
-        const CountTask& task = tasks[ti];
-        if (task.edge_begin == CountTask::kWholeRoot) {
-          if (options.collect_work_trace) {
-            const std::uint64_t ops_before =
-                counter.stats().Snapshot().edge_ops;
-            Timer root_timer;
-            counter.ProcessRoot(task.root);
-            result.work_trace.roots[task.root] = {
-                task.root, root_timer.Nanos(),
-                counter.stats().Snapshot().edge_ops - ops_before,
-                dag.Degree(task.root)};
-          } else {
-            counter.ProcessRoot(task.root);
-          }
+      [&](Counter& counter, std::size_t root) {
+        const auto v = static_cast<NodeId>(root);
+        if (!options.collect_work_trace) {
+          counter.ProcessRoot(v);
           return;
         }
-        if constexpr (kCanSplit) {
-          // The first slice also accounts the owner's singleton clique,
-          // which the size->=2 edge decomposition cannot reach.
-          if (task.edge_begin == 0) counter.AddSingleton(task.root);
-          const auto neighbors = dag.Neighbors(task.root);
-          for (std::uint32_t j = task.edge_begin; j < task.edge_end; ++j)
-            counter.ProcessEdge(task.root, neighbors[j]);
-        }
+        const std::uint64_t ops_before = counter.stats().Snapshot().edge_ops;
+        Timer root_timer;
+        counter.ProcessRoot(v);
+        result.work_trace.roots[v] = {
+            v, root_timer.Nanos(),
+            counter.stats().Snapshot().edge_ops - ops_before, dag.Degree(v)};
       },
       [&](Counter& counter) {
         result.total += counter.total();

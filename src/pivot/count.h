@@ -1,10 +1,9 @@
 // The counting driver over a directionalized DAG.
 //
 // This is the counting phase of the pipeline: every root vertex of the DAG
-// is an independent work item (its induced subgraph is thread-local). The
-// driver builds a task list — one task per root, with heavy roots split
-// into first-level edge subtasks past `split_threshold` — and runs it on
-// the exec layer (src/exec/executor.h) with one counter per worker,
+// is an independent task (its induced subgraph is thread-local). The
+// driver runs the roots on the exec layer (src/exec/executor.h), weighted
+// by the cost estimate (out_degree + 1)^2, with one counter per worker,
 // merging the per-worker counters serially at the end. Options select the
 // subgraph structure (production / paper dense / paper sparse), the
 // counting mode, per-vertex attribution, operation-count instrumentation,
@@ -42,14 +41,6 @@ enum class SubgraphKind {
 
 std::string SubgraphKindName(SubgraphKind kind);
 
-// split_threshold value that disables long-tail root splitting entirely.
-inline constexpr std::uint64_t kNeverSplit =
-    ~static_cast<std::uint64_t>(0);
-// Default long-tail split threshold on the per-root work estimate
-// (out_degree + 1)^2: roots with out-degree above ~255 split.
-inline constexpr std::uint64_t kDefaultSplitThreshold =
-    std::uint64_t{1} << 16;
-
 struct CountOptions {
   std::uint32_t k = 8;
   CountMode mode = CountMode::kSingleK;
@@ -70,15 +61,6 @@ struct CountOptions {
   // (exec/thread_budget.h); explicit requests are also capped by the
   // budget, so concurrent callers cannot oversubscribe the machine.
   int num_threads = 0;
-  // Long-tail root splitting (exec layer): a root whose work estimate
-  // (out_degree + 1)^2 exceeds this threshold is decomposed into
-  // first-level edge subtasks, each counting the cliques whose two
-  // lowest-ranked members are that DAG edge. Only the production path
-  // (kRemap) supports pair builds, and work-trace runs never split (work is
-  // attributed per root). 0 splits every root with out-edges (the full
-  // edge-parallel decomposition of GPU-Pivot); kNeverSplit disables
-  // splitting.
-  std::uint64_t split_threshold = kDefaultSplitThreshold;
   // When non-null, the driver records "count.*" metrics into this registry:
   // per-thread busy-second and chunk-count series, work-item and dynamic-
   // chunk counters, recursion-op totals (implies op-stat collection), and
@@ -97,8 +79,8 @@ struct CountResult {
   std::vector<BigCount> per_size;
   // The merged (r, np) leaf histogram of kAllK / kAllUpToK runs (empty in
   // kSingleK): exact for every size in kAllK, for sizes up to k in
-  // kAllUpToK. Which leaves it holds depends on the kernel and on which
-  // roots split, never on the thread count.
+  // kAllUpToK. Which leaves it holds depends only on the kernel, never on
+  // the thread count.
   CliqueProfile profile;
   // Per-vertex participation counts; filled when per_vertex was set.
   std::vector<BigCount> per_vertex;

@@ -61,24 +61,6 @@ class PivotCounter {
     Recurse(bufs_[0], /*r=*/1, /*np=*/0, /*depth=*/0);
   }
 
-  // Edge-parallel entry point (requires an SG with BuildPair, i.e. the
-  // remap structure): counts the cliques whose two lowest-ranked members
-  // are the DAG edge (u, v). Both endpoints start as required (r = 2).
-  void ProcessEdge(NodeId u, NodeId v)
-    requires requires(SG& sg, NodeId a, NodeId b) { sg.BuildPair(a, b); }
-  {
-    sg_.BuildPair(u, v);
-    const auto verts = sg_.Vertices();
-    EnsureDepth(verts.size() + 2);
-    leaves_.SetRoot(u);
-    if (leaves_.per_vertex()) leaves_.PushRequired(v);
-    bufs_[0].assign(verts.begin(), verts.end());
-    Recurse(bufs_[0], /*r=*/2, /*np=*/0, /*depth=*/0);
-    if (leaves_.per_vertex()) leaves_.PopRequired();
-  }
-
-  void AddSingleton(NodeId u) { leaves_.AddSingleton(u); }
-
   BigCount total() const { return leaves_.total(); }
   const CliqueProfile& profile() const { return leaves_.profile(); }
   const std::vector<BigCount>& per_vertex_counts() const {

@@ -1,8 +1,5 @@
 #include "pivot/subgraph_bitmap.h"
 
-#include <algorithm>
-#include <iterator>
-
 namespace pivotscale {
 
 void SubgraphBitmap::Attach(const Graph& dag) {
@@ -16,21 +13,6 @@ void SubgraphBitmap::Build(NodeId root) {
   DCHECK(dag_ != nullptr) << "SubgraphBitmap::Build before Attach";
   const auto nbrs = dag_->Neighbors(root);
   orig_.assign(nbrs.begin(), nbrs.end());
-  FinishBuild();
-}
-
-void SubgraphBitmap::BuildPair(NodeId u, NodeId v) {
-  DCHECK(dag_ != nullptr) << "SubgraphBitmap::BuildPair before Attach";
-  // Sorted intersection of the two out-neighborhoods.
-  const auto nu = dag_->Neighbors(u);
-  const auto nv = dag_->Neighbors(v);
-  orig_.clear();
-  std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
-                        std::back_inserter(orig_));
-  FinishBuild();
-}
-
-void SubgraphBitmap::FinishBuild() {
   const auto n = static_cast<std::uint32_t>(orig_.size());
   words_ = (n + 63) / 64;
   matrix_.assign(static_cast<std::size_t>(n) * words_, 0);

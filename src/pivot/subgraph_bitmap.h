@@ -53,9 +53,6 @@ class SubgraphBitmap {
   void Attach(const Graph& dag);
   // Induces the subgraph on N+(root).
   void Build(NodeId root);
-  // Edge-parallel variant: induces the subgraph on N+(u) ∩ N+(v) — the
-  // candidate pool of cliques whose two lowest-ranked members are (u, v).
-  void BuildPair(NodeId u, NodeId v);
 
   std::uint32_t NumVertices() const {
     return static_cast<std::uint32_t>(orig_.size());
@@ -73,9 +70,6 @@ class SubgraphBitmap {
   std::size_t HeapBytes() const;
 
  private:
-  // Shared tail of Build/BuildPair: orig_ holds the member list; fills the
-  // remap and the matrix.
-  void FinishBuild();
   void SetBit(std::uint32_t row, std::uint32_t bit) {
     matrix_[static_cast<std::size_t>(row) * words_ + bit / 64] |=
         std::uint64_t{1} << (bit % 64);

@@ -16,30 +16,6 @@ void RemapSubgraph::Build(NodeId root) {
   DCHECK(dag_ != nullptr) << "RemapSubgraph::Build before Attach";
   const auto nbrs = dag_->Neighbors(root);
   orig_.assign(nbrs.begin(), nbrs.end());
-  FinishBuild();
-}
-
-void RemapSubgraph::BuildPair(NodeId u, NodeId v) {
-  // Sorted intersection of the two out-neighborhoods.
-  const auto nu = dag_->Neighbors(u);
-  const auto nv = dag_->Neighbors(v);
-  orig_.clear();
-  std::size_t i = 0, j = 0;
-  while (i < nu.size() && j < nv.size()) {
-    if (nu[i] < nv[j]) {
-      ++i;
-    } else if (nu[i] > nv[j]) {
-      ++j;
-    } else {
-      orig_.push_back(nu[i]);
-      ++i;
-      ++j;
-    }
-  }
-  FinishBuild();
-}
-
-void RemapSubgraph::FinishBuild() {
   const std::size_t n = orig_.size();
 
   // The remap — the one place a hash map is consulted for this root.

@@ -30,9 +30,6 @@ class RemapSubgraph {
 
   void Attach(const Graph& dag);
   void Build(NodeId root);
-  // Edge-parallel variant: induces the subgraph on N+(u) ∩ N+(v) — the
-  // candidate pool of cliques whose two lowest-ranked members are (u, v).
-  void BuildPair(NodeId u, NodeId v);
 
   std::span<const Id> Vertices() const { return verts_; }
 
@@ -63,10 +60,6 @@ class RemapSubgraph {
  private:
   static constexpr std::uint8_t kMark = 1;
   static constexpr std::uint8_t kRemoved = 2;
-
-  // Shared tail of Build/BuildPair: orig_ holds the member list; builds
-  // the remap, local-id adjacency, degrees, and flags.
-  void FinishBuild();
 
   const Graph* dag_ = nullptr;
   FlatHashMap remap_;  // used during Build only

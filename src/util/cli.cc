@@ -92,6 +92,17 @@ int ArgParser::GetThreads(const std::string& name, int def) const {
   return static_cast<int>(v);
 }
 
+std::uint32_t ArgParser::GetK(std::uint32_t def) const {
+  if (!Has("k")) return def;
+  const std::int64_t v = GetInt("k", def);
+  constexpr std::int64_t kMaxK = 0xffffffffLL;
+  if (v < 1 || v > kMaxK)
+    throw std::runtime_error("bad --k: " + std::to_string(v) +
+                             " (must be between 1 and " +
+                             std::to_string(kMaxK) + ")");
+  return static_cast<std::uint32_t>(v);
+}
+
 std::string ArgParser::GetPath(const std::string& name,
                                const std::string& def) const {
   const auto it = flags_.find(name);

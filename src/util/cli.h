@@ -44,6 +44,12 @@ class ArgParser {
   // mistakes the binary should refuse, not absorb.
   int GetThreads(const std::string& name = "threads", int def = 0) const;
 
+  // Clique-size flag --k: absent -> `def`; an explicit value must lie in
+  // [1, 2^32 - 1]. Anything else raises std::runtime_error instead of
+  // wrapping through the cast to std::uint32_t ("--k -5" is not
+  // 4294967291).
+  std::uint32_t GetK(std::uint32_t def) const;
+
   // Path-valued flag: absent -> `def`. When present it must name a path:
   // an empty value ("--out=") or none at all ("--out" before another flag)
   // raises std::runtime_error, instead of silently disabling the output

@@ -1,6 +1,6 @@
 // Tests for the second wave of analysis/counting features: k-truss
-// decomposition, k-clique densest subgraph, edge-parallel counting, and
-// the Watts-Strogatz generator.
+// decomposition, k-clique densest subgraph, and the Watts-Strogatz
+// generator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,76 +116,6 @@ TEST(Densest, ValidatesArguments) {
   config.peel_fraction = 0;
   EXPECT_THROW(KCliqueDensestSubgraph(g, 3, config),
                std::invalid_argument);
-}
-
-// ------------------------------------------------------- edge parallel
-//
-// split_threshold = 0 is GPU-Pivot's edge-parallel decomposition: every
-// root with out-edges runs as first-level edge subtasks.
-
-CountResult EdgeParallel(const Graph& dag, CountOptions options) {
-  options.split_threshold = 0;
-  return CountCliques(dag, options);
-}
-
-TEST(EdgeParallel, MatchesVertexParallelOnSweep) {
-  for (int seed : {11, 12}) {
-    const Graph g = BuildGraph(ErdosRenyi(40, 0.4, seed));
-    const Graph dag = MakeDag(g, OrderingKind::kCore);
-    for (std::uint32_t k : {1u, 2u, 3u, 5u, 7u}) {
-      CountOptions options;
-      options.k = k;
-      EXPECT_EQ(EdgeParallel(dag, options).total,
-                CountCliques(dag, options).total)
-          << "seed=" << seed << " k=" << k;
-    }
-  }
-}
-
-TEST(EdgeParallel, AllKMatchesVertexMode) {
-  EdgeList edges = GnM(60, 400, 13);
-  PlantCliques(&edges, 60, 1, 8, 8, 14);
-  const Graph g = BuildGraph(std::move(edges));
-  const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  CountOptions options;
-  options.mode = CountMode::kAllK;
-  const CountResult vertex = CountCliques(dag, options);
-  const CountResult edge = EdgeParallel(dag, options);
-  ASSERT_EQ(vertex.per_size.size(), edge.per_size.size());
-  for (std::size_t s = 1; s < vertex.per_size.size(); ++s)
-    EXPECT_EQ(vertex.per_size[s], edge.per_size[s]) << s;
-}
-
-TEST(EdgeParallel, PerVertexMatches) {
-  const Graph g = BuildGraph(ErdosRenyi(30, 0.5, 15));
-  const Graph dag = MakeDag(g, OrderingKind::kCore);
-  CountOptions options;
-  options.k = 4;
-  options.per_vertex = true;
-  const CountResult vertex = CountCliques(dag, options);
-  const CountResult edge = EdgeParallel(dag, options);
-  for (NodeId v = 0; v < g.NumNodes(); ++v)
-    EXPECT_EQ(vertex.per_vertex[v], edge.per_vertex[v]) << v;
-}
-
-TEST(EdgeParallel, WorkTraceRunsNeverSplit) {
-  // Work traces attribute work per root, so split_threshold = 0 leaves
-  // every root whole: no splits and one trace row per root.
-  const Graph g = BuildGraph(CompleteGraph(12));
-  const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  TelemetryRegistry telemetry;
-  CountOptions options;
-  options.k = 4;
-  options.collect_work_trace = true;
-  options.telemetry = &telemetry;
-  const CountResult result = EdgeParallel(dag, options);
-  EXPECT_EQ(result.total.value(), BinomialChoose(12, 4));
-  EXPECT_EQ(telemetry.Counter("count.splits"), 0u);
-  ASSERT_EQ(result.work_trace.roots.size(), g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    EXPECT_EQ(result.work_trace.roots[v].root, v);
-    EXPECT_EQ(result.work_trace.roots[v].build_ops, dag.Degree(v));
-  }
 }
 
 // ------------------------------------------------------- watts-strogatz

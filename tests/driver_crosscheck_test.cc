@@ -1,27 +1,20 @@
-// Cross-validation of the counting driver's decompositions, plus
-// regression tests for the pipeline mode clobber and the per-thread
-// busy-time sizing fix.
+// Cross-validation of the counting driver, plus regression tests for the
+// pipeline mode clobber and the per-thread busy-time sizing fix.
 //
-// Whole-root tasks (vertex-parallel) and split_threshold = 0 (GPU-Pivot's
-// edge-parallel decomposition: every root with out-edges becomes edge
-// subtasks) run the same recursion differently; comparing them on random
-// graphs for every k, structure, and per-vertex attribution keeps them
-// from drifting. The forced-split section pins the executor's long-tail
-// splitting path: with split_threshold = 1 every root with out-edges
-// becomes edge-slice subtasks, so the split decomposition (including the
-// singleton fixup) carries the entire count and must still match brute
-// force. The all-size modes are checked against brute force for every
-// size, and their leaf histogram for independence from the team size.
+// The driver runs one task per root. On random graphs every structure
+// must match brute force for every k, with and without per-vertex
+// attribution. The all-size modes are checked against brute force for
+// every size, and their leaf histogram for independence from the team size.
 //
 // The kernel section pins the production path: the bitmap kernel takes
 // subgraphs of every size — sets of one to four words and wide ones — and
-// it, the remap reference (whole roots and pair tasks), the driver and
-// brute force agree bit for bit on every mode at the word boundaries and
-// on planted cliques far past four words. The narrowing section
-// checks the bitmap kernel's re-indexing into narrower matrices: on nested
-// hubs that narrow through every width, and against the recursion tree
-// (op counts, leaf histogram, per-vertex counts) recorded before the
-// kernel narrowed.
+// it, the remap reference, the driver and brute force agree bit for bit
+// on every mode at the word boundaries and on planted cliques far past
+// four words. It also pins one task per root at default options. The
+// narrowing section checks the bitmap kernel's re-indexing into narrower
+// matrices: on nested hubs that narrow through every width, and against
+// the recursion tree (op counts, leaf histogram, per-vertex counts)
+// recorded before the kernel narrowed.
 #include <gtest/gtest.h>
 
 #include <omp.h>
@@ -48,7 +41,6 @@ namespace {
 
 using testing_helpers::BruteForceCount;
 using testing_helpers::BruteForcePerVertex;
-using testing_helpers::KernelTasks;
 using testing_helpers::KernelTotals;
 using testing_helpers::MakeDag;
 using testing_helpers::RunKernel;
@@ -58,12 +50,6 @@ using testing_helpers::RunKernel;
 using RemapKernel = PivotCounter<RemapSubgraph, OpCountStats>;
 using BitmapKernel = BitmapCounter<OpCountStats>;
 
-// The driver with every root that has out-edges split into edge subtasks.
-CountResult EdgeParallel(const Graph& dag, CountOptions options) {
-  options.split_threshold = 0;
-  return CountCliques(dag, options);
-}
-
 struct CrossParam {
   NodeId n;
   double p;
@@ -72,46 +58,41 @@ struct CrossParam {
 
 class DriverCrosscheck : public ::testing::TestWithParam<CrossParam> {};
 
-TEST_P(DriverCrosscheck, EdgeParallelMatchesVertexParallelAllStructures) {
+TEST_P(DriverCrosscheck, AllStructuresMatchBruteForce) {
   const auto [n, p, seed] = GetParam();
   const Graph g = BuildGraph(ErdosRenyi(n, p, seed));
   const Graph dag = MakeDag(g, OrderingKind::kCore);
 
   for (std::uint32_t k = 1; k <= 6; ++k) {
+    const auto truth = static_cast<uint128>(BruteForceCount(g, k));
     CountOptions options;
     options.k = k;
-    const CountResult edge = EdgeParallel(dag, options);
-    const std::uint64_t truth = BruteForceCount(g, k);
-    EXPECT_EQ(edge.total.value(), static_cast<uint128>(truth))
-        << "edge-parallel k=" << k;
     for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
                       SubgraphKind::kRemap}) {
       options.structure = kind;
-      const CountResult vertex = CountCliques(dag, options);
-      EXPECT_EQ(vertex.total, edge.total)
+      EXPECT_EQ(CountCliques(dag, options).total.value(), truth)
           << "k=" << k << " structure=" << SubgraphKindName(kind);
     }
   }
 }
 
-TEST_P(DriverCrosscheck, PerVertexCountsAgree) {
+TEST_P(DriverCrosscheck, PerVertexCountsMatchBruteForce) {
   const auto [n, p, seed] = GetParam();
   const Graph g = BuildGraph(ErdosRenyi(n, p, seed + 1000));
   const Graph dag = MakeDag(g, OrderingKind::kDegree);
 
   for (std::uint32_t k = 1; k <= 6; ++k) {
+    const auto truth = BruteForcePerVertex(g, k);
     CountOptions options;
     options.k = k;
     options.per_vertex = true;
-    const CountResult edge = EdgeParallel(dag, options);
-    ASSERT_EQ(edge.per_vertex.size(), g.NumNodes());
     for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
                       SubgraphKind::kRemap}) {
       options.structure = kind;
-      const CountResult vertex = CountCliques(dag, options);
-      ASSERT_EQ(vertex.per_vertex.size(), g.NumNodes());
+      const CountResult result = CountCliques(dag, options);
+      ASSERT_EQ(result.per_vertex.size(), g.NumNodes());
       for (NodeId v = 0; v < g.NumNodes(); ++v)
-        EXPECT_EQ(vertex.per_vertex[v], edge.per_vertex[v])
+        EXPECT_EQ(result.per_vertex[v].value(), static_cast<uint128>(truth[v]))
             << "k=" << k << " structure=" << SubgraphKindName(kind)
             << " v=" << v;
     }
@@ -143,21 +124,15 @@ TEST_P(DriverCrosscheck, AllKPerSizeAgrees) {
     CountOptions options;
     options.k = kUpTo;
     options.mode = mode;
-    for (const std::uint64_t split :
-         {kNeverSplit, std::uint64_t{0}, std::uint64_t{1}}) {
-      options.split_threshold = split;
-      options.num_threads = 1;
-      const CountResult one = CountCliques(dag, options);
-      options.num_threads = 4;
-      const CountResult four = CountCliques(dag, options);
-      EXPECT_EQ(one.per_size, expected) << "all=" << all << " split=" << split;
-      EXPECT_EQ(one.total, expected[kUpTo]);
-      // Leaf for leaf: each task's leaves do not depend on its worker.
-      EXPECT_TRUE(four.profile == one.profile)
-          << "all=" << all << " split=" << split;
-      EXPECT_EQ(four.per_size, one.per_size);
-    }
-    options.split_threshold = kDefaultSplitThreshold;
+    options.num_threads = 1;
+    const CountResult one = CountCliques(dag, options);
+    options.num_threads = 4;
+    const CountResult four = CountCliques(dag, options);
+    EXPECT_EQ(one.per_size, expected) << "all=" << all;
+    EXPECT_EQ(one.total, expected[kUpTo]);
+    // Leaf for leaf: each root's leaves do not depend on its worker.
+    EXPECT_TRUE(four.profile == one.profile) << "all=" << all;
+    EXPECT_EQ(four.per_size, one.per_size);
     for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse}) {
       options.structure = kind;
       EXPECT_EQ(CountCliques(dag, options).per_size, expected)
@@ -182,65 +157,12 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST_P(DriverCrosscheck, ForcedSplitMatchesBruteForce) {
-  // split_threshold = 1: the splitting path is not just exercised on the
-  // heavy tail, it carries the whole count.
-  const auto [n, p, seed] = GetParam();
-  const Graph g = BuildGraph(ErdosRenyi(n, p, seed + 3000));
-  const Graph dag = MakeDag(g, OrderingKind::kCore);
-  for (std::uint32_t k = 1; k <= 6; ++k) {
-    CountOptions options;
-    options.k = k;
-    options.structure = SubgraphKind::kRemap;
-    options.split_threshold = 1;
-    const CountResult split = CountCliques(dag, options);
-    EXPECT_EQ(split.total.value(),
-              static_cast<uint128>(BruteForceCount(g, k)))
-        << "forced-split k=" << k;
-  }
-}
-
-TEST_P(DriverCrosscheck, ForcedSplitPerVertexAndAllKAgreeWithUnsplit) {
-  const auto [n, p, seed] = GetParam();
-  const Graph g = BuildGraph(ErdosRenyi(n, p, seed + 4000));
-  const Graph dag = MakeDag(g, OrderingKind::kDegree);
-
-  CountOptions base;
-  base.k = 4;
-  base.structure = SubgraphKind::kRemap;
-  base.per_vertex = true;
-  base.split_threshold = kNeverSplit;
-  const CountResult whole = CountCliques(dag, base);
-
-  CountOptions split_options = base;
-  split_options.split_threshold = 1;
-  const CountResult split = CountCliques(dag, split_options);
-  EXPECT_EQ(split.total, whole.total);
-  ASSERT_EQ(split.per_vertex.size(), whole.per_vertex.size());
-  for (NodeId v = 0; v < g.NumNodes(); ++v)
-    EXPECT_EQ(split.per_vertex[v], whole.per_vertex[v]) << "v=" << v;
-
-  CountOptions all_k = split_options;
-  all_k.per_vertex = false;
-  all_k.mode = CountMode::kAllK;
-  CountOptions all_k_whole = all_k;
-  all_k_whole.split_threshold = kNeverSplit;
-  const CountResult split_all = CountCliques(dag, all_k);
-  const CountResult whole_all = CountCliques(dag, all_k_whole);
-  const std::size_t sizes =
-      std::min(split_all.per_size.size(), whole_all.per_size.size());
-  for (std::size_t s = 1; s < sizes; ++s)
-    EXPECT_EQ(split_all.per_size[s], whole_all.per_size[s]) << "size=" << s;
-}
-
 // ------------------------------------------------- closed-form tail
 //
 // With early termination on, kSingleK and kAllUpToK nodes with r >= k - 2
 // are settled from |P| and |E(P)| (pivot/clique_leaves.h). Each case runs
-// the production driver whole and with every root split (edge tasks start
-// at r = 2, so k = 3 and 4 reach the tail at the task root), and the remap
-// and bitmap kernels on their own; early_termination = false is the full
-// recursion they must match.
+// the production driver, and the remap and bitmap kernels on their own;
+// early_termination = false is the full recursion they must match.
 
 // The param's G(n, p) graph, alone or with planted cliques of 5 to 8
 // vertices, which give the recursion deep r >= k - 2 subtrees.
@@ -273,15 +195,12 @@ TEST_P(DriverCrosscheck, ClosedFormTailMatchesBruteForceAndFullRecursion) {
           }
         };
         for (const bool early : {true, false}) {
-          for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
-            CountOptions options;
-            options.k = k;
-            options.mode = mode;
-            options.early_termination = early;
-            options.split_threshold = split;
-            const CountResult driver = CountCliques(dag, options);
-            expect_exact(driver.per_size, driver.total, "driver");
-          }
+          CountOptions options;
+          options.k = k;
+          options.mode = mode;
+          options.early_termination = early;
+          const CountResult driver = CountCliques(dag, options);
+          expect_exact(driver.per_size, driver.total, "driver");
         }
         // A tail node costs one call and at most its pivot scan, so the
         // tail can only cut work. At k = 3 it settles every root that has
@@ -316,20 +235,15 @@ TEST_P(DriverCrosscheck, ClosedFormTailLeavesPerVertexUnchanged) {
   for (std::uint32_t k = 1; k <= 6; ++k) {
     const auto truth = BruteForcePerVertex(g, k);
     for (const bool early : {true, false}) {
-      for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
-        CountOptions options;
-        options.k = k;
-        options.per_vertex = true;
-        options.early_termination = early;
-        options.split_threshold = split;
-        const CountResult driver = CountCliques(dag, options);
-        ASSERT_EQ(driver.per_vertex.size(), truth.size());
-        for (NodeId v = 0; v < g.NumNodes(); ++v)
-          EXPECT_EQ(driver.per_vertex[v].value(),
-                    static_cast<uint128>(truth[v]))
-              << "k=" << k << " early=" << early << " split=" << split
-              << " v=" << v;
-      }
+      CountOptions options;
+      options.k = k;
+      options.per_vertex = true;
+      options.early_termination = early;
+      const CountResult driver = CountCliques(dag, options);
+      ASSERT_EQ(driver.per_vertex.size(), truth.size());
+      for (NodeId v = 0; v < g.NumNodes(); ++v)
+        EXPECT_EQ(driver.per_vertex[v].value(), static_cast<uint128>(truth[v]))
+            << "k=" << k << " early=" << early << " v=" << v;
       const KernelTotals remap =
           RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, true, early);
       for (NodeId v = 0; v < g.NumNodes(); ++v)
@@ -361,42 +275,8 @@ TEST(ClosedFormTail, SettlesEveryCompleteGraphRootInOneCall) {
   }
 }
 
-TEST(ForcedSplit, NonRemapStructuresIgnoreThresholdAndStayCorrect) {
-  // Dense/Sparse structures cannot run edge subtasks (no BuildPair);
-  // split_threshold must be ignored, not mis-applied.
-  const Graph g = BuildGraph(ErdosRenyi(50, 0.2, 7));
-  const Graph dag = MakeDag(g, OrderingKind::kCore);
-  const std::uint64_t truth = BruteForceCount(g, 4);
-  for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse}) {
-    CountOptions options;
-    options.k = 4;
-    options.structure = kind;
-    options.split_threshold = 1;
-    const CountResult result = CountCliques(dag, options);
-    EXPECT_EQ(result.total.value(), static_cast<uint128>(truth))
-        << SubgraphKindName(kind);
-  }
-}
-
-TEST(ForcedSplit, SplitTelemetryReportsEveryEligibleRoot) {
-  const Graph g = BuildGraph(CompleteGraph(16));
-  const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  TelemetryRegistry telemetry;
-  CountOptions options;
-  options.k = 4;
-  options.structure = SubgraphKind::kRemap;
-  options.split_threshold = 1;
-  options.telemetry = &telemetry;
-  const CountResult result = CountCliques(dag, options);
-  EXPECT_EQ(result.total.value(), BinomialChoose(16, 4));
-  // K16 under a total order: 15 roots have out-edges, the last has none.
-  EXPECT_EQ(telemetry.Counter("count.splits"), 15u);
-  EXPECT_EQ(telemetry.Counter("exec.splits"), 15u);
-}
-
 TEST(DriverCrosscheck, PlantedCliquesDeepK) {
-  // Clique-rich input exercises the deep pivoting branches of both
-  // decompositions.
+  // Clique-rich input exercises the deep pivoting branches.
   EdgeList edges = GnM(70, 300, 9);
   PlantCliques(&edges, 70, 3, 7, 9, 10);
   const Graph g = BuildGraph(std::move(edges));
@@ -404,9 +284,9 @@ TEST(DriverCrosscheck, PlantedCliquesDeepK) {
   for (std::uint32_t k = 2; k <= 8; ++k) {
     CountOptions options;
     options.k = k;
-    const CountResult vertex = CountCliques(dag, options);
-    const CountResult edge = EdgeParallel(dag, options);
-    EXPECT_EQ(vertex.total, edge.total) << "k=" << k;
+    EXPECT_EQ(CountCliques(dag, options).total.value(),
+              static_cast<uint128>(BruteForceCount(g, k)))
+        << "k=" << k;
   }
 }
 
@@ -432,14 +312,13 @@ Graph IdentityDag(const Graph& g) {
 }
 
 CountResult Production(const Graph& dag, CountMode mode, std::uint32_t k,
-                       std::uint64_t split_threshold, bool per_vertex = false,
-                       bool early_termination = true, int threads = 0) {
+                       bool per_vertex = false, bool early_termination = true,
+                       int threads = 0) {
   CountOptions options;
   options.k = k;
   options.mode = mode;
   options.per_vertex = per_vertex;
   options.early_termination = early_termination;
-  options.split_threshold = split_threshold;
   options.collect_op_stats = true;
   options.num_threads = threads;
   return CountCliques(dag, options);
@@ -460,41 +339,26 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
           RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, false, early);
       const KernelTotals bitmap =
           RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, false, early);
-      // The split path on CPUs without POPCNT; elsewhere the driver never
-      // runs it.
-      const KernelTotals remap_pairs = RunKernel<RemapKernel>(
-          dag, CountMode::kSingleK, k, false, early, KernelTasks::kPairs);
+      const CountResult driver =
+          Production(dag, CountMode::kSingleK, k, false, early);
       EXPECT_EQ(remap.total.value(), truth) << "k=" << k;
       EXPECT_EQ(bitmap.total.value(), truth) << "k=" << k;
-      EXPECT_EQ(remap_pairs.total.value(), truth) << "k=" << k;
-      for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold,
-                                        std::uint64_t{0}, std::uint64_t{1}}) {
-        const CountResult driver = Production(dag, CountMode::kSingleK, k,
-                                              split, false, early);
-        EXPECT_EQ(driver.total.value(), truth)
-            << "k=" << k << " split=" << split << " early=" << early;
-      }
+      EXPECT_EQ(driver.total.value(), truth) << "k=" << k << " early=" << early;
     }
   }
 
-  // Per-size modes: per_size bit for bit, whole and split.
+  // Per-size modes: per_size bit for bit.
   for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
     const KernelTotals remap = RunKernel<RemapKernel>(dag, mode, 4);
     const KernelTotals bitmap = RunKernel<BitmapKernel>(dag, mode, 4);
-    const KernelTotals remap_pairs = RunKernel<RemapKernel>(
-        dag, mode, 4, false, true, KernelTasks::kPairs);
     EXPECT_EQ(bitmap.per_size, remap.per_size);
-    EXPECT_EQ(remap_pairs.per_size, remap.per_size);
     for (std::uint32_t s = 1; s <= 4; ++s) {
       const BigCount got =
           s < remap.per_size.size() ? remap.per_size[s] : BigCount{};
       EXPECT_EQ(got.value(), static_cast<uint128>(BruteForceCount(g, s)))
           << "s=" << s;
     }
-    for (const std::uint64_t split : {kNeverSplit, std::uint64_t{0}}) {
-      const CountResult driver = Production(dag, mode, 4, split);
-      EXPECT_EQ(driver.per_size, remap.per_size) << "split=" << split;
-    }
+    EXPECT_EQ(Production(dag, mode, 4).per_size, remap.per_size);
   }
 
   // Per-vertex attribution.
@@ -504,20 +368,13 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
         RunKernel<RemapKernel>(dag, CountMode::kSingleK, k, true);
     const KernelTotals bitmap =
         RunKernel<BitmapKernel>(dag, CountMode::kSingleK, k, true);
-    const KernelTotals remap_pairs = RunKernel<RemapKernel>(
-        dag, CountMode::kSingleK, k, true, true, KernelTasks::kPairs);
     EXPECT_EQ(bitmap.per_vertex, remap.per_vertex) << "k=" << k;
-    EXPECT_EQ(remap_pairs.per_vertex, remap.per_vertex) << "k=" << k;
-    for (const std::uint64_t split : {kNeverSplit, std::uint64_t{1}}) {
-      const CountResult driver =
-          Production(dag, CountMode::kSingleK, k, split, true);
-      ASSERT_EQ(driver.per_vertex.size(), truth.size());
-      for (NodeId v = 0; v < g.NumNodes(); ++v) {
-        EXPECT_EQ(driver.per_vertex[v].value(),
-                  static_cast<uint128>(truth[v]))
-            << "k=" << k << " split=" << split << " v=" << v;
-        EXPECT_EQ(remap.per_vertex[v], driver.per_vertex[v]) << "v=" << v;
-      }
+    const CountResult driver = Production(dag, CountMode::kSingleK, k, true);
+    ASSERT_EQ(driver.per_vertex.size(), truth.size());
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      EXPECT_EQ(driver.per_vertex[v].value(), static_cast<uint128>(truth[v]))
+          << "k=" << k << " v=" << v;
+      EXPECT_EQ(remap.per_vertex[v], driver.per_vertex[v]) << "v=" << v;
     }
   }
 }
@@ -525,22 +382,19 @@ TEST_P(KernelBoundary, BitmapRemapDriverAndBruteForceAgree) {
 TEST_P(KernelBoundary, OpCountsRepeatAcrossTeamSizes) {
   const NodeId d = GetParam();
   const Graph dag = IdentityDag(HubGraph(d, 700 + d));
-  for (const std::uint64_t split : {kNeverSplit, std::uint64_t{0}}) {
-    const CountResult one =
-        Production(dag, CountMode::kSingleK, 5, split, false, true, 1);
-    const CountResult four =
-        Production(dag, CountMode::kSingleK, 5, split, false, true, 4);
-    EXPECT_EQ(one.total, four.total);
-    EXPECT_EQ(one.ops.calls, four.ops.calls) << "split=" << split;
-    EXPECT_EQ(one.ops.edge_ops, four.ops.edge_ops) << "split=" << split;
-    EXPECT_EQ(one.ops.induces, four.ops.induces) << "split=" << split;
-  }
-  // Unsplit, every root runs the bitmap kernel: the driver's op counts
-  // are exactly the bitmap kernel's.
+  const CountResult one =
+      Production(dag, CountMode::kSingleK, 5, false, true, 1);
+  const CountResult four =
+      Production(dag, CountMode::kSingleK, 5, false, true, 4);
+  EXPECT_EQ(one.total, four.total);
+  EXPECT_EQ(one.ops.calls, four.ops.calls);
+  EXPECT_EQ(one.ops.edge_ops, four.ops.edge_ops);
+  EXPECT_EQ(one.ops.induces, four.ops.induces);
+  // Every root runs the bitmap kernel: the driver's op counts are exactly
+  // the bitmap kernel's.
   const KernelTotals bitmap =
       RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 5);
-  const CountResult driver =
-      Production(dag, CountMode::kSingleK, 5, kNeverSplit);
+  const CountResult driver = Production(dag, CountMode::kSingleK, 5);
   EXPECT_EQ(driver.ops.calls, bitmap.ops.calls);
   EXPECT_EQ(driver.ops.edge_ops, bitmap.ops.edge_ops);
   EXPECT_EQ(driver.ops.induces, bitmap.ops.induces);
@@ -559,14 +413,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelSelection, WideRootsRunTheBitmapKernel) {
   // Roots past four words (W = 5 and 9) run the bitmap kernel too: the
-  // unsplit driver reports exactly its op counts, and no remap membership
-  // test ran.
+  // driver reports exactly its op counts, and no remap membership test
+  // ran.
   for (const NodeId d : {257u, 513u}) {
     const Graph dag = IdentityDag(HubGraph(d, 900 + d));
     const KernelTotals bitmap =
         RunKernel<BitmapKernel>(dag, CountMode::kSingleK, 4);
-    const CountResult driver =
-        Production(dag, CountMode::kSingleK, 4, kNeverSplit);
+    const CountResult driver = Production(dag, CountMode::kSingleK, 4);
     EXPECT_EQ(driver.total, bitmap.total) << "d=" << d;
     EXPECT_EQ(driver.ops.calls, bitmap.ops.calls) << "d=" << d;
     EXPECT_EQ(driver.ops.edge_ops, bitmap.ops.edge_ops) << "d=" << d;
@@ -582,8 +435,7 @@ TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
   for (const NodeId n : {1u, 2u, 64u, 65u, 200u, 300u, 449u}) {
     const Graph g = BuildUndirected(CompleteGraph(n), n);
     const Graph dag = MakeDag(g, OrderingKind::kDegree);
-    const CountResult driver =
-        Production(dag, CountMode::kAllK, 1, kNeverSplit);
+    const CountResult driver = Production(dag, CountMode::kAllK, 1);
     EXPECT_EQ(driver.ops.calls, n);
     if (n <= 200) {
       const KernelTotals remap =
@@ -601,7 +453,7 @@ TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
           << "n=" << n << " s=" << s;
 
     const CountResult per_vertex =
-        Production(dag, CountMode::kSingleK, 3, kNeverSplit, true);
+        Production(dag, CountMode::kSingleK, 3, true);
     for (NodeId v = 0; v < n; ++v)
       EXPECT_EQ(per_vertex.per_vertex[v].value(),
                 BinomialChoose(n - 1, 2))
@@ -613,8 +465,7 @@ TEST(KernelSelection, CompleteGraphsTakeTheCliqueLeaf) {
 // each joined to a seeded half of the clique. Every clique lies in the
 // 300-clique or in one outside vertex x plus its 150 clique neighbors, so
 // there are C(300, s) + sum_x C(150, s - 1) s-cliques. In core order the
-// clique's first vertex has out-degree 299, five words, and under the
-// default threshold its pair subgraphs are wide too.
+// clique's first vertex has out-degree 299, five words.
 constexpr NodeId kPlanted = 300;
 constexpr NodeId kOutside = 20;
 constexpr NodeId kHalf = kPlanted / 2;
@@ -647,43 +498,55 @@ TEST(KernelSelection, PlantedCliqueMatchesItsClosedForm) {
            BigCount(binom.Choose(kHalf, s - 1)) * BigCount(kOutside);
   };
 
-  // Split, each run rebuilds a wide pair matrix for each of the ~12,000
-  // out-edges of the 44 roots past the threshold (about 0.8 s of CPU), so
-  // the split runs take the smallest and the largest k only.
-  const std::vector<std::uint32_t> every_k = {3, 4, 5, 6, 7, 8};
-  const std::vector<std::uint32_t> end_k = {3, 8};
-  for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold}) {
-    const CountResult all = Production(dag, CountMode::kAllK, 3, split);
-    for (std::uint32_t s = 1; s <= kPlanted + 1; ++s)
-      EXPECT_EQ(all.per_size[s], cliques(s)) << "split=" << split << " s=" << s;
+  const CountResult all = Production(dag, CountMode::kAllK, 3);
+  for (std::uint32_t s = 1; s <= kPlanted + 1; ++s)
+    EXPECT_EQ(all.per_size[s], cliques(s)) << "s=" << s;
 
-    for (const std::uint32_t k : split == kNeverSplit ? every_k : end_k) {
-      const CountResult single = Production(dag, CountMode::kSingleK, k, split);
-      EXPECT_EQ(single.total, cliques(k)) << "split=" << split << " k=" << k;
-      const CountResult upto = Production(dag, CountMode::kAllUpToK, k, split);
-      for (std::uint32_t s = 1; s <= k; ++s)
-        EXPECT_EQ(upto.per_size[s], cliques(s))
-            << "split=" << split << " k=" << k << " s=" << s;
+  for (std::uint32_t k = 3; k <= 8; ++k) {
+    const CountResult single = Production(dag, CountMode::kSingleK, k);
+    EXPECT_EQ(single.total, cliques(k)) << "k=" << k;
+    const CountResult upto = Production(dag, CountMode::kAllUpToK, k);
+    for (std::uint32_t s = 1; s <= k; ++s)
+      EXPECT_EQ(upto.per_size[s], cliques(s)) << "k=" << k << " s=" << s;
 
-      // A clique vertex is in C(299, k - 1) cliques of the 300-clique and
-      // in C(149, k - 2) more per outside vertex joined to it; an outside
-      // vertex is in C(150, k - 1).
-      std::vector<std::uint64_t> joins(kPlanted, 0);
-      for (const auto& members : joined)
-        for (const NodeId v : members) ++joins[v];
-      const CountResult per_vertex =
-          Production(dag, CountMode::kSingleK, k, split, true);
-      for (NodeId v = 0; v < kPlanted; ++v)
-        EXPECT_EQ(per_vertex.per_vertex[v].value(),
-                  binom.Choose(kPlanted - 1, k - 1) +
-                      joins[v] * binom.Choose(kHalf - 1, k - 2))
-            << "split=" << split << " k=" << k << " v=" << v;
-      for (NodeId x = kPlanted; x < kPlanted + kOutside; ++x)
-        EXPECT_EQ(per_vertex.per_vertex[x].value(),
-                  binom.Choose(kHalf, k - 1))
-            << "split=" << split << " k=" << k << " x=" << x;
-    }
+    // A clique vertex is in C(299, k - 1) cliques of the 300-clique and
+    // in C(149, k - 2) more per outside vertex joined to it; an outside
+    // vertex is in C(150, k - 1).
+    std::vector<std::uint64_t> joins(kPlanted, 0);
+    for (const auto& members : joined)
+      for (const NodeId v : members) ++joins[v];
+    const CountResult per_vertex =
+        Production(dag, CountMode::kSingleK, k, true);
+    for (NodeId v = 0; v < kPlanted; ++v)
+      EXPECT_EQ(per_vertex.per_vertex[v].value(),
+                binom.Choose(kPlanted - 1, k - 1) +
+                    joins[v] * binom.Choose(kHalf - 1, k - 2))
+          << "k=" << k << " v=" << v;
+    for (NodeId x = kPlanted; x < kPlanted + kOutside; ++x)
+      EXPECT_EQ(per_vertex.per_vertex[x].value(), binom.Choose(kHalf, k - 1))
+          << "k=" << k << " x=" << x;
   }
+}
+
+TEST(KernelSelection, EveryRootIsOneTaskAtDefaultOptions) {
+  // The 44 clique vertices first in core order have out-degree 256 or
+  // more. Each is still one task: the exec region runs exactly one task
+  // per root, and the count stays exact.
+  std::vector<std::vector<NodeId>> joined;
+  const Graph g = PlantedCliqueGraph(4242, &joined);
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+  ASSERT_GE(dag.MaxDegree(), 256u);
+  const BinomialTable binom(kPlanted);
+  TelemetryRegistry telemetry;
+  CountOptions options;
+  options.telemetry = &telemetry;
+  const CountResult result = CountCliques(dag, options);
+  EXPECT_EQ(result.total, BigCount(binom.Choose(kPlanted, options.k)) +
+                              BigCount(binom.Choose(kHalf, options.k - 1)) *
+                                  BigCount(kOutside));
+  EXPECT_EQ(telemetry.Counter("count.roots"), dag.NumNodes());
+  EXPECT_EQ(telemetry.Counter("exec.tasks"),
+            telemetry.Counter("count.roots"));
 }
 
 TEST(KernelSelection, HubProfileStaysQuadraticInTheCliqueSize) {
@@ -702,25 +565,21 @@ TEST(KernelSelection, HubProfileStaysQuadraticInTheCliqueSize) {
   const Graph dag = IdentityDag(BuildUndirected(std::move(edges), kSpokes + 1));
   ASSERT_EQ(dag.MaxDegree(), kSpokes);
 
-  for (const std::uint64_t split : {kNeverSplit, kDefaultSplitThreshold}) {
-    const CountResult single =
-        Production(dag, CountMode::kSingleK, 3, split, false, true, 1);
-    for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
-      const CountResult all = Production(dag, mode, 3, split, false, true, 1);
-      const std::uint32_t last = mode == CountMode::kAllK ? 6 : 3;
-      EXPECT_EQ(all.per_size[1].value(), static_cast<uint128>(kSpokes + 1));
-      for (std::uint32_t s = 2; s <= last; ++s)
-        EXPECT_EQ(all.per_size[s].value(),
-                  (kSpokes / 4) * BinomialChoose(5, s))
-            << "split=" << split << " s=" << s;
-      // kAllUpToK settles every k = 3 root in its closed-form tail.
-      EXPECT_EQ(all.profile.MaxCliqueSize(), last == 6 ? 5u : 3u);
-      EXPECT_LE(all.profile.Bytes(), 1024u);
-      // The one worker's histograms are all the all-size run adds to the
-      // workspace of the same tasks.
-      EXPECT_LE(all.workspace_bytes, single.workspace_bytes + 2048)
-          << "split=" << split;
-    }
+  const CountResult single =
+      Production(dag, CountMode::kSingleK, 3, false, true, 1);
+  for (const CountMode mode : {CountMode::kAllK, CountMode::kAllUpToK}) {
+    const CountResult all = Production(dag, mode, 3, false, true, 1);
+    const std::uint32_t last = mode == CountMode::kAllK ? 6 : 3;
+    EXPECT_EQ(all.per_size[1].value(), static_cast<uint128>(kSpokes + 1));
+    for (std::uint32_t s = 2; s <= last; ++s)
+      EXPECT_EQ(all.per_size[s].value(), (kSpokes / 4) * BinomialChoose(5, s))
+          << "s=" << s;
+    // kAllUpToK settles every k = 3 root in its closed-form tail.
+    EXPECT_EQ(all.profile.MaxCliqueSize(), last == 6 ? 5u : 3u);
+    EXPECT_LE(all.profile.Bytes(), 1024u);
+    // The one worker's histograms are all the all-size run adds to the
+    // workspace of the same roots.
+    EXPECT_LE(all.workspace_bytes, single.workspace_bytes + 2048);
   }
 }
 
@@ -905,21 +764,16 @@ TEST(ThreadBusySeconds, SizedToActualTeamNotRequest) {
 
   const int prev_levels = omp_get_max_active_levels();
   omp_set_max_active_levels(1);
-  CountResult vertex, edge;
+  CountResult result;
 #pragma omp parallel num_threads(2)
   {
 #pragma omp single
-    {
-      vertex = CountCliques(dag, options);
-      edge = EdgeParallel(dag, options);
-    }
+    result = CountCliques(dag, options);
   }
   omp_set_max_active_levels(prev_levels);
 
-  EXPECT_EQ(vertex.thread_busy_seconds.size(), 1u);
-  EXPECT_EQ(edge.thread_busy_seconds.size(), 1u);
-  EXPECT_EQ(vertex.total.value(), BinomialChoose(12, 3));
-  EXPECT_EQ(edge.total.value(), BinomialChoose(12, 3));
+  EXPECT_EQ(result.thread_busy_seconds.size(), 1u);
+  EXPECT_EQ(result.total.value(), BinomialChoose(12, 3));
 }
 
 TEST(ThreadBusySeconds, DeliveredTeamOutsideParallelRegion) {

@@ -5,7 +5,8 @@
 //   * ParallelFor / ParallelReduce / ParallelForWorkers correctness and
 //     realized-team-sized ExecStats
 //   * exec.* telemetry emitted by a region
-//   * ArgParser::GetThreads rejecting 0 / negative / absurd values
+//   * ArgParser::GetThreads rejecting 0 / negative / absurd values, and
+//     ArgParser::GetK rejecting k outside [1, 2^32 - 1]
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -227,13 +228,11 @@ TEST(Executor, RegionRecordsExecTelemetry) {
   TelemetryRegistry telemetry;
   ExecOptions options;
   options.num_threads = 2;
-  options.splits = 7;
   options.telemetry = &telemetry;
   ParallelFor(500, options, [](std::size_t) {});
   EXPECT_EQ(telemetry.Counter("exec.regions"), 1u);
   EXPECT_EQ(telemetry.Counter("exec.tasks"), 500u);
   EXPECT_GT(telemetry.Counter("exec.chunks"), 0u);
-  EXPECT_EQ(telemetry.Counter("exec.splits"), 7u);
   const std::vector<double> busy =
       telemetry.Series("exec.worker_busy_seconds");
   EXPECT_EQ(busy.size(), static_cast<std::size_t>(telemetry.Gauge("exec.team")));
@@ -277,6 +276,29 @@ TEST(ThreadsFlag, ZeroNegativeAndAbsurdAreRejected) {
 TEST(ThreadsFlag, UnparseableValueIsRejected) {
   EXPECT_THROW(ParseArgs({"bin", "--threads", "two"}).GetThreads(),
                std::runtime_error);
+}
+
+// ------------------------------------------------------ --k validation
+
+TEST(KFlag, AbsentFallsBackToDefaultAndRangeEndsAreAccepted) {
+  EXPECT_EQ(ParseArgs({"bin"}).GetK(8), 8u);
+  EXPECT_EQ(ParseArgs({"bin", "--k", "1"}).GetK(8), 1u);
+  EXPECT_EQ(ParseArgs({"bin", "--k=12"}).GetK(8), 12u);
+  EXPECT_EQ(ParseArgs({"bin", "--k", "4294967295"}).GetK(8), 4294967295u);
+}
+
+TEST(KFlag, ValuesThatWouldWrapAreRejected) {
+  // Regression: "--k 4294967299" used to count 3-cliques and "--k -5"
+  // 4294967291-cliques, through a cast to std::uint32_t.
+  for (const char* bad : {"0", "-5", "4294967296", "4294967299"}) {
+    try {
+      ParseArgs({"bin", "--k", bad}).GetK(8);
+      ADD_FAILURE() << "accepted --k " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("bad --k: ", 0), 0u) << e.what();
+    }
+  }
+  EXPECT_THROW(ParseArgs({"bin", "--k", "four"}).GetK(8), std::runtime_error);
 }
 
 // ------------------------------------------------ path flag validation

@@ -453,11 +453,12 @@ TEST(PivoterStats, WorkTraceCoversAllRootsAndMatchesTotals) {
   const CountResult result = CountCliques(dag, options);
   ASSERT_EQ(result.work_trace.roots.size(), dag.NumNodes());
   EXPECT_EQ(result.work_trace.TotalEdgeOps(), result.ops.edge_ops);
-  // Every root appears exactly once.
+  // Every root appears exactly once, with its out-degree as build work.
   std::vector<bool> seen(dag.NumNodes(), false);
   for (const RootWork& w : result.work_trace.roots) {
     EXPECT_FALSE(seen[w.root]);
     seen[w.root] = true;
+    EXPECT_EQ(w.build_ops, dag.Degree(w.root));
   }
 }
 

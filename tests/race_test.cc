@@ -9,7 +9,7 @@
 //   * WorkerPool admission-queue shed/drain accounting
 //   * concurrent executor counting runs (per-thread subgraph pools)
 //   * executor reduction slots + chunk cursor + thread-budget ledger
-//     under concurrent ParallelReduce / forced-split counting runs
+//     under concurrent ParallelReduce runs
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -313,38 +313,6 @@ TEST(RaceTest, ReductionSlotsAccumulateExactlyUnderContention) {
             [](std::uint64_t& acc, std::size_t i) { acc += i; },
             [](std::uint64_t& into, std::uint64_t from) { into += from; });
         if (total != kWant) mismatches.fetch_add(1);
-      }
-    });
-  }
-  JoinAll(threads);
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST(RaceTest, ForcedSplitCountingRunsAgreeUnderConcurrency) {
-  // split_threshold = 1 turns every root into edge-slice subtasks plus a
-  // singleton fixup; run that decomposition from several driver threads
-  // at once so the scheduler, the splits accounting, and the per-worker
-  // counter merge all race against each other.
-  const Graph g = SmallCliqueGraph(66);
-  const Graph dag = testing_helpers::MakeDag(g, OrderingKind::kCore);
-  constexpr std::uint32_t kK = 4;
-  const std::uint64_t truth = testing_helpers::BruteForceCount(g, kK);
-
-  constexpr int kThreads = 3;
-  constexpr int kRunsPerThread = 3;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&dag, truth, &mismatches] {
-      for (int run = 0; run < kRunsPerThread; ++run) {
-        CountOptions options;
-        options.k = kK;
-        options.num_threads = 2;
-        options.structure = SubgraphKind::kRemap;
-        options.split_threshold = 1;
-        const CountResult result = CountCliques(dag, options);
-        if (result.total != BigCount{truth}) mismatches.fetch_add(1);
       }
     });
   }

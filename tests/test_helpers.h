@@ -105,35 +105,18 @@ struct KernelTotals {
   OpCounters ops;
 };
 
-// How RunKernel hands the DAG to the kernel: one ProcessRoot per root, or
-// the split decomposition of every root — AddSingleton plus one
-// ProcessEdge per out-edge.
-enum class KernelTasks { kRoots, kPairs };
-
 // Runs kernel `Counter` — PivotCounter<SG, Stats> or BitmapCounter<Stats>
 // — over every root of `dag` on one thread: no driver and no kernel
 // choice, so each kernel can be checked on its own.
 template <typename Counter>
 KernelTotals RunKernel(const Graph& dag, CountMode mode, std::uint32_t k,
-                       bool per_vertex = false, bool early_termination = true,
-                       KernelTasks tasks = KernelTasks::kRoots) {
+                       bool per_vertex = false, bool early_termination = true) {
   const auto bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
   Counter counter(dag, mode, k, per_vertex, bound, &binom,
                   early_termination);
   KernelTotals out;
-  for (NodeId v = 0; v < dag.NumNodes(); ++v) {
-    if (tasks == KernelTasks::kRoots) {
-      counter.ProcessRoot(v);
-      continue;
-    }
-    if constexpr (requires { counter.ProcessEdge(v, v); }) {
-      counter.AddSingleton(v);
-      for (const NodeId u : dag.Neighbors(v)) counter.ProcessEdge(v, u);
-    } else {
-      CHECK(false) << "RunKernel: kPairs needs a kernel with ProcessEdge";
-    }
-  }
+  for (NodeId v = 0; v < dag.NumNodes(); ++v) counter.ProcessRoot(v);
   out.total = counter.total();
   out.profile = counter.profile();
   out.per_vertex = counter.per_vertex_counts();
