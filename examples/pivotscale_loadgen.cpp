@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
 
     const std::string host = args.GetString("host", "127.0.0.1");
     const std::uint16_t port =
-        static_cast<std::uint16_t>(args.GetInt("port", 0));
+        static_cast<std::uint16_t>(args.GetIntInRange("port", 0, 0, 65535));
     const int connections = args.GetThreads("connections", 8);
     const int batches =
         std::max<int>(1, static_cast<int>(args.GetInt("batches", 16)));

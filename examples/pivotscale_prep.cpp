@@ -1,5 +1,5 @@
 // Builds a preprocessed .psx store artifact from an edge list or .psg
-// graph, so pivotscale_serve can answer clique queries without re-running
+// graph, so pivotscale_served can answer clique queries without re-running
 // the heuristic / ordering / directionalize phases.
 //
 // Usage:

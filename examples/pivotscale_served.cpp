@@ -1,29 +1,39 @@
-// Concurrent TCP clique-query server over preprocessed .psx artifacts.
+// Clique-query server over preprocessed .psx artifacts: NDJSON on stdin,
+// or over TCP to many clients at once.
 //
-// The network sibling of pivotscale_serve: the same NDJSON protocol
-// (src/service/protocol.h — one request per line, blank line flushes the
-// connection's pending lines as one deduplicated batch), served to many
-// clients at once by an epoll event loop (src/net/event_loop.*) in front
-// of a fixed worker pool with a bounded admission queue
-// (src/net/worker_pool.*). Overload sheds with
-// {"ok":false,"error":"overloaded"}; per-request "deadline_ms" expires
-// with "deadline exceeded"; SIGTERM/SIGINT drain gracefully (stop
-// accepting, finish in-flight batches, flush every response, exit 0).
+// Both modes speak the protocol of src/service/protocol.h — one request
+// per line, one response per line in request order, and a blank line (or
+// end of input) flushes the pending lines as one deduplicated batch — and
+// share its line framing, request parsing, per-request "deadline_ms"
+// checks and batch execution (src/net/worker_pool.*).
+//
+//  * Without --port, requests come from stdin and responses go to stdout,
+//    one batch at a time: `pivotscale_served < requests.ndjson` replays a
+//    request file. When stdin is a terminal the usage banner is printed
+//    instead, so a bare run never blocks on a silent read.
+//  * With --port, an epoll event loop (src/net/event_loop.*) serves many
+//    clients in front of a fixed worker pool with a bounded admission
+//    queue. Overload sheds with {"ok":false,"error":"overloaded"};
+//    SIGTERM/SIGINT drain gracefully (stop accepting, finish in-flight
+//    batches, flush every response, exit 0).
 //
 // Usage:
-//   pivotscale_served --port P [--bind 127.0.0.1] [--max-connections N]
+//   pivotscale_served [--port P] [--bind 127.0.0.1] [--max-connections N]
 //                     [--queue-depth N] [--workers N]
 //                     [--max-line-bytes N] [--cache-bytes N] [--threads N]
 //                     [--preload a.psx,b.psx] [--telemetry-json out.json]
 //                     [--port-file path] [--version]
 //
 // --port 0 picks an ephemeral port; the bound port is printed on stdout
-// and, with --port-file, written bare to that file (for scripts).
-// Run bare (no --port), the binary prints the usage banner and exits so
-// the CI examples loop terminates.
+// and, with --port-file, written bare to that file (for scripts). The
+// TCP-only flags (--bind, --max-connections, --queue-depth, --workers,
+// --port-file) are validated in stdin mode too, but unused there.
+#include <unistd.h>
+
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,19 +48,20 @@ using namespace pivotscale;
 namespace {
 
 constexpr char kUsage[] =
-    "pivotscale_served: concurrent NDJSON clique-query server (TCP)\n"
+    "pivotscale_served: NDJSON clique-query server (stdin or TCP)\n"
+    "  pivotscale_served [--max-line-bytes N] [--cache-bytes N]\n"
+    "                    [--threads N] [--preload a.psx,b.psx]\n"
+    "                    [--telemetry-json out.json] < requests.ndjson\n"
     "  pivotscale_served --port P [--bind 127.0.0.1]\n"
     "                    [--max-connections N] [--queue-depth N]\n"
-    "                    [--workers N] [--max-line-bytes N]\n"
-    "                    [--cache-bytes N] [--threads N]\n"
-    "                    [--preload a.psx,b.psx]\n"
-    "                    [--telemetry-json out.json] [--port-file path]\n"
+    "                    [--workers N] [--port-file path] [same flags]\n"
     "  request : {\"id\":1,\"graph\":\"g.psx\",\"k\":8}  (id required, >= 0)\n"
     "            optional keys: all_k, per_vertex, top,\n"
     "            deadline_ms (expired work answers \"deadline exceeded\")\n"
     "  a blank line flushes the pending lines as one deduplicated batch;\n"
-    "  a full admission queue answers \"overloaded\" instead of queueing.\n"
-    "SIGTERM/SIGINT drain gracefully. See docs/serving.md.\n";
+    "  over TCP a full admission queue answers \"overloaded\" instead of\n"
+    "  queueing, and SIGTERM/SIGINT drain gracefully.\n"
+    "Build artifacts with pivotscale_prep; see docs/serving.md.\n";
 
 NetServer* g_server = nullptr;
 
@@ -71,7 +82,9 @@ int main(int argc, char** argv) {
       std::cout << "pivotscale_served " << VersionString() << "\n";
       return 0;
     }
-    if (args.GetBool("help", false) || !args.Has("port")) {
+    const bool stdin_mode = !args.Has("port");
+    if (args.GetBool("help", false) ||
+        (stdin_mode && isatty(fileno(stdin)))) {
       std::cout << kUsage;
       return 0;
     }
@@ -79,11 +92,27 @@ int main(int argc, char** argv) {
     const std::string telemetry_path = args.GetPath("telemetry-json", "");
     TelemetryRegistry telemetry;
 
+    // Every flag is validated before anything is loaded, in both modes.
+    NetServerOptions options;
+    options.bind_address = args.GetString("bind", "127.0.0.1");
+    options.port =
+        static_cast<std::uint16_t>(args.GetIntInRange("port", 0, 0, 65535));
+    options.max_connections = static_cast<int>(args.GetIntInRange(
+        "max-connections", 1024, 1, std::numeric_limits<int>::max()));
+    options.queue_depth =
+        static_cast<std::size_t>(args.GetIntInRange("queue-depth", 64, 1));
+    options.workers = args.GetThreads("workers", 2);
+    options.max_line_bytes = static_cast<std::size_t>(args.GetIntInRange(
+        "max-line-bytes",
+        static_cast<std::int64_t>(ReadLineFramer::kDefaultMaxLineBytes), 1));
+    if (!telemetry_path.empty()) options.telemetry = &telemetry;
+    const std::string port_file = args.GetPath("port-file", "");
+
     QueryEngineOptions engine_options;
     engine_options.cache_byte_budget = static_cast<std::size_t>(
-        args.GetInt("cache-bytes", std::int64_t{1} << 30));
+        args.GetIntInRange("cache-bytes", std::int64_t{1} << 30, 0));
     engine_options.num_threads = args.GetThreads();
-    if (!telemetry_path.empty()) engine_options.telemetry = &telemetry;
+    engine_options.telemetry = options.telemetry;
     QueryEngine engine(engine_options);
 
     std::stringstream preload_list(args.GetString("preload", ""));
@@ -94,40 +123,31 @@ int main(int argc, char** argv) {
       std::cerr << "preloaded " << preload_path << "\n";
     }
 
-    NetServerOptions options;
-    options.bind_address = args.GetString("bind", "127.0.0.1");
-    options.port = static_cast<std::uint16_t>(args.GetInt("port", 0));
-    options.max_connections =
-        static_cast<int>(args.GetInt("max-connections", 1024));
-    options.queue_depth =
-        static_cast<std::size_t>(args.GetInt("queue-depth", 64));
-    options.workers = args.GetThreads("workers", 2);
-    options.max_line_bytes = static_cast<std::size_t>(args.GetInt(
-        "max-line-bytes",
-        static_cast<std::int64_t>(ReadLineFramer::kDefaultMaxLineBytes)));
-    if (!telemetry_path.empty()) options.telemetry = &telemetry;
+    if (stdin_mode) {
+      ServeStream(std::cin, std::cout, engine, options.max_line_bytes,
+                  options.telemetry);
+    } else {
+      NetServer server(&engine, options);
+      server.Start();
+      g_server = &server;
+      std::signal(SIGTERM, HandleSignal);
+      std::signal(SIGINT, HandleSignal);
 
-    NetServer server(&engine, options);
-    server.Start();
-    g_server = &server;
-    std::signal(SIGTERM, HandleSignal);
-    std::signal(SIGINT, HandleSignal);
+      if (!port_file.empty()) {
+        std::ofstream out(port_file);
+        if (!out)
+          throw std::runtime_error("cannot write --port-file " + port_file);
+        out << server.port() << "\n";
+      }
+      std::cout << "pivotscale_served: listening on " << options.bind_address
+                << ":" << server.port() << " (workers=" << options.workers
+                << ", queue-depth=" << options.queue_depth << ")"
+                << std::endl;
 
-    const std::string port_file = args.GetPath("port-file", "");
-    if (!port_file.empty()) {
-      std::ofstream out(port_file);
-      if (!out)
-        throw std::runtime_error("cannot write --port-file " + port_file);
-      out << server.port() << "\n";
+      server.Run();
+      g_server = nullptr;
+      std::cout << "pivotscale_served: drained, exiting\n";
     }
-    std::cout << "pivotscale_served: listening on " << options.bind_address
-              << ":" << server.port() << " (workers=" << options.workers
-              << ", queue-depth=" << options.queue_depth << ")"
-              << std::endl;
-
-    server.Run();
-    g_server = nullptr;
-    std::cout << "pivotscale_served: drained, exiting\n";
 
     if (!telemetry_path.empty()) {
       WriteRunReport(telemetry_path, telemetry);

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the query-service subsystem: generate a graph,
 # preprocess it into a .psx artifact, answer a batch of mixed-k NDJSON
-# queries through pivotscale_serve, and diff every returned count against a
-# standalone pivotscale_cli run on the same graph. Also asserts the served
-# batch ran zero pipeline phases (no heuristic/ordering/directionalize in
-# the serve telemetry) and exactly one counting run.
+# queries through pivotscale_served in stdin mode (no --port), and diff
+# every returned count against a standalone pivotscale_cli run on the same
+# graph. Also asserts the served batch ran zero pipeline phases (no
+# heuristic/ordering/directionalize in the serve telemetry) and exactly one
+# counting run, and that a request with "deadline_ms":0 answers "deadline
+# exceeded" without adding a counting run.
 #
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -12,7 +14,7 @@ set -euo pipefail
 build="${1:-build}"
 cli="$build/examples/pivotscale_cli"
 prep="$build/examples/pivotscale_prep"
-serve="$build/examples/pivotscale_serve"
+serve="$build/examples/pivotscale_served"
 
 for bin in "$cli" "$prep" "$serve"; do
   if [[ ! -x "$bin" ]]; then
@@ -40,7 +42,10 @@ for k in $ks $ks; do
   printf '{"id":%d,"graph":"%s","k":%d}\n' "$k" "$tmp/demo.psx" "$k" \
     >> "$batch"
 done
-"$serve" --batch "$batch" --telemetry-json "$tmp/serve_report.json" \
+# A same-graph request that has expired before its group counts.
+printf '{"id":99,"graph":"%s","k":8,"deadline_ms":0}\n' "$tmp/demo.psx" \
+  >> "$batch"
+"$serve" --telemetry-json "$tmp/serve_report.json" < "$batch" \
   > "$tmp/responses.ndjson"
 
 # 4. Every response must be ok, and every count must match a fresh
@@ -60,16 +65,27 @@ for k in $ks; do
   fi
 done
 
+ok_lines="$(grep -c '"ok":true' "$tmp/responses.ndjson" || true)"
+if [[ "$ok_lines" -ne 12 ]]; then
+  echo "serve_smoke: expected 12 ok response lines, got $ok_lines" >&2
+  fail=1
+fi
+expired="$(grep '"id":99,' "$tmp/responses.ndjson" || true)"
+if [[ "$expired" != *'"error":"deadline exceeded"'* ]]; then
+  echo "serve_smoke: deadline_ms 0 not answered as expired:" \
+    "${expired:-<missing>}" >&2
+  fail=1
+fi
 lines="$(wc -l < "$tmp/responses.ndjson")"
-if [[ "$lines" -ne 12 ]]; then
-  echo "serve_smoke: expected 12 response lines, got $lines" >&2
+if [[ "$lines" -ne 13 ]]; then
+  echo "serve_smoke: expected 13 response lines, got $lines" >&2
   fail=1
 fi
 
 # 5. The served batch must not have touched any pipeline phase: the serve
 #    telemetry has service.*/count.* records but no heuristic, ordering,
 #    or directionalize entries — and exactly one counting run covered all
-#    twelve queries.
+#    twelve queries (the expired one must not add a second).
 report="$tmp/serve_report.json"
 for phase in heuristic ordering directionalize; do
   if grep -q "$phase" "$report"; then

@@ -9,9 +9,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "service/protocol.h"
@@ -228,7 +228,7 @@ void NetServer::HandleReadable(std::uint64_t conn_id) {
     if (n == 0) {
       // Peer EOF (including shutdown(SHUT_WR) half-close): a final
       // unterminated line still counts, and EOF flushes the batch just
-      // like the stdin server.
+      // like stdin mode (ServeStream).
       FramedLine last;
       if (conn.framer.Finish(&last))
         ProcessLine(conn_id, conn, std::move(last));
@@ -249,30 +249,12 @@ void NetServer::HandleReadable(std::uint64_t conn_id) {
 
 void NetServer::ProcessLine(std::uint64_t conn_id, Connection& conn,
                             FramedLine&& line) {
-  if (line.oversized) {
-    NetRequest req;
-    req.parse_error = "line exceeds " +
-                      std::to_string(options_.max_line_bytes) + " bytes";
-    conn.pending.push_back(std::move(req));
-    return;
-  }
-  if (line.text.empty()) {
+  std::optional<NetRequest> req =
+      ToNetRequest(std::move(line), options_.max_line_bytes);
+  if (req)
+    conn.pending.push_back(std::move(*req));
+  else
     FlushBatch(conn_id, conn);
-    return;
-  }
-  NetRequest req;
-  try {
-    ProtocolRequest parsed = ParseRequest(line.text);
-    req.parsed = true;
-    req.id = parsed.id;
-    req.query = std::move(parsed.query);
-    if (parsed.deadline_ms >= 0)
-      req.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(parsed.deadline_ms);
-  } catch (const std::exception& e) {
-    req.parse_error = e.what();
-  }
-  conn.pending.push_back(std::move(req));
 }
 
 void NetServer::FlushBatch(std::uint64_t conn_id, Connection& conn) {

@@ -1,5 +1,6 @@
-// Incremental NDJSON line framing shared by the stdin server
-// (pivotscale_serve) and the TCP serving layer (src/net/event_loop.*).
+// Incremental NDJSON line framing shared by both front ends of
+// pivotscale_served: stdin (ServeStream, src/net/worker_pool.*) and TCP
+// (src/net/event_loop.*).
 //
 // A framer turns an arbitrary byte stream into protocol lines:
 //   * lines are terminated by '\n'; a trailing '\r' is stripped so CRLF

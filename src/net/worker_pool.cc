@@ -1,7 +1,9 @@
 #include "net/worker_pool.h"
 
 #include <algorithm>
+#include <istream>
 #include <map>
+#include <ostream>
 
 #include "exec/thread_budget.h"
 #include "service/protocol.h"
@@ -9,6 +11,29 @@
 #include "util/telemetry.h"
 
 namespace pivotscale {
+
+std::optional<NetRequest> ToNetRequest(FramedLine&& line,
+                                       std::size_t max_line_bytes) {
+  NetRequest req;
+  if (line.oversized) {
+    req.parse_error =
+        "line exceeds " + std::to_string(max_line_bytes) + " bytes";
+    return req;
+  }
+  if (line.text.empty()) return std::nullopt;
+  try {
+    ProtocolRequest parsed = ParseRequest(line.text);
+    req.parsed = true;
+    req.id = parsed.id;
+    req.query = std::move(parsed.query);
+    if (parsed.deadline_ms >= 0)
+      req.deadline = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(parsed.deadline_ms);
+  } catch (const std::exception& e) {
+    req.parse_error = e.what();
+  }
+  return req;
+}
 
 std::string ServeNetBatch(QueryEngine& engine,
                           std::vector<NetRequest>& requests,
@@ -70,6 +95,44 @@ std::string ServeNetBatch(QueryEngine& engine,
     block += '\n';
   }
   return block;
+}
+
+void ServeStream(std::istream& in, std::ostream& out, QueryEngine& engine,
+                 std::size_t max_line_bytes, TelemetryRegistry* telemetry) {
+  ReadLineFramer framer(max_line_bytes);
+  std::vector<NetRequest> pending;
+  const auto flush = [&] {
+    if (pending.empty()) return;
+    out << ServeNetBatch(engine, pending, telemetry);
+    out.flush();
+    pending.clear();
+  };
+  const auto process = [&](FramedLine&& line) {
+    std::optional<NetRequest> req =
+        ToNetRequest(std::move(line), max_line_bytes);
+    if (req)
+      pending.push_back(std::move(*req));
+    else
+      flush();
+  };
+
+  // Take whatever the stream has buffered (at least one byte, blocking
+  // only for that one), so a client on a pipe gets each blank-line batch
+  // answered without first filling a fixed-size read.
+  std::streambuf& source = *in.rdbuf();
+  char buf[16384];
+  std::vector<FramedLine> lines;
+  while (source.sgetc() != std::char_traits<char>::eof()) {
+    const std::streamsize want = std::clamp<std::streamsize>(
+        source.in_avail(), 1, static_cast<std::streamsize>(sizeof(buf)));
+    const std::streamsize got = source.sgetn(buf, want);
+    lines.clear();
+    framer.Feed(buf, static_cast<std::size_t>(got), &lines);
+    for (FramedLine& line : lines) process(std::move(line));
+  }
+  FramedLine last;
+  if (framer.Finish(&last)) process(std::move(last));
+  flush();
 }
 
 WorkerPool::WorkerPool(

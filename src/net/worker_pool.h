@@ -1,5 +1,6 @@
 // Fixed worker pool behind a bounded admission queue: the counting half
-// of the TCP serving layer.
+// of the TCP serving layer, plus the request-line and batch steps that the
+// TCP and stdin front ends of pivotscale_served share.
 //
 // The epoll thread (src/net/event_loop.*) parses request lines and
 // submits whole batches here; workers run them through a shared
@@ -19,9 +20,13 @@
 //    A request that expires *while* its group is counting still gets its
 //    answer — counting runs are not interruptible.
 //
+// The stdin front end (ServeStream) skips the pool and the queue but runs
+// the same line conversion (ToNetRequest) and batch step (ServeNetBatch),
+// so deadlines hold there too.
+//
 // Telemetry (when a registry is configured): counters "net.batches",
-// "net.requests", "net.timed_out"; gauge "net.queue_depth_high_water";
-// span "net.batch" per executed batch.
+// "net.requests", "net.timed_out" and span "net.batch" per executed batch
+// (both front ends); gauge "net.queue_depth_high_water" (pool only).
 #ifndef PIVOTSCALE_NET_WORKER_POOL_H_
 #define PIVOTSCALE_NET_WORKER_POOL_H_
 
@@ -30,11 +35,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iosfwd>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/framer.h"
 #include "service/query_engine.h"
 
 namespace pivotscale {
@@ -54,6 +62,13 @@ struct NetRequest {
       std::chrono::steady_clock::time_point::max();
 };
 
+// Turns one framed line into the request it carries: an oversized line or
+// a parse error becomes an unparsed request holding its error message, a
+// parsed query gets its absolute deadline (relative to now). Returns
+// nullopt for the blank line, the batch-flush marker.
+std::optional<NetRequest> ToNetRequest(FramedLine&& line,
+                                       std::size_t max_line_bytes);
+
 // A flushed batch from one connection.
 struct NetBatch {
   std::uint64_t connection_id = 0;
@@ -64,11 +79,18 @@ struct NetBatch {
 // serialized NDJSON line per request, each '\n'-terminated, in request
 // order. Parse errors become error lines; parsed requests are grouped by
 // graph (the engine dedups each group into at most one counting run) with
-// the deadline check at every group boundary. Exposed standalone so the
-// stdin server and tests reuse the exact network semantics.
+// the deadline check at every group boundary. The worker pool and
+// ServeStream both call it, so TCP and stdin answer identically.
 std::string ServeNetBatch(QueryEngine& engine,
                           std::vector<NetRequest>& requests,
                           TelemetryRegistry* telemetry);
+
+// The stdin front end: frames `in` with a ReadLineFramer, collects request
+// lines until a blank line or EOF, and answers each such batch on `out`
+// through ServeNetBatch, flushing `out` after every batch. Single-client
+// and synchronous — no admission queue, so nothing is ever shed.
+void ServeStream(std::istream& in, std::ostream& out, QueryEngine& engine,
+                 std::size_t max_line_bytes, TelemetryRegistry* telemetry);
 
 struct WorkerPoolOptions {
   std::size_t queue_depth = 64;  // max batches waiting (not running)

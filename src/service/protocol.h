@@ -1,4 +1,5 @@
-// Newline-delimited JSON request/response protocol for pivotscale_serve.
+// Newline-delimited JSON request/response protocol for pivotscale_served
+// (stdin and TCP modes alike).
 //
 // One request per line, one response per line, positionally ordered and
 // correlated by a required caller-chosen "id". Requests:
@@ -7,9 +8,8 @@
 //   {"id": 3, "graph": "web.psx", "all_k": true, "deadline_ms": 250}
 // Accepted keys: id (number >= 0, required), graph (string, required),
 // k (number >= 1), all_k (bool), per_vertex (bool), top (number >= 1),
-// deadline_ms (number >= 0 —
-// a soft per-request deadline enforced by the network server at
-// batch-group boundaries; the stdin server accepts and ignores it).
+// deadline_ms (number >= 0 — a soft per-request deadline, enforced in
+// both modes at batch-group boundaries).
 // Unknown keys are rejected so a typo like "per_vertx" fails loudly
 // instead of silently serving the default.
 //

@@ -82,25 +82,26 @@ bool ArgParser::GetBool(const std::string& name, bool def) const {
   throw std::runtime_error("bad boolean for --" + name + ": " + v);
 }
 
-int ArgParser::GetThreads(const std::string& name, int def) const {
+std::int64_t ArgParser::GetIntInRange(const std::string& name,
+                                      std::int64_t def, std::int64_t lo,
+                                      std::int64_t hi) const {
   if (!Has(name)) return def;
   const std::int64_t v = GetInt(name, def);
-  if (v < 1 || v > kMaxThreadsFlag)
-    throw std::runtime_error(
-        "bad --" + name + ": " + std::to_string(v) + " (must be between 1 "
-        "and " + std::to_string(kMaxThreadsFlag) + ")");
-  return static_cast<int>(v);
+  if (v >= lo && v <= hi) return v;
+  const std::string range =
+      hi == std::numeric_limits<std::int64_t>::max()
+          ? "at least " + std::to_string(lo)
+          : "between " + std::to_string(lo) + " and " + std::to_string(hi);
+  throw std::runtime_error("bad --" + name + ": " + std::to_string(v) +
+                           " (must be " + range + ")");
+}
+
+int ArgParser::GetThreads(const std::string& name, int def) const {
+  return static_cast<int>(GetIntInRange(name, def, 1, kMaxThreadsFlag));
 }
 
 std::uint32_t ArgParser::GetK(std::uint32_t def) const {
-  if (!Has("k")) return def;
-  const std::int64_t v = GetInt("k", def);
-  constexpr std::int64_t kMaxK = 0xffffffffLL;
-  if (v < 1 || v > kMaxK)
-    throw std::runtime_error("bad --k: " + std::to_string(v) +
-                             " (must be between 1 and " +
-                             std::to_string(kMaxK) + ")");
-  return static_cast<std::uint32_t>(v);
+  return static_cast<std::uint32_t>(GetIntInRange("k", def, 1, 0xffffffffLL));
 }
 
 std::string ArgParser::GetPath(const std::string& name,

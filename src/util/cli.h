@@ -8,6 +8,7 @@
 #define PIVOTSCALE_UTIL_CLI_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -36,6 +37,15 @@ class ArgParser {
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
 
+  // Range-checked integer flag: absent -> `def` (not range-checked); an
+  // explicit value must lie in [lo, hi] or std::runtime_error names the
+  // flag, the value and the range. Every integer flag that is cast to a
+  // narrower or unsigned type goes through here, so "--port 65616" or
+  // "--queue-depth -1" fails instead of wrapping through the cast.
+  std::int64_t GetIntInRange(
+      const std::string& name, std::int64_t def, std::int64_t lo,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+
   // Uniform thread-count flag validation for every binary: absent ->
   // `def` (0 means "whole machine" to downstream consumers); an explicit
   // value must lie in [1, kMaxThreadsFlag]. Zero, negative, and absurd
@@ -45,9 +55,7 @@ class ArgParser {
   int GetThreads(const std::string& name = "threads", int def = 0) const;
 
   // Clique-size flag --k: absent -> `def`; an explicit value must lie in
-  // [1, 2^32 - 1]. Anything else raises std::runtime_error instead of
-  // wrapping through the cast to std::uint32_t ("--k -5" is not
-  // 4294967291).
+  // [1, 2^32 - 1] ("--k -5" is not 4294967291).
   std::uint32_t GetK(std::uint32_t def) const;
 
   // Path-valued flag: absent -> `def`. When present it must name a path:

@@ -5,11 +5,13 @@
 //   * ParallelFor / ParallelReduce / ParallelForWorkers correctness and
 //     realized-team-sized ExecStats
 //   * exec.* telemetry emitted by a region
-//   * ArgParser::GetThreads rejecting 0 / negative / absurd values, and
-//     ArgParser::GetK rejecting k outside [1, 2^32 - 1]
+//   * ArgParser::GetThreads rejecting 0 / negative / absurd values,
+//     ArgParser::GetK rejecting k outside [1, 2^32 - 1], and
+//     ArgParser::GetIntInRange rejecting serving flags that would wrap
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -299,6 +301,53 @@ TEST(KFlag, ValuesThatWouldWrapAreRejected) {
     }
   }
   EXPECT_THROW(ParseArgs({"bin", "--k", "four"}).GetK(8), std::runtime_error);
+}
+
+// ------------------------------------------ range-checked integer flags
+
+TEST(IntRangeFlag, AbsentFallsBackToDefaultAndRangeEndsAreAccepted) {
+  EXPECT_EQ(ParseArgs({"bin"}).GetIntInRange("port", 7070, 0, 65535), 7070);
+  EXPECT_EQ(ParseArgs({"bin", "--port", "0"}).GetIntInRange("port", 1, 0,
+                                                            65535),
+            0);
+  EXPECT_EQ(ParseArgs({"bin", "--port=65535"}).GetIntInRange("port", 0, 0,
+                                                             65535),
+            65535);
+  EXPECT_EQ(ParseArgs({"bin", "--cache-bytes", "0"})
+                .GetIntInRange("cache-bytes", 1 << 30, 0),
+            0);
+  EXPECT_EQ(ParseArgs({"bin", "--queue-depth", "9223372036854775807"})
+                .GetIntInRange("queue-depth", 64, 1),
+            std::numeric_limits<std::int64_t>::max());
+}
+
+TEST(IntRangeFlag, ValuesThatWouldWrapAreRejected) {
+  // Regression: "--port 65616" listened on port 80 and "--queue-depth -1"
+  // became an unbounded queue, through casts to unsigned types.
+  const auto expect_bad = [](std::vector<std::string> argv,
+                             const std::string& name, std::int64_t lo,
+                             std::int64_t hi, const std::string& message) {
+    try {
+      ParseArgs(argv).GetIntInRange(name, 1, lo, hi);
+      ADD_FAILURE() << "accepted " << argv[1] << " " << argv[2];
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  };
+  expect_bad({"bin", "--port", "65616"}, "port", 0, 65535,
+             "bad --port: 65616 (must be between 0 and 65535)");
+  expect_bad({"bin", "--port", "-1"}, "port", 0, 65535,
+             "bad --port: -1 (must be between 0 and 65535)");
+  const std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+  expect_bad({"bin", "--queue-depth", "-1"}, "queue-depth", 1, kNoMax,
+             "bad --queue-depth: -1 (must be at least 1)");
+  expect_bad({"bin", "--max-line-bytes", "0"}, "max-line-bytes", 1, kNoMax,
+             "bad --max-line-bytes: 0 (must be at least 1)");
+  expect_bad({"bin", "--cache-bytes", "-5"}, "cache-bytes", 0, kNoMax,
+             "bad --cache-bytes: -5 (must be at least 0)");
+  EXPECT_THROW(ParseArgs({"bin", "--port", "http"})
+                   .GetIntInRange("port", 0, 0, 65535),
+               std::runtime_error);
 }
 
 // ------------------------------------------------ path flag validation

@@ -1,7 +1,8 @@
 // TCP serving layer tests: the shared line framer (CRLF stripping,
 // oversized-line shedding, arbitrary chunking, fuzz-lite garbage
 // streams), the bounded-admission worker pool (deterministic shed,
-// deadline checks at batch-group boundaries), and a loopback NetServer
+// deadline checks at batch-group boundaries), the stdin front end
+// (ServeStream: same bytes as ServeNetBatch), and a loopback NetServer
 // driven by real concurrent sockets — counts bit-identical to standalone
 // runs, overloaded batches shed once --queue-depth is exceeded,
 // half-closed connections still get their responses, and drain flushes
@@ -20,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,6 +272,107 @@ TEST_F(NetTest, ServeNetBatchPreservesOrderAndHonorsDeadlines) {
 
   EXPECT_EQ(telemetry.Counter("net.timed_out"), 1u);
   EXPECT_EQ(telemetry.Counter("net.requests"), 4u);
+}
+
+// ------------------------------------------------------ stdin front end
+
+std::vector<std::string> SplitLines(const std::string& block) {
+  std::vector<std::string> lines;
+  std::istringstream in(block);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// Zeroes the engine wall time, the one response field that differs
+// between two otherwise identical runs.
+std::string ZeroSeconds(const std::string& block) {
+  const std::string key = "\"seconds\":";
+  std::string out;
+  std::size_t from = 0;
+  for (std::size_t at = block.find(key); at != std::string::npos;
+       at = block.find(key, from)) {
+    out.append(block, from, at + key.size() - from);
+    out += '0';
+    from = block.find_first_of(",}", at + key.size());
+  }
+  out.append(block, from, std::string::npos);
+  return out;
+}
+
+TEST_F(NetTest, ServeStreamFramesParsesAndFlushesLikeServeNetBatch) {
+  constexpr std::size_t kMaxLineBytes = 1024;
+  const std::string graph = "\"graph\":\"" + artifact_path_ + "\"";
+  ASSERT_LT(graph.size() + 32, kMaxLineBytes);
+  // First batch (ended by the blank line): a CRLF request, an oversized
+  // line, a parse error, and an already-expired request. Second batch:
+  // one final line with no newline, flushed by EOF.
+  const std::vector<std::string> first = {
+      "{\"id\":1," + graph + ",\"k\":4}\r",
+      std::string(kMaxLineBytes + 1, 'x'),
+      "{\"id\":2," + graph + ",\"kk\":4}",
+      "{\"id\":3," + graph + ",\"k\":5,\"deadline_ms\":0}",
+  };
+  const std::string last = "{\"id\":4," + graph + ",\"k\":5}";
+  std::string input;
+  for (const std::string& line : first) input += line + "\n";
+  input += "\n" + last;
+
+  QueryEngine engine;
+  TelemetryRegistry telemetry;
+  std::istringstream in(input);
+  std::ostringstream out;
+  ServeStream(in, out, engine, kMaxLineBytes, &telemetry);
+
+  const std::vector<std::string> lines = SplitLines(out.str());
+  ASSERT_EQ(lines.size(), 5u);
+  const JsonValue crlf = ParseJson(lines[0]);
+  EXPECT_EQ(crlf.Find("id")->number, 1);
+  EXPECT_EQ(crlf.Find("count")->string_value, Standalone(4).ToString());
+  const JsonValue oversized = ParseJson(lines[1]);
+  EXPECT_EQ(oversized.Find("id")->number, -1);
+  EXPECT_EQ(oversized.Find("error")->string_value, "line exceeds 1024 bytes");
+  const JsonValue parse_err = ParseJson(lines[2]);
+  EXPECT_EQ(parse_err.Find("id")->number, -1);
+  EXPECT_FALSE(parse_err.Find("ok")->bool_value);
+  const JsonValue expired = ParseJson(lines[3]);
+  EXPECT_EQ(expired.Find("id")->number, 3);
+  EXPECT_EQ(expired.Find("error")->string_value, "deadline exceeded");
+  const JsonValue eof = ParseJson(lines[4]);
+  EXPECT_EQ(eof.Find("id")->number, 4);
+  EXPECT_EQ(eof.Find("count")->string_value, Standalone(5).ToString());
+  EXPECT_EQ(telemetry.Counter("net.batches"), 2u);
+  EXPECT_EQ(telemetry.Counter("net.timed_out"), 1u);
+
+  // The same lines handed straight to ServeNetBatch, batch by batch, on a
+  // fresh engine: the stream adds framing and batching, nothing else.
+  QueryEngine reference_engine;
+  std::string reference;
+  for (const std::vector<std::string>& batch_lines :
+       {first, std::vector<std::string>{last}}) {
+    std::vector<NetRequest> batch;
+    for (const std::string& text : batch_lines) {
+      FramedLine line;
+      if (text.size() > kMaxLineBytes)
+        line.oversized = true;
+      else
+        line.text = text.back() == '\r' ? text.substr(0, text.size() - 1)
+                                        : text;
+      batch.push_back(*ToNetRequest(std::move(line), kMaxLineBytes));
+    }
+    reference += ServeNetBatch(reference_engine, batch, nullptr);
+  }
+  EXPECT_EQ(ZeroSeconds(out.str()), ZeroSeconds(reference));
+}
+
+TEST(ServeStream, EmptyInputAndBlankLinesWriteNothing) {
+  QueryEngine engine;
+  for (const char* input : {"", "\n", "\r\n\n\n"}) {
+    std::istringstream in(input);
+    std::ostringstream out;
+    ServeStream(in, out, engine, ReadLineFramer::kDefaultMaxLineBytes,
+                nullptr);
+    EXPECT_EQ(out.str(), "") << "input: " << input;
+  }
 }
 
 TEST_F(NetTest, WorkerPoolShedsDeterministicallyWhenQueueFull) {
