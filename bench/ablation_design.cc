@@ -9,8 +9,9 @@
 //     types and finds load balance is a minor factor; replay the work
 //     trace under static and dynamic scheduling with several chunk sizes.
 // Ablations 1 and 2 exit 1 when a count differs from the default single-k
-// run, and so does the all-size leaf histogram (a kAllK run's per_size[k]
-// and ComputeCliqueProfile's CountK(k)), so a small-scale run
+// run (for all-up-to-k, when any per_size[s], s <= k, differs from the
+// all-k run), and so does the all-size leaf histogram (a kAllK run's
+// per_size[k] and ComputeCliqueProfile's CountK(k)), so a small-scale run
 // (--scale 0.05) doubles as a CI exactness check of the early-termination,
 // closed-form tail and histogram rules. Those runs all share the
 // production kernels, so the default run is also checked against the
@@ -82,21 +83,30 @@ int main(int argc, char** argv) {
       return 1;
     }
 
+    CountOptions all_sizes = base;
+    all_sizes.mode = CountMode::kAllK;
+    const CountResult all_k = CountCliques(dag, all_sizes);
+    // total is per_size[k] in kAllK (0 past the clique bound).
+    if (all_k.total != with_term.total) {
+      std::cerr << "ALL-K MISMATCH on " << d.name << "\n";
+      return 1;
+    }
+
+    // kAllUpToK's closed-form tail records leaves of every size up to k,
+    // and the serving engine answers smaller k from them: every per_size
+    // up to k must match the full-recursion kAllK run.
     CountOptions upto = base;
     upto.mode = CountMode::kAllUpToK;
     Timer t3;
     const CountResult up_to_k = CountCliques(dag, upto);
     const double upto_seconds = t3.Seconds();
-    if (up_to_k.total != with_term.total) {
+    bool upto_exact = up_to_k.total == with_term.total &&
+                      up_to_k.per_size.size() == all_k.per_size.size();
+    for (std::uint32_t s = 1; upto_exact && s <= k && s < all_k.per_size.size();
+         ++s)
+      upto_exact = up_to_k.per_size[s] == all_k.per_size[s];
+    if (!upto_exact) {
       std::cerr << "ALL-UP-TO-K MISMATCH on " << d.name << "\n";
-      return 1;
-    }
-
-    CountOptions all_sizes = base;
-    all_sizes.mode = CountMode::kAllK;
-    // total is per_size[k] in kAllK (0 past the clique bound).
-    if (CountCliques(dag, all_sizes).total != with_term.total) {
-      std::cerr << "ALL-K MISMATCH on " << d.name << "\n";
       return 1;
     }
     if (ComputeCliqueProfile(dag).CountK(k) != with_term.total) {

@@ -9,10 +9,13 @@
 #      small-scale ablation_design exactness check (early termination off,
 #      all-up-to-k, all-k, the clique profile and the paper's dense
 #      structure must match single-k on every suite graph at k = 3, 4, 5,
-#      8; its vertex- vs edge-parallel block and DECOMPOSITION MISMATCH
+#      8, and all-up-to-k every size up to k of all-k; its vertex- vs edge-parallel block and DECOMPOSITION MISMATCH
 #      exit went with the deleted root splitting), the wide-path CLI smoke
 #      (K300 at k = 8: subgraphs of up to 299 vertices, five words, must
-#      count C(300, 8) and C(299, 7) per vertex), and the benchmark
+#      count C(300, 8) and C(299, 7) per vertex), the clique-guard smoke
+#      (K300 at k = 4 must count C(300, 4) and pay the clique leaf's
+#      C(300, 2) - 3 = 44847 edge ops: the closed-form tail's triangle
+#      pass costs a clique one popcount per member), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)
@@ -61,6 +64,14 @@ out="$(./build-check/examples/pivotscale_cli --graph "${K300}" --k 8 \
   --per-vertex --top 1)"
 grep -q ' 39494993171634 ' <<<"${out}" ||
   { echo "${out}"; echo "K300: wrong per-vertex count"; exit 1; }
+echo "==> [2/4] clique-guard CLI smoke (K300, k = 4)"
+out="$(./build-check/examples/pivotscale_cli --graph "${K300}" --k 4 \
+  --telemetry-json="${K300%.el}.json")"
+grep -qx '4-cliques: 330791175' <<<"${out}" ||
+  { echo "${out}"; echo "K300: wrong 4-clique count"; exit 1; }
+grep -Eq '"count.edge_ops":44847[,}]' "${K300%.el}.json" ||
+  { echo "K300: the triangle tail paid more than the clique leaf's edge ops"
+    exit 1; }
 rm -r "$(dirname "${K300}")"
 
 echo "==> [2/4] perfbench smoke (exact counts, corrupted reference, op counts)"
