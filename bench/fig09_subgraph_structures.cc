@@ -33,6 +33,7 @@ template <typename SG>
 double TimeStructure(const Graph& dag, std::uint32_t k, BigCount* total) {
   const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
+  using Counter = PivotCounter<SG, NoStats, SingleKPolicy>;
   ExecOptions exec_options;
   exec_options.chunks_per_worker = 16;
   exec_options.cost = [&dag](std::size_t v) {
@@ -44,13 +45,12 @@ double TimeStructure(const Graph& dag, std::uint32_t k, BigCount* total) {
   ParallelForWorkers(
       dag.NumNodes(), exec_options,
       [&](int) {
-        return PivotCounter<SG, NoStats>(dag, CountMode::kSingleK, k,
-                                         /*per_vertex=*/false, bound, &binom);
+        return Counter(dag, k, bound, &binom);
       },
-      [](PivotCounter<SG, NoStats>& counter, std::size_t v) {
+      [](Counter& counter, std::size_t v) {
         counter.ProcessRoot(static_cast<NodeId>(v));
       },
-      [total](PivotCounter<SG, NoStats>& counter) {
+      [total](Counter& counter) {
         *total += counter.total();
       });
   return timer.Seconds();

@@ -39,9 +39,8 @@ double ReplayMissRate(const Graph& dag, std::uint32_t k, NodeId sample) {
   CacheSim cache(std::size_t{4} << 20, 16, 64);
   const BinomialTable binom(
       static_cast<std::uint32_t>(dag.MaxDegree()) + 2);
-  PivotCounter<SG, TraceStats<CacheSim>> counter(
-      dag, CountMode::kSingleK, k, /*per_vertex=*/false,
-      static_cast<std::uint32_t>(dag.MaxDegree()) + 1, &binom);
+  PivotCounter<SG, TraceStats<CacheSim>, SingleKPolicy> counter(
+      dag, k, static_cast<std::uint32_t>(dag.MaxDegree()) + 1, &binom);
   counter.stats().sink = &cache;
   const NodeId n = std::min(dag.NumNodes(), sample);
   for (NodeId v = 0; v < n; ++v) counter.ProcessRoot(v);

@@ -91,14 +91,14 @@ void BM_SubgraphBuildBitmap(benchmark::State& state) {
 BENCHMARK(BM_SubgraphBuildBitmap);
 
 // Counts k = 8 cliques root after root of `dag`, one root per iteration.
-// Counter is PivotCounter<SG, NoStats> or BitmapCounter<NoStats>.
+// Counter is PivotCounter<SG, NoStats, SingleKPolicy> or
+// BitmapCounter<NoStats, SingleKPolicy>.
 template <typename Counter>
 void ProcessRoots(benchmark::State& state, const Graph& dag) {
   const std::uint32_t bound =
       static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
-  Counter counter(dag, CountMode::kSingleK, 8, /*per_vertex=*/false, bound,
-                  &binom);
+  Counter counter(dag, 8, bound, &binom);
   NodeId v = 0;
   for (auto _ : state) {
     counter.ProcessRoot(v);
@@ -115,10 +115,10 @@ template <typename Counter>
 void BM_ProcessRootPlanted(benchmark::State& state) {
   ProcessRoots<Counter>(state, PlantedCliqueDag());
 }
-using DenseCounter = PivotCounter<DenseSubgraph, NoStats>;
-using SparseCounter = PivotCounter<SparseSubgraph, NoStats>;
-using RemapCounter = PivotCounter<RemapSubgraph, NoStats>;
-using BitmapKernel = BitmapCounter<NoStats>;
+using DenseCounter = PivotCounter<DenseSubgraph, NoStats, SingleKPolicy>;
+using SparseCounter = PivotCounter<SparseSubgraph, NoStats, SingleKPolicy>;
+using RemapCounter = PivotCounter<RemapSubgraph, NoStats, SingleKPolicy>;
+using BitmapKernel = BitmapCounter<NoStats, SingleKPolicy>;
 BENCHMARK(BM_ProcessRoot<DenseCounter>);
 BENCHMARK(BM_ProcessRoot<SparseCounter>);
 BENCHMARK(BM_ProcessRoot<RemapCounter>);

@@ -50,9 +50,8 @@ Profile ProfileCounting(const Graph& dag, std::uint32_t k,
   CacheSim cache(std::size_t{4} << 20, 16, 64);
   const BinomialTable binom(
       static_cast<std::uint32_t>(dag.MaxDegree()) + 2);
-  PivotCounter<RemapSubgraph, TraceStats<CacheSim>> counter(
-      dag, CountMode::kSingleK, k, /*per_vertex=*/false,
-      static_cast<std::uint32_t>(dag.MaxDegree()) + 1, &binom);
+  PivotCounter<RemapSubgraph, TraceStats<CacheSim>, SingleKPolicy> counter(
+      dag, k, static_cast<std::uint32_t>(dag.MaxDegree()) + 1, &binom);
   counter.stats().sink = &cache;
   const NodeId n = std::min(dag.NumNodes(), sample_roots);
   for (NodeId v = 0; v < n; ++v) counter.ProcessRoot(v);

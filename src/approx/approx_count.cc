@@ -76,6 +76,7 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   // Exact per-root counts for the sampled roots.
   const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
+  using Counter = PivotCounter<RemapSubgraph, NoStats, SingleKPolicy>;
   std::vector<double> counts(samples.size(), 0.0);
   ExecOptions exec_options;
   exec_options.num_threads = config.num_threads;
@@ -88,11 +89,9 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   ParallelForWorkers(
       samples.size(), exec_options,
       [&](int) {
-        return PivotCounter<RemapSubgraph, NoStats>(
-            dag, CountMode::kSingleK, k, /*per_vertex=*/false, bound,
-            &binom);
+        return Counter(dag, k, bound, &binom);
       },
-      [&](PivotCounter<RemapSubgraph, NoStats>& counter, std::size_t i) {
+      [&](Counter& counter, std::size_t i) {
         // Per-root delta of the accumulating counter; stored as double
         // (precision loss starts beyond 2^53 per root, where the
         // estimator's relative error is negligible anyway).
@@ -100,7 +99,7 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
         counter.ProcessRoot(samples[i].root);
         counts[i] = ToDouble(counter.total().value() - before);
       },
-      [](PivotCounter<RemapSubgraph, NoStats>&) {});
+      [](Counter&) {});
 
   // Horvitz-Thompson per stratum: estimate_s = N_s * mean_s; variance via
   // within-stratum sample variance with finite-population correction.

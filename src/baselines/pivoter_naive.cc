@@ -27,6 +27,7 @@ PivoterNaiveResult RunPivoterNaive(const Graph& g, std::uint32_t k,
   const NodeId n = dag.NumNodes();
   const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
+  using Counter = PivotCounter<DenseSubgraph, NoStats, SingleKPolicy>;
 
   BigCount total{};
   ExecOptions exec_options;
@@ -35,14 +36,12 @@ PivoterNaiveResult RunPivoterNaive(const Graph& g, std::uint32_t k,
   ParallelForWorkers(
       n, exec_options,
       [&](int) {
-        return PivotCounter<DenseSubgraph, NoStats>(
-            dag, CountMode::kSingleK, k, /*per_vertex=*/false, bound,
-            &binom);
+        return Counter(dag, k, bound, &binom);
       },
-      [](PivotCounter<DenseSubgraph, NoStats>& counter, std::size_t v) {
+      [](Counter& counter, std::size_t v) {
         counter.ProcessRoot(static_cast<NodeId>(v));
       },
-      [&total](PivotCounter<DenseSubgraph, NoStats>& counter) {
+      [&total](Counter& counter) {
         total += counter.total();
       });
   result.total = total;

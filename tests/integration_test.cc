@@ -82,10 +82,9 @@ TEST(CounterReuse, ReprocessingRootsDoublesCounts) {
       static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
 
-  PivotCounter<RemapSubgraph, NoStats> once(dag, CountMode::kSingleK, 5,
-                                            false, bound, &binom);
-  PivotCounter<RemapSubgraph, NoStats> twice(dag, CountMode::kSingleK, 5,
-                                             false, bound, &binom);
+  using Counter = PivotCounter<RemapSubgraph, NoStats, SingleKPolicy>;
+  Counter once(dag, 5, bound, &binom);
+  Counter twice(dag, 5, bound, &binom);
   for (NodeId v = 0; v < dag.NumNodes(); ++v) once.ProcessRoot(v);
   for (int round = 0; round < 2; ++round)
     for (NodeId v = 0; v < dag.NumNodes(); ++v) twice.ProcessRoot(v);
@@ -101,10 +100,9 @@ TEST(CounterReuse, InterleavedRootsMatchSequential) {
       static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
 
-  PivotCounter<RemapSubgraph, NoStats> forward(dag, CountMode::kSingleK, 4,
-                                               false, bound, &binom);
-  PivotCounter<RemapSubgraph, NoStats> backward(dag, CountMode::kSingleK, 4,
-                                                false, bound, &binom);
+  using Counter = PivotCounter<RemapSubgraph, NoStats, SingleKPolicy>;
+  Counter forward(dag, 4, bound, &binom);
+  Counter backward(dag, 4, bound, &binom);
   for (NodeId v = 0; v < dag.NumNodes(); ++v) forward.ProcessRoot(v);
   for (NodeId v = dag.NumNodes(); v > 0; --v) backward.ProcessRoot(v - 1);
   EXPECT_EQ(forward.total(), backward.total());

@@ -17,6 +17,9 @@ namespace {
 using testing_helpers::BruteForceCount;
 using testing_helpers::MakeDag;
 
+template <typename Policy>
+using Remap = PivotCounter<RemapSubgraph, OpCountStats, Policy>;
+
 // ---------------------------------------------------------------- kAllUpToK
 
 TEST(AllUpToK, MatchesAllKPrefix) {
@@ -126,7 +129,6 @@ TEST(EarlyTerm, NoOpOnPureCliques) {
   // in linear time regardless of k).
   const Graph g = BuildGraph(CompleteGraph(40));
   const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  using Remap = PivotCounter<RemapSubgraph, OpCountStats>;
   const auto with_calls =
       testing_helpers::RunKernel<Remap>(dag, CountMode::kSingleK, 5, false,
                                         /*early_termination=*/true)

@@ -105,22 +105,26 @@ struct KernelTotals {
   OpCounters ops;
 };
 
-// Runs kernel `Counter` — PivotCounter<SG, Stats> or BitmapCounter<Stats>
-// — over every root of `dag` on one thread: no driver and no kernel
-// choice, so each kernel can be checked on its own.
-template <typename Counter>
+// Runs kernel `Counter` — a template over the count policy, such as
+// PivotCounter<SG, Stats, Policy> or BitmapCounter<Stats, Policy> with SG
+// and Stats fixed — over every root of `dag` on one thread, at the policy
+// of `mode` and `per_vertex`: no driver and no kernel choice, so each
+// kernel can be checked on its own.
+template <template <typename> class Counter>
 KernelTotals RunKernel(const Graph& dag, CountMode mode, std::uint32_t k,
                        bool per_vertex = false, bool early_termination = true) {
   const auto bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
   const BinomialTable binom(bound + 1);
-  Counter counter(dag, mode, k, per_vertex, bound, &binom,
-                  early_termination);
   KernelTotals out;
-  for (NodeId v = 0; v < dag.NumNodes(); ++v) counter.ProcessRoot(v);
-  out.total = counter.total();
-  out.profile = counter.profile();
-  out.per_vertex = counter.per_vertex_counts();
-  out.ops = counter.stats().Snapshot();
+  WithCountPolicy(mode, per_vertex, [&](auto policy) {
+    Counter<decltype(policy)> counter(dag, k, bound, &binom,
+                                      early_termination);
+    for (NodeId v = 0; v < dag.NumNodes(); ++v) counter.ProcessRoot(v);
+    out.total = counter.total();
+    out.profile = counter.profile();
+    out.per_vertex = counter.per_vertex_counts();
+    out.ops = counter.stats().Snapshot();
+  });
   const std::uint32_t max_size =
       mode == CountMode::kAllUpToK ? std::min(k, bound + 1) : bound + 1;
   out.per_size = out.profile.PerSize(max_size);
