@@ -49,8 +49,9 @@ struct CountOptions {
   bool per_vertex = false;
   // Disable Section V-A early termination (ablation only; slower, same
   // counts). This also turns off the closed-form tail, which settles nodes
-  // with r >= k - 2 in kSingleK and kAllUpToK runs without per-vertex
-  // attribution (pivot/clique_leaves.h).
+  // with r >= k - 3 (bitmap kernel; r >= k - 2 on the paper structures) in
+  // kSingleK and kAllUpToK runs without per-vertex attribution
+  // (pivot/clique_leaves.h).
   bool early_termination = true;
   // Count recursion operations (Table II proxy); small overhead.
   bool collect_op_stats = false;
@@ -86,8 +87,8 @@ struct CountResult {
   std::vector<BigCount> per_vertex;
   // Aggregated recursion operations (op stats / work trace modes) of the
   // run's kernel. `calls` counts recursion nodes on every kernel. On the
-  // bitmap kernel `edge_ops` is one per popcount(row[u] & P) of a pivot
-  // scan, `induces` one per child bitset and `memberships` is 0; on the
+  // bitmap kernel `edge_ops` is one per row popcount of a pivot scan or
+  // tail pass, `induces` one per child bitset and `memberships` is 0; on the
   // paper structures they count adjacency entries scanned, child sets
   // narrowed and mark/removed tests. See pivot/stats.h and
   // docs/algorithm.md.

@@ -30,7 +30,7 @@ enum class TouchRegion : int {
 struct OpCounters {
   std::uint64_t calls = 0;        // recursion nodes (Recurse invocations)
   // PivotCounter: adjacency entries scanned. BitmapCounter: one per
-  // popcount(row[u] & P) in a pivot scan.
+  // row popcount in a pivot scan or a closed-form tail pass.
   std::uint64_t edge_ops = 0;
   std::uint64_t induces = 0;      // child candidate sets (branch descents)
   // PivotCounter: mark/removed membership tests. BitmapCounter: always 0.
