@@ -20,10 +20,16 @@ void SubgraphBitmap::Build(NodeId root) {
 
   remap_.Clear();
   remap_.Reserve(n);
-  for (std::uint32_t local = 0; local < n; ++local)
+  filter_.fill(0);
+  for (std::uint32_t local = 0; local < n; ++local) {
     remap_.Insert(orig_[local], local);
+    const std::uint32_t slot = FilterSlot(orig_[local]);
+    filter_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
   for (std::uint32_t a = 0; a < n; ++a) {
     for (NodeId b : dag_->Neighbors(orig_[a])) {
+      const std::uint32_t slot = FilterSlot(b);
+      if ((filter_[slot / 64] >> (slot % 64) & 1) == 0) continue;
       const std::uint32_t local = remap_.Find(b);
       if (local == FlatHashMap::kNotFound) continue;
       SetBit(a, local);

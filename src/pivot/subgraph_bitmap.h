@@ -10,11 +10,18 @@
 // no undo stack, flags or partitioning (compare subgraph_remap.h).
 //
 // Shared by the production bitmap kernel (pivot/bitmap_counter.h) and the
-// GPU-Pivot baseline model (baselines/gpu_pivot_model.cc). Subgraphs of
-// every size build; the matrix of n vertices takes n * ⌈n / 64⌉ words, and
-// all buffers are reused across builds. NarrowRows re-indexes a candidate
-// set into a smaller matrix of the same form; the bitmap kernel narrows
-// with it.
+// GPU-Pivot baseline model (baselines/gpu_pivot_model.cc).
+//
+// Build reads every DAG wedge (a, b) with a a member, and most b are not
+// members. A 4,096-bit member filter, one bit per slot of the members'
+// hashed ids, rejects such b before the hash probe. It has no false
+// negatives, so the matrix is exactly the one the probe alone builds; a
+// subgraph of thousands of members saturates it and every wedge probes.
+//
+// Subgraphs of every size build; the matrix of n vertices takes
+// n * ⌈n / 64⌉ words, and all buffers are reused across builds. NarrowRows
+// re-indexes a candidate set into a smaller matrix of the same form; the
+// bitmap kernel narrows with it.
 #ifndef PIVOTSCALE_PIVOT_SUBGRAPH_BITMAP_H_
 #define PIVOTSCALE_PIVOT_SUBGRAPH_BITMAP_H_
 
@@ -75,8 +82,18 @@ class SubgraphBitmap {
         std::uint64_t{1} << (bit % 64);
   }
 
+  // The member filter's slot of original id `id`: its top 12 bits under
+  // the Fibonacci mix FlatHashMap also hashes with.
+  static std::uint32_t FilterSlot(NodeId id) {
+    return static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> 52);
+  }
+
   const Graph* dag_ = nullptr;
   FlatHashMap remap_;           // original -> local id; used during builds
+  // One bit per filter slot holding a member; a clear bit rules an id out
+  // without a hash probe. Fixed at 4,096 bits (512 B), not |V|-sized.
+  std::array<std::uint64_t, 64> filter_{};
   std::vector<NodeId> orig_;    // local -> original id
   std::vector<std::uint64_t> matrix_;
   std::uint32_t words_ = 0;

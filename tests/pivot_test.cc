@@ -288,6 +288,79 @@ TEST(Narrowing, NarrowRowsMatchesTheSourceMatrixBitForBit) {
   }
 }
 
+// ---------------------------------------------------------------- bitmap build
+
+// SubgraphBitmap's member filter slot of `id`.
+std::uint32_t FilterSlot(NodeId id) {
+  return static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> 52);
+}
+
+TEST(SubgraphBitmapBuild, MatrixIsTheInducedAdjacencyDespiteFilterSlots) {
+  // Vertex 0 is a hub over 1..kHub, more members than the member filter
+  // has slots, so the filter saturates. Vertex kHub + 1 roots a small
+  // subgraph whose members also point at non-members sharing their filter
+  // slots: those wedges pass the filter, and the hash probe turns them
+  // away. The DAG keeps the id order, so every chosen id stays as it is.
+  constexpr NodeId kHub = 4200;
+  constexpr NodeId kN = 1 << 16;
+  constexpr NodeId kRoot = kHub + 1;
+  constexpr NodeId kMembers = 40;
+  std::mt19937_64 rng(20250611);
+  EdgeList edges;
+  for (NodeId v = 1; v <= kHub; ++v) edges.push_back({0, v});
+  std::uniform_int_distribution<NodeId> hub_member(1, kHub);
+  std::uniform_int_distribution<NodeId> any(1, kN - 1);
+  for (int i = 0; i < 20000; ++i) {
+    edges.push_back({hub_member(rng), hub_member(rng)});
+    edges.push_back({hub_member(rng), any(rng)});
+  }
+  std::vector<bool> member(kN, false);
+  std::vector<bool> slot_taken(4096, false);
+  for (NodeId i = 0; i < kMembers; ++i) {
+    const NodeId m = kRoot + 1 + 7 * i;
+    member[m] = true;
+    slot_taken[FilterSlot(m)] = true;
+    edges.push_back({kRoot, m});
+    for (NodeId j = 0; j < i; ++j)
+      if (rng() % 3 == 0) edges.push_back({kRoot + 1 + 7 * j, m});
+  }
+  NodeId colliding = 0;
+  for (NodeId x = kRoot + 7 * kMembers + 1; x < kN; ++x) {
+    if (member[x] || !slot_taken[FilterSlot(x)]) continue;
+    edges.push_back({kRoot + 1 + 7 * (colliding % kMembers), x});
+    ++colliding;
+  }
+  ASSERT_GT(colliding, 2 * kMembers);
+  const Graph g = BuildUndirected(std::move(edges), kN);
+  std::vector<NodeId> ranks(kN);
+  std::iota(ranks.begin(), ranks.end(), NodeId{0});
+  const Graph dag = Directionalize(g, ranks);
+  ASSERT_EQ(dag.Degree(0), kHub);
+  ASSERT_EQ(dag.Degree(kRoot), kMembers);
+
+  SubgraphBitmap sg;
+  sg.Attach(dag);
+  const auto bit = [&](std::uint32_t u, std::uint32_t w) {
+    return (sg.Row(u)[w / 64] >> (w % 64) & 1) != 0;
+  };
+  for (NodeId root = 0; root < kN; ++root) {
+    sg.Build(root);
+    const auto nbrs = dag.Neighbors(root);
+    ASSERT_EQ(sg.NumVertices(), nbrs.size()) << "root=" << root;
+    const std::uint32_t n = sg.NumVertices();
+    for (std::uint32_t u = 0; u < n; ++u) {
+      ASSERT_EQ(sg.OrigIds()[u], nbrs[u]) << "root=" << root;
+      for (std::uint32_t w = 0; w < 64 * sg.Words(); ++w) {
+        const bool want = w < n && (dag.HasEdge(nbrs[u], nbrs[w]) ||
+                                    dag.HasEdge(nbrs[w], nbrs[u]));
+        ASSERT_EQ(bit(u, w), want)
+            << "root=" << root << " u=" << u << " w=" << w;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- all-k mode
 
 TEST(PivoterAllK, PerSizeMatchesSingleKCounts) {
