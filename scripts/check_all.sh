@@ -15,7 +15,9 @@
 #      count C(300, 8) and C(299, 7) per vertex), the clique-guard smoke
 #      (K300 at k = 4 must count C(300, 4) and pay the clique leaf's
 #      C(300, 2) - 3 = 44847 edge ops: the closed-form tail's triangle
-#      pass costs a clique one popcount per member), and the benchmark
+#      pass costs a clique one popcount per member; and 297 recursion
+#      calls: the 3 roots of out-degree below k - 1 are skipped before
+#      their build), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)
@@ -71,6 +73,9 @@ grep -qx '4-cliques: 330791175' <<<"${out}" ||
   { echo "${out}"; echo "K300: wrong 4-clique count"; exit 1; }
 grep -Eq '"count.edge_ops":44847[,}]' "${K300%.el}.json" ||
   { echo "K300: the triangle tail paid more than the clique leaf's edge ops"
+    exit 1; }
+grep -Eq '"count.recursion_calls":297[,}]' "${K300%.el}.json" ||
+  { echo "K300: the short-root skip did not skip exactly the 3 short roots"
     exit 1; }
 rm -r "$(dirname "${K300}")"
 
