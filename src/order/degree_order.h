@@ -1,6 +1,7 @@
 // Degree ordering (Section II-A): rank vertices by (degree, id) ascending.
 //
-// The cheapest useful ordering — one parallel pass over the degree array —
+// The cheapest useful ordering — one counting-sort pass over the degrees,
+// O(|V| + max degree), with the ranks RanksFromKeys gives the degree keys —
 // and the paper's finding is that on clique-poor graphs its locality
 // advantage makes it the fastest *overall* choice despite a worse maximum
 // out-degree.

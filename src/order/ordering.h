@@ -35,7 +35,7 @@ std::uint64_t PackKey(std::uint64_t primary, std::uint64_t degree);
 
 // The ordering families evaluated in the paper.
 enum class OrderingKind {
-  kDegree,      // parallel degree ordering (Section II-A)
+  kDegree,      // degree ordering, one counting sort (Section II-A)
   kCore,        // exact sequential core/degeneracy ordering
   kApproxCore,  // parallel core approximation, Algorithm 2 (Section III-A)
   kKCore,       // parallel k-core decomposition ordering (Section III-B)

@@ -129,6 +129,25 @@ TEST(DegreeOrdering, RanksAscendByDegree) {
   EXPECT_EQ(o.ranks[0], g.NumNodes() - 1);
 }
 
+TEST(DegreeOrdering, CountingSortMatchesRanksFromKeys) {
+  // The counting sort must give exactly the (degree, id) ranks of the
+  // comparison sort, so the DAG and every op count stay the same.
+  EdgeList isolated = GnM(60, 90, 3);
+  const std::vector<Graph> graphs = {
+      BuildGraph(Rmat(12, 8.0, 17)),
+      BuildGraph(StarGraph(50)),
+      BuildUndirected(std::move(isolated), 200),  // ids 60..199 isolated
+      BuildGraph({}),
+      BuildUndirected({}, 1),
+  };
+  for (const Graph& g : graphs) {
+    std::vector<std::uint64_t> degrees(g.NumNodes());
+    for (NodeId u = 0; u < g.NumNodes(); ++u) degrees[u] = g.Degree(u);
+    EXPECT_EQ(DegreeOrdering(g).ranks, RanksFromKeys(degrees))
+        << "n=" << g.NumNodes();
+  }
+}
+
 TEST(DegreeOrdering, MaxOutDegreeOnStarIsOne)  {
   // Directing low->high degree turns a star into leaves -> hub: every
   // out-degree is 1.
