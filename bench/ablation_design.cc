@@ -23,8 +23,10 @@
 #include "graph/dag.h"
 #include "order/core_order.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "pivot/profile.h"
 #include "sim/scaling_sim.h"
+#include "sim/work_trace.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -66,9 +68,8 @@ int main(int argc, char** argv) {
     const CountResult with_term = CountCliques(dag, base);
     const double base_seconds = t1.Seconds();
 
-    CountOptions dense = base;
-    dense.structure = SubgraphKind::kDense;
-    if (CountCliques(dag, dense).total != with_term.total) {
+    if (CountCliquesOn(dag, base, SubgraphKind::kDense).total !=
+        with_term.total) {
       std::cerr << "STRUCTURE MISMATCH on " << d.name << "\n";
       return 1;
     }
@@ -136,21 +137,21 @@ int main(int argc, char** argv) {
     const Graph dag = Directionalize(d.graph, CoreOrdering(d.graph).ranks);
     CountOptions options;
     options.k = k;
-    options.collect_work_trace = true;
     options.num_threads = 1;
-    const CountResult result = CountCliques(dag, options);
+    WorkTrace trace;
+    CountCliquesOn(dag, options, SubgraphKind::kBitmap, &trace);
 
     std::vector<std::string> row = {d.name};
     ScalingSimConfig config;
     config.num_threads = 64;
     config.static_schedule = true;
     row.push_back(TablePrinter::Cell(
-        SimulateSpeedup(result.work_trace, config), 1));
+        SimulateSpeedup(trace, config), 1));
     config.static_schedule = false;
     for (int chunk : {1, 16, 64, 256}) {
       config.chunk_size = chunk;
       row.push_back(TablePrinter::Cell(
-          SimulateSpeedup(result.work_trace, config), 1));
+          SimulateSpeedup(trace, config), 1));
     }
     sched.AddRow(std::move(row));
   }

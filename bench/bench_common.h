@@ -22,7 +22,10 @@
 #include "order/kcore_order.h"
 #include "order/ordering.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
+#include "pivot/pivotscale.h"
 #include "sim/scaling_sim.h"
+#include "sim/work_trace.h"
 #include "util/cli.h"
 #include "util/telemetry.h"
 #include "util/timer.h"
@@ -150,11 +153,12 @@ inline OrderingRun EvaluateOrdering(const Graph& g, const NamedSpec& named,
   run.max_out_degree = MaxOutDegree(dag);
   CountOptions options;
   options.k = k;
-  options.collect_work_trace = true;
   options.num_threads = 1;
   options.telemetry = telemetry;
+  WorkTrace trace;
   Timer count_timer;
-  const CountResult result = CountCliques(dag, options);
+  const CountResult result =
+      CountCliquesOn(dag, options, SubgraphKind::kBitmap, &trace);
   run.count_seconds = count_timer.Seconds();
 
   if (telemetry != nullptr) {
@@ -167,8 +171,45 @@ inline OrderingRun EvaluateOrdering(const Graph& g, const NamedSpec& named,
   ScalingSimConfig sim;
   sim.num_threads = 64;
   sim.per_thread_footprint_bytes = result.workspace_bytes;
-  run.count_seconds64 =
-      SimulateScaling(result.work_trace, sim).makespan_seconds;
+  run.count_seconds64 = SimulateScaling(trace, sim).makespan_seconds;
+  return run;
+}
+
+// The PivotScale pipeline (pivot/pivotscale.h) with a traced count: the
+// heuristic picks the ordering under `config`, then ordering,
+// directionalize and a production-kernel count run phase by phase, so the
+// count can record a work trace for the 64-thread simulation.
+struct TracedPipeline {
+  PivotScaleResult result;
+  WorkTrace trace;
+};
+
+inline TracedPipeline RunTracedPipeline(const Graph& g, std::uint32_t k,
+                                        const HeuristicConfig& config,
+                                        int num_threads = 0) {
+  TracedPipeline run;
+  PivotScaleResult& r = run.result;
+  PhaseTimer phases;
+  phases.Start();
+  r.decision = SelectOrdering(g, config);
+  OrderingSpec spec;
+  spec.kind = r.decision.use_core_approx ? OrderingKind::kApproxCore
+                                         : OrderingKind::kDegree;
+  spec.epsilon = config.epsilon;
+  r.heuristic_seconds = phases.Stop("heuristic");
+  const Ordering ordering = ComputeOrdering(g, spec);
+  r.ordering_name = ordering.name;
+  r.ordering_seconds = phases.Stop("ordering");
+  const Graph dag = Directionalize(g, ordering.ranks);
+  r.max_out_degree = MaxOutDegree(dag);
+  r.directionalize_seconds = phases.Stop("directionalize");
+  CountOptions options;
+  options.k = k;
+  options.num_threads = num_threads;
+  r.count = CountCliquesOn(dag, options, SubgraphKind::kBitmap, &run.trace);
+  r.counting_seconds = phases.Stop("counting");
+  r.total = r.count.total;
+  r.total_seconds = phases.TotalSeconds();
   return run;
 }
 

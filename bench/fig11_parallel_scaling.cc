@@ -21,9 +21,10 @@
 #include "bench_common.h"
 #include "graph/dag.h"
 #include "order/core_order.h"
-#include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "sim/mem_model.h"
 #include "sim/scaling_sim.h"
+#include "sim/work_trace.h"
 #include "util/ascii_chart.h"
 #include "util/atomic_file.h"
 #include "util/json_writer.h"
@@ -77,11 +78,10 @@ int main(int argc, char** argv) {
                         SubgraphKind::kRemap}) {
         CountOptions options;
         options.k = k;
-        options.structure = kind;
-        options.collect_work_trace = true;
         options.num_threads = 1;
         options.telemetry = telemetry_ptr;
-        const CountResult result = CountCliques(dag, options);
+        WorkTrace trace;
+        const CountResult result = CountCliquesOn(dag, options, kind, &trace);
 
         ScalingSimConfig config;
         config.cache_capacity_bytes =
@@ -92,11 +92,11 @@ int main(int argc, char** argv) {
         double cov64 = 0;
         for (std::int64_t t : thread_counts) {
           config.num_threads = static_cast<int>(t);
-          const double speedup = SimulateSpeedup(result.work_trace, config);
+          const double speedup = SimulateSpeedup(trace, config);
           series.values.push_back(speedup);
           row.push_back(TablePrinter::Cell(speedup, 1));
           if (t == 64)
-            cov64 = SimulateScaling(result.work_trace, config).busy_cov;
+            cov64 = SimulateScaling(trace, config).busy_cov;
         }
         if (!json_path.empty()) {
           // Real run (no trace, whole-machine budget):
@@ -105,9 +105,8 @@ int main(int argc, char** argv) {
           TelemetryRegistry measured;
           CountOptions measured_options;
           measured_options.k = k;
-          measured_options.structure = kind;
           measured_options.telemetry = &measured;
-          CountCliques(dag, measured_options);
+          CountCliquesOn(dag, measured_options, kind);
           json.BeginObject();
           json.Key("dataset");
           json.Value(d.name);

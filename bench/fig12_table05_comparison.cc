@@ -24,9 +24,10 @@
 #include "bench_common.h"
 #include "graph/dag.h"
 #include "order/core_order.h"
-#include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "pivot/pivotscale.h"
 #include "sim/scaling_sim.h"
+#include "sim/work_trace.h"
 #include "util/ascii_chart.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -86,11 +87,11 @@ int main(int argc, char** argv) {
       // traced run feeds the static-schedule 64-thread simulation.
       CountOptions dense_options;
       dense_options.k = k;
-      dense_options.structure = SubgraphKind::kDense;
-      dense_options.collect_work_trace = true;
       dense_options.num_threads = 1;
+      WorkTrace naive_trace;
       Timer naive_timer;
-      const CountResult naive = CountCliques(core_dag, dense_options);
+      const CountResult naive = CountCliquesOn(
+          core_dag, dense_options, SubgraphKind::kDense, &naive_trace);
       const double naive_seconds = core_order_seconds + naive_timer.Seconds();
       ScalingSimConfig naive_sim;
       naive_sim.num_threads = kSimThreads;
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
       naive_sim.per_thread_footprint_bytes = naive.workspace_bytes;
       const double naive_sim64 =
           core_order_seconds +
-          SimulateScaling(naive.work_trace, naive_sim).makespan_seconds;
+          SimulateScaling(naive_trace, naive_sim).makespan_seconds;
 
       std::string enum_cell;
       double enum_seconds_chart = budget;  // timed-out cells plot at budget
@@ -125,12 +126,9 @@ int main(int argc, char** argv) {
 
       // PivotScale: one traced run gives both the measured total and the
       // dynamic-schedule 64-thread simulation.
-      PivotScaleOptions ps_options;
-      ps_options.k = k;
-      ps_options.heuristic = config;
-      ps_options.count.collect_work_trace = true;
-      ps_options.count.num_threads = 1;
-      const PivotScaleResult ps = CountKCliques(d.graph, ps_options);
+      const bench::TracedPipeline traced =
+          bench::RunTracedPipeline(d.graph, k, config, /*num_threads=*/1);
+      const PivotScaleResult& ps = traced.result;
       ScalingSimConfig ps_sim;
       ps_sim.num_threads = kSimThreads;
       ps_sim.cache_capacity_bytes = kScaledLlcBytes;
@@ -138,7 +136,7 @@ int main(int argc, char** argv) {
       const double ps_sim64 =
           ps.heuristic_seconds +
           (ps.ordering_seconds + ps.directionalize_seconds) / kSimThreads +
-          SimulateScaling(ps.count.work_trace, ps_sim).makespan_seconds;
+          SimulateScaling(traced.trace, ps_sim).makespan_seconds;
       if (ps_sim64 > 0) sim_speedups.push_back(naive_sim64 / ps_sim64);
 
       xs.push_back(std::to_string(k64));

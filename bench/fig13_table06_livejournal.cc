@@ -14,7 +14,6 @@
 #include "graph/dag.h"
 #include "order/approx_core_order.h"
 #include "order/core_order.h"
-#include "pivot/count.h"
 #include "pivot/pivotscale.h"
 #include "sim/scaling_sim.h"
 #include "util/ascii_chart.h"
@@ -45,11 +44,9 @@ int main(int argc, char** argv) {
   for (std::int64_t k64 : ks) {
     const auto k = static_cast<std::uint32_t>(k64);
 
-    PivotScaleOptions ps_options;
-    ps_options.k = k;
-    ps_options.heuristic = config;
-    ps_options.count.collect_work_trace = true;
-    const PivotScaleResult ps = CountKCliques(d.graph, ps_options);
+    const bench::TracedPipeline traced =
+        bench::RunTracedPipeline(d.graph, k, config);
+    const PivotScaleResult& ps = traced.result;
 
     ScalingSimConfig sim;
     sim.num_threads = 64;
@@ -57,7 +54,7 @@ int main(int argc, char** argv) {
     sim.per_thread_footprint_bytes = ps.count.workspace_bytes;
     const double ps_sim64 =
         ps.heuristic_seconds + ps.ordering_seconds / 64 +
-        SimulateScaling(ps.count.work_trace, sim).makespan_seconds;
+        SimulateScaling(traced.trace, sim).makespan_seconds;
 
     std::string gpu_cell = "-";
     xs.push_back(std::to_string(k64));

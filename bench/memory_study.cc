@@ -8,7 +8,7 @@
 #include "bench_common.h"
 #include "graph/dag.h"
 #include "order/core_order.h"
-#include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "pivot/pivoter.h"
 #include "pivot/subgraph_dense.h"
 #include "pivot/subgraph_remap.h"
@@ -28,9 +28,8 @@ std::size_t MeasureWorkspace(const Graph& dag, std::uint32_t k,
                              SubgraphKind kind) {
   CountOptions options;
   options.k = k;
-  options.structure = kind;
   options.num_threads = 1;
-  return CountCliques(dag, options).workspace_bytes;
+  return CountCliquesOn(dag, options, kind).workspace_bytes;
 }
 
 // Cache-replay miss rate over a root sample for one structure.

@@ -89,7 +89,6 @@ const Graph& BenchDag() {
 void BM_CountCliques(benchmark::State& state) {
   CountOptions options;
   options.k = 6;
-  options.structure = SubgraphKind::kRemap;
   for (auto _ : state)
     benchmark::DoNotOptimize(
         CountCliques(BenchDag(), options).total.value());

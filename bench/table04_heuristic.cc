@@ -9,8 +9,9 @@
 #include "graph/dag.h"
 #include "order/approx_core_order.h"
 #include "order/degree_order.h"
-#include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "sim/scaling_sim.h"
+#include "sim/work_trace.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -29,14 +30,15 @@ double SimTotal64(const Graph& g, const Ordering& ordering,
   const Graph dag = Directionalize(g, ordering.ranks);
   CountOptions options;
   options.k = k;
-  options.collect_work_trace = true;
   options.num_threads = 1;
-  const CountResult result = CountCliques(dag, options);
+  WorkTrace trace;
+  const CountResult result =
+      CountCliquesOn(dag, options, SubgraphKind::kBitmap, &trace);
   ScalingSimConfig sim;
   sim.num_threads = 64;
   sim.per_thread_footprint_bytes = result.workspace_bytes;
   return (ordering_parallel ? ordering_seconds / 64 : ordering_seconds) +
-         SimulateScaling(result.work_trace, sim).makespan_seconds;
+         SimulateScaling(trace, sim).makespan_seconds;
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 //   pivotscale_cli --graph path.el [--k 8] [--all-k] [--per-vertex]
 //                  [--top 10]
 //                  [--ordering heuristic|core|approx|kcore|centrality|degree]
-//                  [--eps -0.5] [--structure remap|sparse|dense]
-//                  [--threads N] [--stats] [--save-binary out.psg]
+//                  [--eps -0.5] [--threads N] [--stats]
+//                  [--save-binary out.psg] [--heuristic-min-nodes N]
 //                  [--telemetry-json out.json]
 //
 // --per-vertex prints the --top N most clique-active vertices (default 10)
@@ -18,6 +18,7 @@
 // runs bare).
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -41,20 +42,13 @@ OrderingSpec ParseOrdering(const std::string& name, double eps) {
   throw std::runtime_error("unknown --ordering: " + name);
 }
 
-SubgraphKind ParseStructure(const std::string& name) {
-  if (name == "remap") return SubgraphKind::kRemap;
-  if (name == "sparse") return SubgraphKind::kSparse;
-  if (name == "dense") return SubgraphKind::kDense;
-  throw std::runtime_error("unknown --structure: " + name);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     ArgParser args(argc, argv);
     args.RejectUnknown({"graph", "k", "all-k", "per-vertex", "top",
-                        "ordering", "eps", "structure", "threads", "stats",
+                        "ordering", "eps", "threads", "stats",
                         "save-binary", "telemetry-json",
                         "heuristic-min-nodes", "version"});
     if (args.GetBool("version", false)) {
@@ -90,12 +84,10 @@ int main(int argc, char** argv) {
     options.k = args.GetK(8);
     options.all_k = args.GetBool("all-k", false);
     options.count.per_vertex = args.GetBool("per-vertex", false);
-    options.count.structure =
-        ParseStructure(args.GetString("structure", "remap"));
     options.count.num_threads = args.GetThreads();
     options.count.collect_op_stats = args.GetBool("stats", false);
-    options.heuristic.min_nodes =
-        static_cast<NodeId>(args.GetInt("heuristic-min-nodes", 15'000));
+    options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
+        "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));
 
     const std::string ordering = args.GetString("ordering", "heuristic");
     if (ordering != "heuristic")

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -180,10 +181,10 @@ int main(int argc, char** argv) {
     const std::uint16_t port =
         static_cast<std::uint16_t>(args.GetIntInRange("port", 0, 0, 65535));
     const int connections = args.GetThreads("connections", 8);
-    const int batches =
-        std::max<int>(1, static_cast<int>(args.GetInt("batches", 16)));
-    const int batch_size =
-        std::max<int>(1, static_cast<int>(args.GetInt("batch-size", 4)));
+    const auto batches = static_cast<int>(
+        args.GetIntInRange("batches", 16, 1, std::numeric_limits<int>::max()));
+    const auto batch_size = static_cast<int>(args.GetIntInRange(
+        "batch-size", 4, 1, std::numeric_limits<int>::max()));
     const std::int64_t deadline_ms = args.GetInt("deadline-ms", -1);
     const bool all_k = args.GetBool("all-k", false);
     const std::vector<std::int64_t> ks =

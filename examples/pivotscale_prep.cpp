@@ -11,14 +11,18 @@
 // Without --graph a demo graph is generated (the CI loop executes every
 // example bare). See docs/serving.md for the artifact layout.
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 
 #include "exec/thread_budget.h"
-#include "pivotscale.h"
+#include "graph/builder.h"
+#include "graph/generators.h"
+#include "graph/io.h"
 #include "store/artifact.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/telemetry.h"
+#include "util/timer.h"
 #include "util/version.h"
 
 using namespace pivotscale;
@@ -71,8 +75,8 @@ int main(int argc, char** argv) {
 
     ArtifactBuildOptions options;
     options.compute_degeneracy = !args.GetBool("skip-degeneracy", false);
-    options.heuristic.min_nodes =
-        static_cast<NodeId>(args.GetInt("heuristic-min-nodes", 15'000));
+    options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
+        "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));
     const std::string ordering = args.GetString("ordering", "heuristic");
     if (ordering != "heuristic")
       options.forced_ordering =

@@ -4,47 +4,32 @@
 // is an independent task (its induced subgraph is thread-local). The
 // driver runs the roots on the exec layer (src/exec/executor.h), weighted
 // by the cost estimate (out_degree + 1)^2, with one counter per worker,
-// merging the per-worker counters serially at the end. Options select the
-// subgraph structure (production / paper dense / paper sparse), the
-// counting mode, per-vertex attribution, operation-count instrumentation,
-// and per-root work tracing for the scaling study. See docs/parallelism.md
-// and docs/algorithm.md.
+// merging the per-worker counters serially at the end
+// (pivot/count_driver.h). It counts with the bitmap kernel
+// (pivot/bitmap_counter.h). Options select the counting mode, per-vertex
+// attribution and operation-count instrumentation. The paper's subgraph
+// structures and per-root work traces are reached through CountCliquesOn
+// (pivot/count_on.h) instead. See docs/parallelism.md and
+// docs/algorithm.md.
 #ifndef PIVOTSCALE_PIVOT_COUNT_H_
 #define PIVOTSCALE_PIVOT_COUNT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
-#include "pivot/pivoter.h"
+#include "pivot/clique_leaves.h"
 #include "pivot/profile.h"
 #include "pivot/stats.h"
-#include "sim/work_trace.h"
 #include "util/uint128.h"
 
 namespace pivotscale {
 
 class TelemetryRegistry;
 
-// The thread-local subgraph representations of Section IV.
-enum class SubgraphKind {
-  kDense,   // |V|-sized index (original Pivoter layout)
-  kSparse,  // hash-indexed compact slots
-  // The default production path: the bitmap kernel
-  // (pivot/bitmap_counter.h) on every subgraph. On x86-64 CPUs without
-  // POPCNT the whole run uses the paper's remap structure (first-level id
-  // remap + compact dense arrays) instead. The name stays "remap" on the
-  // CLI and the protocol.
-  kRemap,
-};
-
-std::string SubgraphKindName(SubgraphKind kind);
-
 struct CountOptions {
   std::uint32_t k = 8;
   CountMode mode = CountMode::kSingleK;
-  SubgraphKind structure = SubgraphKind::kRemap;
   // Accumulate per-vertex k-clique participation counts (kSingleK only).
   bool per_vertex = false;
   // Disable Section V-A early termination (ablation only; slower, same
@@ -55,9 +40,6 @@ struct CountOptions {
   bool early_termination = true;
   // Count recursion operations (Table II proxy); small overhead.
   bool collect_op_stats = false;
-  // Record per-root work for the scaling simulation; implies op stats and
-  // adds a timer read per root.
-  bool collect_work_trace = false;
   // 0 = lease everything the process thread budget has free
   // (exec/thread_budget.h); explicit requests are also capped by the
   // budget, so concurrent callers cannot oversubscribe the machine.
@@ -85,16 +67,13 @@ struct CountResult {
   CliqueProfile profile;
   // Per-vertex participation counts; filled when per_vertex was set.
   std::vector<BigCount> per_vertex;
-  // Aggregated recursion operations (op stats / work trace modes) of the
-  // run's kernel. `calls` counts recursion nodes on every kernel. On the
+  // Aggregated recursion operations (op stats mode) of the run's kernel. `calls` counts recursion nodes on every kernel. On the
   // bitmap kernel `edge_ops` is one per row popcount of a pivot scan or
   // tail pass, `induces` one per child bitset and `memberships` is 0; on the
   // paper structures they count adjacency entries scanned, child sets
   // narrowed and mark/removed tests. See pivot/stats.h and
   // docs/algorithm.md.
   OpCounters ops;
-  // Per-root work (work trace mode).
-  WorkTrace work_trace;
   // Counting wall time.
   double seconds = 0;
   // Sum of the per-thread subgraph workspace and leaf histogram
@@ -106,8 +85,10 @@ struct CountResult {
   std::vector<double> thread_busy_seconds;
 };
 
-// Counts cliques on a directionalized DAG. The DAG must come from
-// Directionalize() (each undirected edge stored once, acyclic).
+// Counts cliques on a directionalized DAG with the bitmap kernel, or with
+// the paper's remap structure (pivot/pivoter.h) on x86-64 CPUs without
+// POPCNT. The DAG must come from Directionalize() (each undirected edge
+// stored once, acyclic).
 CountResult CountCliques(const Graph& dag, const CountOptions& options);
 
 }  // namespace pivotscale

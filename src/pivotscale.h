@@ -10,13 +10,14 @@
 //
 // Fine-grained control (choose orderings, subgraph structures, collect
 // instrumentation) is available through the individual headers, all of
-// which this file includes.
+// which this file includes. It spans both libraries (the `pivotscale`
+// CMake target); a binary that links pivotscale_core alone includes the
+// core headers it needs instead.
 #ifndef PIVOTSCALE_PIVOTSCALE_H_
 #define PIVOTSCALE_PIVOTSCALE_H_
 
 #include "analysis/analysis.h"
 #include "analysis/densest.h"
-#include "analysis/ktruss.h"
 #include "approx/approx_count.h"
 #include "baselines/enumeration.h"
 #include "baselines/gpu_pivot_model.h"
@@ -30,13 +31,13 @@
 #include "graph/transform.h"
 #include "order/approx_core_order.h"
 #include "order/centrality_order.h"
-#include "order/coloring_order.h"
 #include "order/core_order.h"
 #include "order/degree_order.h"
 #include "order/heuristic.h"
 #include "order/kcore_order.h"
 #include "order/ordering.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "pivot/hybrid.h"
 #include "pivot/maximal.h"
 #include "pivot/pivoter.h"

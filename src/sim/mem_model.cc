@@ -19,6 +19,9 @@ std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
     case SubgraphKind::kRemap:
       // Slot arrays sized d; hash map only alive during build.
       return d * (24 + sizeof(std::uint32_t) + 1 + 32) + payload;
+    case SubgraphKind::kBitmap:
+      return d * ((d + 63) / 64) * sizeof(std::uint64_t) +
+             d * sizeof(std::uint32_t);
   }
   return 0;
 }

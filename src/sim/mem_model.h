@@ -11,7 +11,7 @@
 #include <cstdint>
 
 #include "graph/graph.h"
-#include "pivot/count.h"
+#include "pivot/count_on.h"
 
 namespace pivotscale {
 
@@ -24,6 +24,7 @@ namespace pivotscale {
 // sparse: compact slot arrays + hash index, all O(max_out_degree), plus the
 //         same payload bound.
 // remap:  like sparse but with plain arrays (hash map only during build).
+// bitmap: a d x ceil(d / 64)-word bit matrix plus d original ids.
 std::size_t EstimateStructureBytes(SubgraphKind kind, NodeId num_nodes,
                                    EdgeId max_out_degree);
 

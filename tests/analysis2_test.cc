@@ -1,13 +1,11 @@
-// Tests for the second wave of analysis/counting features: k-truss
-// decomposition, k-clique densest subgraph, and the Watts-Strogatz
-// generator.
+// Tests for the second wave of analysis/counting features: k-clique
+// densest subgraph and the Watts-Strogatz generator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "analysis/densest.h"
-#include "analysis/ktruss.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
@@ -20,65 +18,6 @@ namespace {
 
 using testing_helpers::BruteForceCount;
 using testing_helpers::MakeDag;
-
-// ---------------------------------------------------------------- k-truss
-
-TEST(KTruss, CompleteGraphTrussness) {
-  // Every edge of K_n is in the n-truss (n-2 triangles per edge).
-  const Graph g = BuildGraph(CompleteGraph(6));
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_EQ(d.max_trussness, 6u);
-  for (std::uint32_t t : d.trussness) EXPECT_EQ(t, 6u);
-}
-
-TEST(KTruss, TreeEdgesAreTwoTruss) {
-  const Graph g = BuildGraph(PathGraph(10));
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_EQ(d.max_trussness, 2u);
-  for (std::uint32_t t : d.trussness) EXPECT_EQ(t, 2u);
-}
-
-TEST(KTruss, PlantedCliqueDominates) {
-  EdgeList edges = PathGraph(60);
-  PlantCliques(&edges, 60, 1, 8, 8, 3);
-  const Graph g = BuildGraph(std::move(edges));
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_EQ(d.max_trussness, 8u);
-  // Exactly the clique's C(8,2) = 28 edges reach trussness 8 (path edges
-  // incident to clique members stay low).
-  int count8 = 0;
-  for (std::uint32_t t : d.trussness)
-    if (t == 8) ++count8;
-  EXPECT_GE(count8, 28);
-  EXPECT_LE(count8, 30);  // allow path edges that happen to close triangles
-}
-
-TEST(KTruss, KTrussEdgesFilters) {
-  EdgeList edges = CompleteGraph(5);  // K_5 over ids 0..4
-  edges.emplace_back(4, 5);           // pendant edge
-  const Graph g = BuildGraph(std::move(edges));
-  EXPECT_EQ(KTrussEdges(g, 2).size(), 11u);  // everything
-  EXPECT_EQ(KTrussEdges(g, 5).size(), 10u);  // just the K_5
-  EXPECT_TRUE(KTrussEdges(g, 6).empty());
-}
-
-TEST(KTruss, TrussContainsEveryKClique) {
-  // Each k-clique's edges all have trussness >= k: verify counts survive
-  // restriction to the k-truss.
-  EdgeList edges = GnM(80, 400, 5);
-  PlantCliques(&edges, 80, 2, 6, 8, 6);
-  const Graph g = BuildGraph(std::move(edges));
-  const std::uint32_t k = 5;
-  const Graph truss = BuildUndirected(KTrussEdges(g, k), g.NumNodes());
-  EXPECT_EQ(BruteForceCount(g, k), BruteForceCount(truss, k));
-}
-
-TEST(KTruss, EmptyGraph) {
-  const Graph g = BuildGraph({});
-  const TrussDecomposition d = ComputeTrussDecomposition(g);
-  EXPECT_TRUE(d.edges.empty());
-  EXPECT_EQ(d.max_trussness, 2u);
-}
 
 // ---------------------------------------------------------------- densest
 

@@ -11,6 +11,7 @@
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "test_helpers.h"
 #include "util/binomial.h"
 
@@ -210,11 +211,8 @@ TEST(AllCounters, AgreeOnDatasetStyleGraph) {
   remap_options.k = k;
   const BigCount reference = CountCliques(dag, remap_options).total;
 
-  for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse}) {
-    CountOptions options;
-    options.k = k;
-    options.structure = structure;
-    EXPECT_EQ(CountCliques(dag, options).total, reference)
+  for (const SubgraphKind structure : testing_helpers::kAllSubgraphKinds) {
+    EXPECT_EQ(CountCliquesOn(dag, remap_options, structure).total, reference)
         << SubgraphKindName(structure);
   }
   EnumerationOptions enum_options;

@@ -1,10 +1,13 @@
 // Cross-validation of the counting driver, plus regression tests for the
 // pipeline mode clobber and the per-thread busy-time sizing fix.
 //
-// The driver runs one task per root. On random graphs every structure
-// must match brute force for every k, with and without per-vertex
-// attribution. The all-size modes are checked against brute force for
-// every size, and their leaf histogram for independence from the team size.
+// The driver runs one task per root. On random graphs every kernel —
+// the paper's dense, sparse and remap structures and the bitmap kernel,
+// each through CountCliquesOn — must match brute force for every k, with
+// and without per-vertex attribution. The all-size modes are checked
+// against brute force for every size, and their leaf histogram for
+// independence from the team size. CountCliques must equal
+// CountCliquesOn(kBitmap) bit for bit, op counters included.
 //
 // The kernel section pins the production path: the bitmap kernel takes
 // subgraphs of every size — sets of one to four words and wide ones — and
@@ -30,6 +33,8 @@
 #include "graph/generators.h"
 #include "pivot/bitmap_counter.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
+#include "pivot/pivoter.h"
 #include "pivot/pivotscale.h"
 #include "pivot/subgraph_remap.h"
 #include "test_helpers.h"
@@ -41,6 +46,7 @@ namespace pivotscale {
 namespace {
 
 using testing_helpers::BruteForceCount;
+using testing_helpers::kAllSubgraphKinds;
 using testing_helpers::BruteForcePerVertex;
 using testing_helpers::KernelTotals;
 using testing_helpers::MakeDag;
@@ -70,10 +76,8 @@ TEST_P(DriverCrosscheck, AllStructuresMatchBruteForce) {
     const auto truth = static_cast<uint128>(BruteForceCount(g, k));
     CountOptions options;
     options.k = k;
-    for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                      SubgraphKind::kRemap}) {
-      options.structure = kind;
-      EXPECT_EQ(CountCliques(dag, options).total.value(), truth)
+    for (const SubgraphKind kind : kAllSubgraphKinds) {
+      EXPECT_EQ(CountCliquesOn(dag, options, kind).total.value(), truth)
           << "k=" << k << " structure=" << SubgraphKindName(kind);
     }
   }
@@ -89,10 +93,8 @@ TEST_P(DriverCrosscheck, PerVertexCountsMatchBruteForce) {
     CountOptions options;
     options.k = k;
     options.per_vertex = true;
-    for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                      SubgraphKind::kRemap}) {
-      options.structure = kind;
-      const CountResult result = CountCliques(dag, options);
+    for (const SubgraphKind kind : kAllSubgraphKinds) {
+      const CountResult result = CountCliquesOn(dag, options, kind);
       ASSERT_EQ(result.per_vertex.size(), g.NumNodes());
       for (NodeId v = 0; v < g.NumNodes(); ++v)
         EXPECT_EQ(result.per_vertex[v].value(), static_cast<uint128>(truth[v]))
@@ -136,15 +138,53 @@ TEST_P(DriverCrosscheck, AllKPerSizeAgrees) {
     // Leaf for leaf: each root's leaves do not depend on its worker.
     EXPECT_TRUE(four.profile == one.profile) << "all=" << all;
     EXPECT_EQ(four.per_size, one.per_size);
-    for (auto kind : {SubgraphKind::kDense, SubgraphKind::kSparse}) {
-      options.structure = kind;
-      EXPECT_EQ(CountCliques(dag, options).per_size, expected)
+    for (const SubgraphKind kind : kAllSubgraphKinds) {
+      EXPECT_EQ(CountCliquesOn(dag, options, kind).per_size, expected)
           << "all=" << all << " structure=" << SubgraphKindName(kind);
     }
     EXPECT_EQ(RunKernel<RemapKernel>(dag, mode, kUpTo).per_size, expected)
         << "all=" << all;
     EXPECT_EQ(RunKernel<BitmapKernel>(dag, mode, kUpTo).per_size, expected)
         << "all=" << all;
+  }
+}
+
+TEST_P(DriverCrosscheck, ProductionEntryMatchesBitmapKindBitForBit) {
+  // CountCliques and CountCliquesOn(kBitmap) run one driver template on
+  // one kernel: every output, op counters included, is identical.
+  const auto [n, p, seed] = GetParam();
+  EdgeList edges = ErdosRenyi(n, p, seed + 3000);
+  PlantCliques(&edges, n, 2, 5, 8, seed + 3001);
+  const Graph g = BuildGraph(std::move(edges));
+  const Graph dag = MakeDag(g, OrderingKind::kCore);
+
+  for (const CountMode mode : {CountMode::kSingleK, CountMode::kAllK,
+                               CountMode::kAllUpToK}) {
+    for (const bool per_vertex : {false, true}) {
+      if (per_vertex && mode != CountMode::kSingleK) continue;
+      for (std::uint32_t k = 1; k <= 6; ++k) {
+        CountOptions options;
+        options.k = k;
+        options.mode = mode;
+        options.per_vertex = per_vertex;
+        options.collect_op_stats = true;
+        const CountResult production = CountCliques(dag, options);
+        const CountResult bitmap =
+            CountCliquesOn(dag, options, SubgraphKind::kBitmap);
+        const std::string where = "mode=" +
+                                  std::to_string(static_cast<int>(mode)) +
+                                  " per_vertex=" + std::to_string(per_vertex) +
+                                  " k=" + std::to_string(k);
+        EXPECT_EQ(production.total, bitmap.total) << where;
+        EXPECT_EQ(production.per_size, bitmap.per_size) << where;
+        EXPECT_EQ(production.per_vertex, bitmap.per_vertex) << where;
+        EXPECT_EQ(production.ops.calls, bitmap.ops.calls) << where;
+        EXPECT_EQ(production.ops.edge_ops, bitmap.ops.edge_ops) << where;
+        EXPECT_EQ(production.ops.induces, bitmap.ops.induces) << where;
+        EXPECT_EQ(production.ops.memberships, bitmap.ops.memberships)
+            << where;
+      }
+    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the extension modules: hybrid counting, approximate counting,
-// coloring ordering, graph transforms, and the analysis utilities.
+// graph transforms, and the analysis utilities.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/transform.h"
-#include "order/coloring_order.h"
 #include "pivot/count.h"
 #include "pivot/hybrid.h"
 #include "test_helpers.h"
@@ -122,44 +121,6 @@ TEST(ApproxCount, ValidatesArguments) {
   ApproxCountConfig config;
   config.sample_fraction = 0;
   EXPECT_THROW(ApproxCountKCliques(dag, 3, config), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- coloring
-
-TEST(Coloring, ProperColoring) {
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const Graph g = BuildGraph(Rmat(8, 6.0, seed));
-    const auto color = GreedyColoring(g);
-    for (NodeId u = 0; u < g.NumNodes(); ++u)
-      for (NodeId v : g.Neighbors(u)) EXPECT_NE(color[u], color[v]);
-  }
-}
-
-TEST(Coloring, CompleteGraphNeedsNColors) {
-  const Graph g = BuildGraph(CompleteGraph(7));
-  const auto color = GreedyColoring(g);
-  std::set<NodeId> distinct(color.begin(), color.end());
-  EXPECT_EQ(distinct.size(), 7u);
-}
-
-TEST(Coloring, BipartiteUsesTwoColors) {
-  const Graph g = BuildGraph(CompleteBipartite(5, 6));
-  const auto color = GreedyColoring(g);
-  std::set<NodeId> distinct(color.begin(), color.end());
-  EXPECT_EQ(distinct.size(), 2u);
-}
-
-TEST(Coloring, OrderingIsValidAndCounts) {
-  EdgeList edges = GnM(80, 400, 13);
-  PlantCliques(&edges, 80, 2, 5, 8, 14);
-  const Graph g = BuildGraph(std::move(edges));
-  const Ordering o = ColoringOrdering(g);
-  EXPECT_TRUE(IsPermutation(o.ranks));
-  const Graph dag = Directionalize(g, o.ranks);
-  CountOptions options;
-  options.k = 4;
-  EXPECT_EQ(CountCliques(dag, options).total.value(),
-            static_cast<uint128>(BruteForceCount(g, 4)));
 }
 
 // ---------------------------------------------------------------- transforms

@@ -7,6 +7,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
+#include "pivot/pivoter.h"
 #include "pivot/subgraph_remap.h"
 #include "test_helpers.h"
 #include "util/binomial.h"

@@ -14,6 +14,8 @@
 #include "order/core_order.h"
 #include "pivot/bitmap_counter.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
+#include "pivot/pivoter.h"
 #include "pivot/pivotscale.h"
 #include "pivot/subgraph_bitmap.h"
 #include "pivot/subgraph_remap.h"
@@ -24,6 +26,7 @@ namespace pivotscale {
 namespace {
 
 using testing_helpers::BruteForceCount;
+using testing_helpers::kAllSubgraphKinds;
 using testing_helpers::BruteForcePerVertex;
 using testing_helpers::KernelTotals;
 using testing_helpers::MakeDag;
@@ -39,16 +42,14 @@ BigCount Count(const Graph& g, std::uint32_t k, SubgraphKind structure,
   const Graph dag = MakeDag(g, order);
   CountOptions options;
   options.k = k;
-  options.structure = structure;
-  return CountCliques(dag, options).total;
+  return CountCliquesOn(dag, options, structure).total;
 }
 
 // ---------------------------------------------------------------- closed forms
 
 TEST(Pivoter, CompleteGraphAllStructures) {
   const Graph g = BuildGraph(CompleteGraph(10));
-  for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                         SubgraphKind::kRemap}) {
+  for (const SubgraphKind structure : kAllSubgraphKinds) {
     for (std::uint32_t k = 1; k <= 10; ++k) {
       EXPECT_EQ(Count(g, k, structure).value(), BinomialChoose(10, k))
           << SubgraphKindName(structure) << " k=" << k;
@@ -59,19 +60,19 @@ TEST(Pivoter, CompleteGraphAllStructures) {
 TEST(Pivoter, PathAndCycleHaveNoTriangles) {
   const Graph path = BuildGraph(PathGraph(20));
   const Graph cycle = BuildGraph(CycleGraph(20));
-  EXPECT_EQ(Count(path, 3, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(path, 3, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(0));
-  EXPECT_EQ(Count(cycle, 3, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(cycle, 3, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(0));
-  EXPECT_EQ(Count(path, 2, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(path, 2, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(19));
 }
 
 TEST(Pivoter, StarGraphEdgesOnly) {
   const Graph g = BuildGraph(StarGraph(12));
-  EXPECT_EQ(Count(g, 2, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 2, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(11));
-  EXPECT_EQ(Count(g, 3, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 3, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(0));
 }
 
@@ -82,27 +83,27 @@ TEST(Pivoter, TuranClosedForm) {
   for (std::uint32_t k = 1; k <= 5; ++k) {
     uint128 expected = BinomialChoose(4, k);
     for (std::uint32_t i = 0; i < k; ++i) expected *= 3;
-    EXPECT_EQ(Count(g, k, SubgraphKind::kRemap).value(), expected) << k;
+    EXPECT_EQ(Count(g, k, SubgraphKind::kBitmap).value(), expected) << k;
   }
 }
 
 TEST(Pivoter, CompleteBipartiteNoTriangles) {
   const Graph g = BuildGraph(CompleteBipartite(5, 7));
-  EXPECT_EQ(Count(g, 2, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 2, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(35));
-  EXPECT_EQ(Count(g, 3, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 3, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(0));
 }
 
 TEST(Pivoter, KEqualsOneCountsVertices) {
   const Graph g = BuildGraph(Rmat(7, 4.0, 3));
-  EXPECT_EQ(Count(g, 1, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 1, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(g.NumNodes()));
 }
 
 TEST(Pivoter, KEqualsTwoCountsEdges) {
   const Graph g = BuildGraph(Rmat(7, 4.0, 5));
-  EXPECT_EQ(Count(g, 2, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 2, SubgraphKind::kBitmap).value(),
             static_cast<uint128>(g.NumUndirectedEdges()));
 }
 
@@ -138,8 +139,7 @@ TEST_P(PivoterSweep, MatchesBruteForceOnAllStructuresAndOrderings) {
 
   for (auto order : {OrderingKind::kDegree, OrderingKind::kCore,
                      OrderingKind::kKCore}) {
-    for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                           SubgraphKind::kRemap}) {
+    for (const SubgraphKind structure : kAllSubgraphKinds) {
       EXPECT_EQ(
           Count(g, static_cast<std::uint32_t>(k), structure, order).value(),
           static_cast<uint128>(expected))
@@ -432,14 +432,12 @@ TEST(PivoterPerVertex, SumsToKTimesTotal) {
 TEST(PivoterPerVertex, MatchesBruteForce) {
   const Graph g = BuildGraph(ErdosRenyi(25, 0.5, 29));
   const auto expected = BruteForcePerVertex(g, 4);
-  for (auto structure : {SubgraphKind::kDense, SubgraphKind::kSparse,
-                         SubgraphKind::kRemap}) {
+  for (const SubgraphKind structure : kAllSubgraphKinds) {
     const Graph dag = MakeDag(g, OrderingKind::kCore);
     CountOptions options;
     options.k = 4;
     options.per_vertex = true;
-    options.structure = structure;
-    const CountResult result = CountCliques(dag, options);
+    const CountResult result = CountCliquesOn(dag, options, structure);
     ASSERT_EQ(result.per_vertex.size(), expected.size());
     for (NodeId v = 0; v < g.NumNodes(); ++v)
       EXPECT_EQ(result.per_vertex[v].value(),
@@ -465,7 +463,7 @@ TEST(PivoterPerVertex, CompleteGraphUniform) {
 TEST(Pivoter, PlantedCliqueCountsExplode) {
   // A 40-clique alone: C(40, 20) ~ 1.4e11 20-cliques, exact.
   const Graph g = BuildGraph(CompleteGraph(40));
-  EXPECT_EQ(Count(g, 20, SubgraphKind::kRemap).value(),
+  EXPECT_EQ(Count(g, 20, SubgraphKind::kBitmap).value(),
             BinomialChoose(40, 20));
 }
 
@@ -473,7 +471,7 @@ TEST(Pivoter, SaturationOnAstronomicalCounts) {
   // K_140 has C(140, 70) ~ 9e40 70-cliques > 2^128-1: must saturate, not
   // wrap.
   const Graph g = BuildGraph(CompleteGraph(140));
-  const BigCount count = Count(g, 70, SubgraphKind::kRemap);
+  const BigCount count = Count(g, 70, SubgraphKind::kBitmap);
   EXPECT_TRUE(count.saturated());
 }
 
@@ -527,13 +525,14 @@ TEST(PivoterStats, WorkTraceCoversAllRootsAndMatchesTotals) {
   const Graph dag = MakeDag(g, OrderingKind::kCore);
   CountOptions options;
   options.k = 4;
-  options.collect_work_trace = true;
-  const CountResult result = CountCliques(dag, options);
-  ASSERT_EQ(result.work_trace.roots.size(), dag.NumNodes());
-  EXPECT_EQ(result.work_trace.TotalEdgeOps(), result.ops.edge_ops);
+  WorkTrace trace;
+  const CountResult result =
+      CountCliquesOn(dag, options, SubgraphKind::kBitmap, &trace);
+  ASSERT_EQ(trace.roots.size(), dag.NumNodes());
+  EXPECT_EQ(trace.TotalEdgeOps(), result.ops.edge_ops);
   // Every root appears exactly once, with its out-degree as build work.
   std::vector<bool> seen(dag.NumNodes(), false);
-  for (const RootWork& w : result.work_trace.roots) {
+  for (const RootWork& w : trace.roots) {
     EXPECT_FALSE(seen[w.root]);
     seen[w.root] = true;
     EXPECT_EQ(w.build_ops, dag.Degree(w.root));
@@ -561,11 +560,11 @@ TEST(PivoterStats, DegreeOrderingDoesMoreWorkThanCore) {
 TEST(PivoterStats, WorkspaceDenseLargerThanRemap) {
   const Graph g = BuildGraph(Rmat(12, 6.0, 43));
   const Graph dag = MakeDag(g, OrderingKind::kCore);
-  CountOptions dense, remap;
-  dense.structure = SubgraphKind::kDense;
-  remap.structure = SubgraphKind::kRemap;
-  const auto dense_bytes = CountCliques(dag, dense).workspace_bytes;
-  const auto remap_bytes = CountCliques(dag, remap).workspace_bytes;
+  const CountOptions options;
+  const auto dense_bytes =
+      CountCliquesOn(dag, options, SubgraphKind::kDense).workspace_bytes;
+  const auto remap_bytes =
+      CountCliquesOn(dag, options, SubgraphKind::kRemap).workspace_bytes;
   EXPECT_GT(dense_bytes, 4 * remap_bytes);
 }
 
@@ -578,7 +577,7 @@ TEST(Pipeline, MatchesDirectCount) {
   options.heuristic.min_nodes = 10;
   const PivotScaleResult result = CountKCliques(g, options);
   EXPECT_EQ(result.total,
-            Count(g, 4, SubgraphKind::kRemap, OrderingKind::kCore));
+            Count(g, 4, SubgraphKind::kBitmap, OrderingKind::kCore));
   EXPECT_GT(result.total_seconds, 0.0);
   EXPECT_FALSE(result.ordering_name.empty());
 }

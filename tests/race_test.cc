@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,6 +28,7 @@
 #include "graph/generators.h"
 #include "net/worker_pool.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "pivot/pivotscale.h"
 #include "service/query_engine.h"
 #include "store/artifact.h"
@@ -342,10 +344,11 @@ TEST(RaceTest, ConcurrentOpenMpCountingRunsAgree) {
         CountOptions options;
         options.k = kK;
         options.num_threads = 2;
-        // Rotate the three subgraph structures so each pool type sees
-        // concurrent use.
-        options.structure = static_cast<SubgraphKind>((t + run) % 3);
-        const CountResult result = CountCliques(dag, options);
+        // Rotate the kernels so each pool type sees concurrent use.
+        const SubgraphKind kind = testing_helpers::kAllSubgraphKinds
+            [static_cast<std::size_t>(t + run) %
+             std::size(testing_helpers::kAllSubgraphKinds)];
+        const CountResult result = CountCliquesOn(dag, options, kind);
         if (result.total != BigCount{truth}) mismatches.fetch_add(1);
       }
     });

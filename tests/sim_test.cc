@@ -5,6 +5,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pivot/count.h"
+#include "pivot/count_on.h"
 #include "sim/cache_sim.h"
 #include "sim/mem_model.h"
 #include "sim/scaling_sim.h"
@@ -148,11 +149,11 @@ TEST(ScalingSim, RealTraceFromCounter) {
   const Graph dag = MakeDag(g, OrderingKind::kCore);
   CountOptions options;
   options.k = 6;
-  options.collect_work_trace = true;
-  const CountResult count = CountCliques(dag, options);
+  WorkTrace trace;
+  CountCliquesOn(dag, options, SubgraphKind::kBitmap, &trace);
   ScalingSimConfig config;
   config.num_threads = 16;
-  const double speedup = SimulateSpeedup(count.work_trace, config);
+  const double speedup = SimulateSpeedup(trace, config);
   EXPECT_GT(speedup, 1.0);
   EXPECT_LE(speedup, 16.05);
 }

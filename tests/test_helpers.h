@@ -12,6 +12,7 @@
 #include "graph/graph.h"
 #include "order/ordering.h"
 #include "pivot/clique_leaves.h"
+#include "pivot/count_on.h"
 #include "pivot/profile.h"
 #include "pivot/stats.h"
 #include "util/binomial.h"
@@ -87,6 +88,12 @@ inline std::vector<std::uint64_t> BruteForcePerVertex(const Graph& g,
   e.Go(0);
   return counts;
 }
+
+// Every kernel CountCliquesOn (pivot/count_on.h) can name: the paper's
+// three structures and the production bitmap kernel.
+inline constexpr SubgraphKind kAllSubgraphKinds[] = {
+    SubgraphKind::kDense, SubgraphKind::kSparse, SubgraphKind::kRemap,
+    SubgraphKind::kBitmap};
 
 // Directionalizes by a given ordering spec — the common test preamble.
 inline Graph MakeDag(const Graph& g, OrderingKind kind) {
