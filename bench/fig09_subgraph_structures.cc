@@ -3,24 +3,17 @@
 // dense >= sparse in speed, with remap and sparse using far less memory
 // (see bench/memory_study for the memory side).
 //
-// Each paper structure is timed pure: one PivotCounter<SG, NoStats> per
-// worker over every root, with the driver's cost-weighted chunking but no
-// kernel selection (the pattern of
-// baselines/pivoter_naive.cc). The "production" column is CountCliques
-// itself, which runs the bitmap kernel (pivot/bitmap_counter.h) on every
-// subgraph; it is not a paper structure.
+// Each kernel is timed pure through CountCliquesOn (pivot/count_on.h):
+// one counter per worker over every root, with the driver's cost-weighted
+// chunking and no CPU fallback. The "production" column is the bitmap
+// kernel (pivot/bitmap_counter.h), which CountCliques runs; it is not a
+// paper structure.
 #include <iostream>
 
 #include "bench_common.h"
-#include "exec/executor.h"
 #include "graph/dag.h"
 #include "order/core_order.h"
-#include "pivot/count.h"
-#include "pivot/pivoter.h"
-#include "pivot/subgraph_dense.h"
-#include "pivot/subgraph_remap.h"
-#include "pivot/subgraph_sparse.h"
-#include "util/binomial.h"
+#include "pivot/count_on.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -28,31 +21,13 @@ using namespace pivotscale;
 
 namespace {
 
-// Counts k-cliques on structure SG; returns the wall seconds.
-template <typename SG>
-double TimeStructure(const Graph& dag, std::uint32_t k, BigCount* total) {
-  const std::uint32_t bound = static_cast<std::uint32_t>(dag.MaxDegree()) + 1;
-  const BinomialTable binom(bound + 1);
-  using Counter = PivotCounter<SG, NoStats, SingleKPolicy>;
-  ExecOptions exec_options;
-  exec_options.chunks_per_worker = 16;
-  exec_options.cost = [&dag](std::size_t v) {
-    const double d = dag.Degree(static_cast<NodeId>(v));
-    return (d + 1) * (d + 1);
-  };
-  *total = BigCount{};
+// Counts k-cliques on one kernel; returns the wall seconds.
+double TimeKernel(const Graph& dag, std::uint32_t k, SubgraphKind kind,
+                  BigCount* total) {
+  CountOptions options;
+  options.k = k;
   Timer timer;
-  ParallelForWorkers(
-      dag.NumNodes(), exec_options,
-      [&](int) {
-        return Counter(dag, k, bound, &binom);
-      },
-      [](Counter& counter, std::size_t v) {
-        counter.ProcessRoot(static_cast<NodeId>(v));
-      },
-      [total](Counter& counter) {
-        *total += counter.total();
-      });
+  *total = CountCliquesOn(dag, options, kind).total;
   return timer.Seconds();
 }
 
@@ -72,14 +47,15 @@ int main(int argc, char** argv) {
   for (const Dataset& d : suite) {
     const Graph dag = Directionalize(d.graph, CoreOrdering(d.graph).ranks);
     BigCount totals[3];
-    const double dense = TimeStructure<DenseSubgraph>(dag, k, &totals[0]);
-    const double sparse = TimeStructure<SparseSubgraph>(dag, k, &totals[1]);
-    const double remap = TimeStructure<RemapSubgraph>(dag, k, &totals[2]);
-    CountOptions options;
-    options.k = k;
-    Timer timer;
-    const BigCount production_total = CountCliques(dag, options).total;
-    const double production = timer.Seconds();
+    BigCount production_total;
+    const double dense =
+        TimeKernel(dag, k, SubgraphKind::kDense, &totals[0]);
+    const double sparse =
+        TimeKernel(dag, k, SubgraphKind::kSparse, &totals[1]);
+    const double remap =
+        TimeKernel(dag, k, SubgraphKind::kRemap, &totals[2]);
+    const double production =
+        TimeKernel(dag, k, SubgraphKind::kBitmap, &production_total);
     for (const BigCount& t : totals) {
       if (t != production_total) {
         std::cerr << "fig09: " << d.name << " structures disagree: "

@@ -8,12 +8,12 @@
 //                  that graph are skipped, like the paper's "> 2h")
 //   GPU-Pivot    — bit-matrix rebuild-per-level model (the paper stops
 //                  reporting GPU numbers at k = 11; we run all k)
-//   PivotScale   — this work, heuristic-selected ordering + remap structure
+//   PivotScale   — this work, heuristic-selected ordering + bitmap kernel
 //
 // Measured columns are single-core wall times. The @64sim columns replay
 // the same runs' work traces through the scaling simulator (sequential
 // ordering + static schedule + dense footprint for Pivoter; parallel
-// ordering + dynamic schedule + remap footprint for PivotScale),
+// ordering + dynamic schedule + bitmap footprint for PivotScale),
 // reproducing the paper's 64-thread relationship. Expected shape:
 // enumeration wins tiny k, pivoting flat in k, PivotScale the fastest
 // pivoting implementation at scale, crossover near k = 8.

@@ -17,7 +17,11 @@
 #      C(300, 2) - 3 = 44847 edge ops: the closed-form tail's triangle
 #      pass costs a clique one popcount per member; and 297 recursion
 #      calls: the 3 roots of out-degree below k - 1 are skipped before
-#      their build), and the benchmark
+#      their build), the flag-range smoke (pivotscale_cli
+#      --heuristic-min-nodes 4294967296 must fail instead of wrapping to
+#      0), the core-split check (the Release pivotscale_served, linked
+#      against pivotscale_core alone, must hold no DenseSubgraph or
+#      SparseSubgraph symbol), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)
@@ -78,6 +82,21 @@ grep -Eq '"count.recursion_calls":297[,}]' "${K300%.el}.json" ||
   { echo "K300: the short-root skip did not skip exactly the 3 short roots"
     exit 1; }
 rm -r "$(dirname "${K300}")"
+
+echo "==> [2/4] flag-range smoke (--heuristic-min-nodes past NodeId)"
+if out="$(./build-check/examples/pivotscale_cli --k 4 \
+    --heuristic-min-nodes 4294967296 2>&1)"; then
+  echo "${out}"; echo "--heuristic-min-nodes 4294967296 was accepted"; exit 1
+fi
+grep -q 'bad --heuristic-min-nodes' <<<"${out}" ||
+  { echo "${out}"; echo "--heuristic-min-nodes: wrong error"; exit 1; }
+
+echo "==> [2/4] core split (no paper structure in pivotscale_served)"
+structures="$(nm -C build-check/examples/pivotscale_served |
+  grep -cE 'DenseSubgraph|SparseSubgraph' || true)"
+[[ "${structures}" == "0" ]] ||
+  { echo "pivotscale_served links ${structures} DenseSubgraph/SparseSubgraph"
+    echo "symbols; it must link pivotscale_core alone"; exit 1; }
 
 echo "==> [2/4] perfbench smoke (exact counts, corrupted reference, op counts)"
 python3 perfbench/run.py --smoke

@@ -67,12 +67,12 @@ struct CountResult {
   CliqueProfile profile;
   // Per-vertex participation counts; filled when per_vertex was set.
   std::vector<BigCount> per_vertex;
-  // Aggregated recursion operations (op stats mode) of the run's kernel. `calls` counts recursion nodes on every kernel. On the
-  // bitmap kernel `edge_ops` is one per row popcount of a pivot scan or
-  // tail pass, `induces` one per child bitset and `memberships` is 0; on the
-  // paper structures they count adjacency entries scanned, child sets
-  // narrowed and mark/removed tests. See pivot/stats.h and
-  // docs/algorithm.md.
+  // Aggregated recursion operations (op stats mode) of the run's kernel.
+  // `calls` counts recursion nodes on every kernel. On the bitmap kernel
+  // `edge_ops` is one per row popcount of a pivot scan or tail pass,
+  // `induces` one per child bitset and `memberships` is 0; on the paper
+  // structures they count adjacency entries scanned, child sets narrowed
+  // and mark/removed tests. See pivot/stats.h and docs/algorithm.md.
   OpCounters ops;
   // Counting wall time.
   double seconds = 0;

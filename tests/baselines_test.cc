@@ -207,12 +207,12 @@ TEST(AllCounters, AgreeOnDatasetStyleGraph) {
   const Graph dag = MakeDag(g, OrderingKind::kCore);
   const std::uint32_t k = 7;
 
-  CountOptions remap_options;
-  remap_options.k = k;
-  const BigCount reference = CountCliques(dag, remap_options).total;
+  CountOptions options;
+  options.k = k;
+  const BigCount reference = CountCliques(dag, options).total;
 
   for (const SubgraphKind structure : testing_helpers::kAllSubgraphKinds) {
-    EXPECT_EQ(CountCliquesOn(dag, remap_options, structure).total, reference)
+    EXPECT_EQ(CountCliquesOn(dag, options, structure).total, reference)
         << SubgraphKindName(structure);
   }
   EnumerationOptions enum_options;

@@ -24,6 +24,14 @@ Checks conventions a compiler cannot see:
                    ParallelForWorkers) so thread budgeting, chunking, and
                    exec.* telemetry stay uniform (tests/ exempt: harness
                    tests may open raw regions to probe executor behavior).
+  core-includes-repro
+                   no file of the production library pivotscale_core may
+                   include a header of the reproduction library
+                   pivotscale_repro. Both source lists are read from
+                   src/CMakeLists.txt, so the split is written down once: a
+                   header belongs to the library that lists its .cc, and a
+                   header without one belongs to the core (src/pivotscale.h,
+                   the umbrella over both, is exempt).
 
 Exit status: 0 when clean, 1 when any finding was printed. Run from
 anywhere; paths resolve relative to the repo root (this file's parent's
@@ -51,6 +59,10 @@ WRITE_HANDLE_RE = re.compile(
 ATOMIC_WRITE_OWNER = "util/atomic_file.cc"
 
 OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
+
+LIBRARY_CMAKE = SRC_DIR / "CMakeLists.txt"
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+UMBRELLA_HEADER = "src/pivotscale.h"
 
 # Files allowed to open raw OpenMP parallel regions: the executor itself
 # and the two-pass prefix sum (a barrier-structured region the Executor's
@@ -124,6 +136,21 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
+def library_stems(library):
+    """Paths below src/, without extension, of one library's sources."""
+    text = LIBRARY_CMAKE.read_text(encoding="utf-8")
+    match = re.search(r"add_library\(\s*" + re.escape(library)
+                      + r"\s+STATIC\s+([^)]*)\)", text)
+    if match is None:
+        return set()
+    return {str(pathlib.PurePosixPath(token).with_suffix(""))
+            for token in match.group(1).split()
+            if token.endswith(".cc")}
+
+
+REPRO_STEMS = library_stems("pivotscale_repro")
+
+
 def iter_findings_for_file(path):
     rel = path.relative_to(REPO_ROOT).as_posix()
     raw = path.read_text(encoding="utf-8", errors="replace")
@@ -164,6 +191,22 @@ def iter_findings_for_file(path):
             yield (rel, lineno, "atomic-writes",
                    "file write outside util/atomic_file; "
                    "route it through WriteFileAtomic")
+
+    # core-includes-repro: a core file's quoted includes, resolved from
+    # src/.
+    stem = str(pathlib.PurePosixPath(rel.removeprefix("src/")).with_suffix(""))
+    if (in_src and rel != UMBRELLA_HEADER and path.suffix in (".h", ".cc")
+            and stem not in REPRO_STEMS):
+        for lineno, line in enumerate(raw_lines, 1):
+            match = INCLUDE_RE.match(line)
+            if match is None:
+                continue
+            included = str(pathlib.PurePosixPath(match.group(1))
+                           .with_suffix(""))
+            if included in REPRO_STEMS:
+                yield (rel, lineno, "core-includes-repro",
+                       f'core file includes "{match.group(1)}" of '
+                       "pivotscale_repro (src/CMakeLists.txt)")
 
     # include-guards: headers only.
     if path.suffix == ".h":
@@ -207,7 +250,7 @@ def main(argv):
 
     if args.list_rules:
         print("telemetry-name no-libc-random no-naked-new include-guards "
-              "atomic-writes raw-omp-parallel")
+              "atomic-writes raw-omp-parallel core-includes-repro")
         return 0
 
     if args.files:
