@@ -17,9 +17,7 @@
 
 #include "graph/dag.h"
 #include "graph/datasets.h"
-#include "order/approx_core_order.h"
 #include "order/heuristic.h"
-#include "order/kcore_order.h"
 #include "order/ordering.h"
 #include "pivot/count.h"
 #include "pivot/count_on.h"
@@ -94,9 +92,8 @@ inline std::vector<NamedSpec> OrderingSweep() {
 // benches (the paper's numbers are 64-thread; on one core the phase
 // balance shifts — see EXPERIMENTS.md).
 struct OrderingRun {
-  Ordering ordering;
+  Ordering ordering;           // .rounds: parallel rounds, -1 = serial
   double order_seconds = 0;    // measured, single core
-  int rounds = 1;              // parallel rounds; -1 = inherently serial
   double order_seconds64 = 0;  // modeled at 64 threads
   EdgeId max_out_degree = 0;
   double count_seconds = 0;    // measured, single core
@@ -105,13 +102,20 @@ struct OrderingRun {
   double Total64() const { return order_seconds64 + count_seconds64; }
 };
 
-// Per-round barrier latency charged by the 64-thread ordering model.
+// Per-round barrier latency charged by the 64-thread ordering model
+// (typical OpenMP barrier latency at this core count).
 inline constexpr double kOrderingBarrierSeconds = 5e-6;
 
+// The 64-thread ordering model: the exact core peel (rounds < 0) stays
+// sequential; every other ordering's parallel passes divide by 64 plus one
+// barrier per round.
+inline double OrderingSeconds64(double serial_seconds, int rounds) {
+  return rounds < 0 ? serial_seconds
+                    : serial_seconds / 64 + rounds * kOrderingBarrierSeconds;
+}
+
 // Computes the ordering, directionalizes, and runs a traced single-thread
-// count; fills both the measured and the modeled-64 components. The
-// ordering model: the exact core peel stays sequential; every other
-// ordering's parallel passes divide by 64 plus one barrier per round.
+// count; fills both the measured and the modeled-64 components.
 // When `telemetry` is non-null, per-stage spans are recorded under the
 // run's label ("<label>.ordering" / "<label>.counting") and op counters
 // accumulate across runs, so a whole sweep lands in one run report.
@@ -122,32 +126,8 @@ inline OrderingRun EvaluateOrdering(const Graph& g, const NamedSpec& named,
   Timer order_timer;
   run.ordering = ComputeOrdering(g, named.spec, telemetry);
   run.order_seconds = order_timer.Seconds();
-
-  switch (named.spec.kind) {
-    case OrderingKind::kCore:
-      run.rounds = -1;
-      break;
-    case OrderingKind::kDegree:
-      run.rounds = 1;
-      break;
-    case OrderingKind::kCentrality:
-      run.rounds = named.spec.iterations;
-      break;
-    case OrderingKind::kApproxCore:
-      run.rounds =
-          ApproxCoreOrderingWithStats(g, named.spec.epsilon).rounds;
-      break;
-    case OrderingKind::kKCore: {
-      int rounds = 0;
-      CoreDecomposition(g, &rounds);
-      run.rounds = rounds;
-      break;
-    }
-  }
   run.order_seconds64 =
-      run.rounds < 0 ? run.order_seconds
-                     : run.order_seconds / 64 +
-                           run.rounds * kOrderingBarrierSeconds;
+      OrderingSeconds64(run.order_seconds, run.ordering.rounds);
 
   const Graph dag = Directionalize(g, run.ordering.ranks, telemetry);
   run.max_out_degree = MaxOutDegree(dag);
@@ -176,9 +156,9 @@ inline OrderingRun EvaluateOrdering(const Graph& g, const NamedSpec& named,
 }
 
 // The PivotScale pipeline (pivot/pivotscale.h) with a traced count: the
-// heuristic picks the ordering under `config`, then ordering,
-// directionalize and a production-kernel count run phase by phase, so the
-// count can record a work trace for the 64-thread simulation.
+// prefix (PrepareDag) picks the ordering under `config` and directionalizes,
+// then a production-kernel count records a work trace for the 64-thread
+// simulation.
 struct TracedPipeline {
   PivotScaleResult result;
   WorkTrace trace;
@@ -189,27 +169,23 @@ inline TracedPipeline RunTracedPipeline(const Graph& g, std::uint32_t k,
                                         int num_threads = 0) {
   TracedPipeline run;
   PivotScaleResult& r = run.result;
-  PhaseTimer phases;
-  phases.Start();
-  r.decision = SelectOrdering(g, config);
-  OrderingSpec spec;
-  spec.kind = r.decision.use_core_approx ? OrderingKind::kApproxCore
-                                         : OrderingKind::kDegree;
-  spec.epsilon = config.epsilon;
-  r.heuristic_seconds = phases.Stop("heuristic");
-  const Ordering ordering = ComputeOrdering(g, spec);
-  r.ordering_name = ordering.name;
-  r.ordering_seconds = phases.Stop("ordering");
-  const Graph dag = Directionalize(g, ordering.ranks);
-  r.max_out_degree = MaxOutDegree(dag);
-  r.directionalize_seconds = phases.Stop("directionalize");
+  const PreparedDag prepared = PrepareDag(g, config, std::nullopt);
+  r.decision = prepared.decision;
+  r.ordering_name = prepared.ordering.name;
+  r.max_out_degree = prepared.max_out_degree;
+  r.heuristic_seconds = prepared.heuristic_seconds;
+  r.ordering_seconds = prepared.ordering_seconds;
+  r.directionalize_seconds = prepared.directionalize_seconds;
   CountOptions options;
   options.k = k;
   options.num_threads = num_threads;
-  r.count = CountCliquesOn(dag, options, SubgraphKind::kBitmap, &run.trace);
-  r.counting_seconds = phases.Stop("counting");
+  Timer count_timer;
+  r.count =
+      CountCliquesOn(prepared.dag, options, SubgraphKind::kBitmap, &run.trace);
+  r.counting_seconds = count_timer.Seconds();
   r.total = r.count.total;
-  r.total_seconds = phases.TotalSeconds();
+  r.total_seconds = r.heuristic_seconds + r.ordering_seconds +
+                    r.directionalize_seconds + r.counting_seconds;
   return run;
 }
 

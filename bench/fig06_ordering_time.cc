@@ -4,47 +4,17 @@
 // round-based structure pays off. On one core the approximation does
 // strictly more passes than the exact peel, so this bench reports both:
 // the measured single-core speedup, and a modeled 64-thread speedup
-// (parallel work / 64 + a per-round barrier cost; the exact core peel
-// stays sequential). Round counts per ordering are printed alongside
-// (paper: 160-6033 rounds for eps = -0.5, 8-15 for eps = 0.1).
+// (bench::OrderingSeconds64: parallel work / 64 + a per-round barrier
+// cost; the exact core peel stays sequential). Round counts come from
+// Ordering::rounds; eps = -0.5's are printed alongside (paper: 160-6033
+// rounds for eps = -0.5, 8-15 for eps = 0.1).
 #include <iostream>
 
 #include "bench_common.h"
-#include "order/approx_core_order.h"
-#include "order/kcore_order.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 using namespace pivotscale;
-
-namespace {
-
-// Barrier/sync cost charged per parallel round in the 64-thread model
-// (typical OpenMP barrier latency at this core count).
-constexpr double kBarrierSeconds = 5e-6;
-
-// Number of synchronized parallel rounds an ordering executes; -1 means
-// inherently sequential (the exact core peel).
-int RoundsFor(const Graph& g, const bench::NamedSpec& named) {
-  switch (named.spec.kind) {
-    case OrderingKind::kCore:
-      return -1;
-    case OrderingKind::kDegree:
-      return 1;
-    case OrderingKind::kCentrality:
-      return named.spec.iterations;
-    case OrderingKind::kApproxCore:
-      return ApproxCoreOrderingWithStats(g, named.spec.epsilon).rounds;
-    case OrderingKind::kKCore: {
-      int rounds = 0;
-      CoreDecomposition(g, &rounds);
-      return rounds;
-    }
-  }
-  return 1;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
@@ -69,24 +39,23 @@ int main(int argc, char** argv) {
     std::vector<int> rounds;
     for (const auto& named : sweep) {
       double best = 1e30;
+      int named_rounds = 0;
       for (int t = 0; t < trials; ++t) {
         Timer timer;
-        ComputeOrdering(d.graph, named.spec);
+        named_rounds = ComputeOrdering(d.graph, named.spec).rounds;
         best = std::min(best, timer.Seconds());
       }
       if (named.label == "core") core_seconds = best;
       serial_seconds.push_back(best);
-      rounds.push_back(RoundsFor(d.graph, named));
+      rounds.push_back(named_rounds);
       row.push_back(
           TablePrinter::Cell(best > 0 ? core_seconds / best : 0.0, 2));
     }
     int approx_low_rounds = 0;
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       if (sweep[i].label == "core") continue;
-      // Modeled 64-thread time: the parallel passes scale; each round
-      // costs one barrier. The exact core peel stays at core_seconds.
       const double at64 =
-          serial_seconds[i] / 64 + rounds[i] * kBarrierSeconds;
+          bench::OrderingSeconds64(serial_seconds[i], rounds[i]);
       row.push_back(
           TablePrinter::Cell(at64 > 0 ? core_seconds / at64 : 0.0, 1));
       if (sweep[i].label == "approx(-0.5)") approx_low_rounds = rounds[i];

@@ -31,19 +31,6 @@
 
 using namespace pivotscale;
 
-namespace {
-
-OrderingSpec ParseOrdering(const std::string& name, double eps) {
-  if (name == "core") return {OrderingKind::kCore};
-  if (name == "approx") return {OrderingKind::kApproxCore, eps};
-  if (name == "kcore") return {OrderingKind::kKCore};
-  if (name == "centrality") return {OrderingKind::kCentrality, 0, 3};
-  if (name == "degree") return {OrderingKind::kDegree};
-  throw std::runtime_error("unknown --ordering: " + name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   try {
     ArgParser args(argc, argv);
@@ -55,9 +42,24 @@ int main(int argc, char** argv) {
       std::cout << "pivotscale_cli " << VersionString() << "\n";
       return 0;
     }
+    // Every flag is read (and a bad value rejected) before the graph load.
     const std::string path = args.GetPath("graph", "");
     const std::string telemetry_path = args.GetPath("telemetry-json", "");
     const std::string save_path = args.GetPath("save-binary", "");
+    PivotScaleOptions options;
+    options.k = args.GetK(8);
+    options.all_k = args.GetBool("all-k", false);
+    options.count.per_vertex = args.GetBool("per-vertex", false);
+    options.count.num_threads = args.GetThreads();
+    options.count.collect_op_stats = args.GetBool("stats", false);
+    options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
+        "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));
+    const std::string ordering = args.GetString("ordering", "heuristic");
+    const double eps = args.GetDouble("eps", -0.5);
+    if (ordering != "heuristic")
+      options.forced_ordering = ParseOrderingSpec(ordering, eps);
+    const auto top_n = static_cast<std::size_t>(
+        std::max<std::int64_t>(args.GetInt("top", 10), 1));
 
     Graph g;
     if (!path.empty()) {
@@ -80,20 +82,6 @@ int main(int argc, char** argv) {
       std::cout << "wrote binary graph to " << save_path << "\n";
     }
 
-    PivotScaleOptions options;
-    options.k = args.GetK(8);
-    options.all_k = args.GetBool("all-k", false);
-    options.count.per_vertex = args.GetBool("per-vertex", false);
-    options.count.num_threads = args.GetThreads();
-    options.count.collect_op_stats = args.GetBool("stats", false);
-    options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
-        "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));
-
-    const std::string ordering = args.GetString("ordering", "heuristic");
-    if (ordering != "heuristic")
-      options.forced_ordering =
-          ParseOrdering(ordering, args.GetDouble("eps", -0.5));
-
     TelemetryRegistry telemetry;
     if (!telemetry_path.empty()) options.telemetry = &telemetry;
 
@@ -113,36 +101,24 @@ int main(int argc, char** argv) {
                 << "\n";
     }
     if (options.count.per_vertex) {
-      // Top-N vertices by k-clique participation (ties broken by id).
-      const auto& pv = result.count.per_vertex;
-      std::vector<NodeId> order;
-      for (NodeId v = 0; v < g.NumNodes(); ++v)
-        if (pv[v] != BigCount{}) order.push_back(v);
-      const std::size_t top = std::min<std::size_t>(
-          static_cast<std::size_t>(std::max<std::int64_t>(
-              args.GetInt("top", 10), 1)),
-          order.size());
-      std::partial_sort(order.begin(), order.begin() + top, order.end(),
-                        [&](NodeId a, NodeId b) {
-                          if (pv[a] != pv[b]) return pv[b] < pv[a];
-                          return a < b;
-                        });
-      TablePrinter table("top " + std::to_string(top) +
+      const std::vector<VertexCount> top =
+          RankVerticesByCount(result.count.per_vertex, top_n);
+      TablePrinter table("top " + std::to_string(top.size()) +
                              " clique-active vertices",
                          {"rank", "vertex", std::to_string(options.k) +
                                                 "-cliques"});
-      for (std::size_t t = 0; t < top; ++t)
+      for (std::size_t t = 0; t < top.size(); ++t)
         table.AddRow({TablePrinter::Cell(std::uint64_t{t + 1}),
-                      TablePrinter::Cell(std::uint64_t{order[t]}),
-                      pv[order[t]].ToString()});
+                      TablePrinter::Cell(std::uint64_t{top[t].vertex}),
+                      top[t].count.ToString()});
       table.Print();
       if (!telemetry_path.empty()) {
         // Counts ride as doubles (exact below 2^53; the JSON series slot
         // is double-typed) so per-vertex results land in the run report.
-        std::vector<double> ids(top), counts(top);
-        for (std::size_t t = 0; t < top; ++t) {
-          ids[t] = static_cast<double>(order[t]);
-          counts[t] = pv[order[t]].AsDouble();
+        std::vector<double> ids, counts;
+        for (const VertexCount& vc : top) {
+          ids.push_back(static_cast<double>(vc.vertex));
+          counts.push_back(vc.count.AsDouble());
         }
         telemetry.SetSeries("per_vertex.top_vertex_ids", std::move(ids));
         telemetry.SetSeries("per_vertex.top_counts", std::move(counts));

@@ -27,19 +27,6 @@
 
 using namespace pivotscale;
 
-namespace {
-
-OrderingSpec ParseOrdering(const std::string& name, double eps) {
-  if (name == "core") return {OrderingKind::kCore};
-  if (name == "approx") return {OrderingKind::kApproxCore, eps};
-  if (name == "kcore") return {OrderingKind::kKCore};
-  if (name == "centrality") return {OrderingKind::kCentrality, 0, 3};
-  if (name == "degree") return {OrderingKind::kDegree};
-  throw std::runtime_error("unknown --ordering: " + name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   try {
     ArgParser args(argc, argv);
@@ -50,6 +37,7 @@ int main(int argc, char** argv) {
       std::cout << "pivotscale_prep " << VersionString() << "\n";
       return 0;
     }
+    // Every flag is read (and a bad value rejected) before the graph load.
     // The build pipeline's parallel phases take their teams from the
     // shared budget, so capping the budget is the whole-binary --threads.
     if (args.Has("threads"))
@@ -57,6 +45,14 @@ int main(int argc, char** argv) {
     const std::string path = args.GetPath("graph", "");
     const std::string telemetry_path = args.GetPath("telemetry-json", "");
     const std::string out = args.GetPath("out", "graph.psx");
+    ArtifactBuildOptions options;
+    options.compute_degeneracy = !args.GetBool("skip-degeneracy", false);
+    options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
+        "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));
+    const std::string ordering = args.GetString("ordering", "heuristic");
+    const double eps = args.GetDouble("eps", -0.5);
+    if (ordering != "heuristic")
+      options.forced_ordering = ParseOrderingSpec(ordering, eps);
 
     Graph g;
     if (!path.empty()) {
@@ -72,15 +68,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "graph: " << g.NumNodes() << " vertices, "
               << g.NumUndirectedEdges() << " edges\n";
-
-    ArtifactBuildOptions options;
-    options.compute_degeneracy = !args.GetBool("skip-degeneracy", false);
-    options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
-        "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));
-    const std::string ordering = args.GetString("ordering", "heuristic");
-    if (ordering != "heuristic")
-      options.forced_ordering =
-          ParseOrdering(ordering, args.GetDouble("eps", -0.5));
 
     TelemetryRegistry telemetry;
     if (!telemetry_path.empty()) options.telemetry = &telemetry;

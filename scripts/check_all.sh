@@ -19,7 +19,9 @@
 #      calls: the 3 roots of out-degree below k - 1 are skipped before
 #      their build), the flag-range smoke (pivotscale_cli
 #      --heuristic-min-nodes 4294967296 must fail instead of wrapping to
-#      0), the core-split check (the Release pivotscale_served, linked
+#      0, and before it generates the demo graph; pivotscale_prep
+#      --ordering bogus must fail with "unknown --ordering" before any
+#      graph line), the core-split check (the Release pivotscale_served, linked
 #      against pivotscale_core alone, must hold no DenseSubgraph or
 #      SparseSubgraph symbol), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
@@ -90,6 +92,16 @@ if out="$(./build-check/examples/pivotscale_cli --k 4 \
 fi
 grep -q 'bad --heuristic-min-nodes' <<<"${out}" ||
   { echo "${out}"; echo "--heuristic-min-nodes: wrong error"; exit 1; }
+! grep -q 'generated a demo graph' <<<"${out}" ||
+  { echo "${out}"; echo "--heuristic-min-nodes read after the graph"; exit 1; }
+echo "==> [2/4] flag smoke (pivotscale_prep --ordering bogus, before the graph)"
+if out="$(./build-check/examples/pivotscale_prep --ordering bogus 2>&1)"; then
+  echo "${out}"; echo "--ordering bogus was accepted"; exit 1
+fi
+grep -q 'unknown --ordering' <<<"${out}" ||
+  { echo "${out}"; echo "--ordering bogus: wrong error"; exit 1; }
+! grep -qE '^(graph|loaded|no --graph)' <<<"${out}" ||
+  { echo "${out}"; echo "--ordering read after the graph"; exit 1; }
 
 echo "==> [2/4] core split (no paper structure in pivotscale_served)"
 structures="$(nm -C build-check/examples/pivotscale_served |

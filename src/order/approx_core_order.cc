@@ -28,8 +28,7 @@ void CollectIds(std::size_t n, std::vector<NodeId>* out, Keep&& keep) {
 
 }  // namespace
 
-ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g,
-                                             double epsilon) {
+Ordering ApproxCoreOrdering(const Graph& g, double epsilon) {
   const NodeId n = g.NumNodes();
   std::vector<std::int64_t> degree(n);
   std::vector<std::uint32_t> level(n, 0);
@@ -124,16 +123,8 @@ ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g,
     keys[u] = PackKey(level[u], g.Degree(u));
   });
 
-  ApproxCoreResult result;
-  result.ordering.name =
-      "approx-core(eps=" + std::to_string(epsilon) + ")";
-  result.ordering.ranks = RanksFromKeys(keys);
-  result.rounds = round;
-  return result;
-}
-
-Ordering ApproxCoreOrdering(const Graph& g, double epsilon) {
-  return ApproxCoreOrderingWithStats(g, epsilon).ordering;
+  return {"approx-core(eps=" + std::to_string(epsilon) + ")",
+          RanksFromKeys(keys), round};
 }
 
 }  // namespace pivotscale

@@ -14,15 +14,7 @@
 
 namespace pivotscale {
 
-// Result with the round count exposed (Figure 6 reports rounds).
-struct ApproxCoreResult {
-  Ordering ordering;
-  int rounds = 0;
-};
-
-ApproxCoreResult ApproxCoreOrderingWithStats(const Graph& g, double epsilon);
-
-// Convenience wrapper returning just the ordering.
+// Ordering::rounds is the number of removal rounds (Figure 6 reports it).
 Ordering ApproxCoreOrdering(const Graph& g, double epsilon);
 
 }  // namespace pivotscale

@@ -46,7 +46,7 @@ Ordering CentralityOrdering(const Graph& g, int iterations) {
                                       (std::uint64_t{1} << 24) - 1);
   });
   return {"centrality(iters=" + std::to_string(iterations) + ")",
-          RanksFromKeys(keys)};
+          RanksFromKeys(keys), iterations};
 }
 
 }  // namespace pivotscale

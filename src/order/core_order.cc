@@ -71,7 +71,7 @@ EdgeId PeelSmallestLast(const Graph& g, std::vector<NodeId>* ranks) {
 Ordering CoreOrdering(const Graph& g) {
   std::vector<NodeId> ranks;
   PeelSmallestLast(g, &ranks);
-  return {"core", std::move(ranks)};
+  return {"core", std::move(ranks), -1};  // serial peel
 }
 
 EdgeId Degeneracy(const Graph& g) {

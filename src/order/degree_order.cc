@@ -16,7 +16,7 @@ Ordering DegreeOrdering(const Graph& g) {
   // id exactly as RanksFromKeys does.
   std::vector<NodeId> ranks(n);
   for (NodeId u = 0; u < n; ++u) ranks[u] = next[g.Degree(u)]++;
-  return {"degree", std::move(ranks)};
+  return {"degree", std::move(ranks), 1};
 }
 
 }  // namespace pivotscale

@@ -28,9 +28,8 @@ void CollectFrontier(std::size_t n, std::vector<NodeId>* frontier,
       });
 }
 
-}  // namespace
-
-std::vector<EdgeId> CoreDecomposition(const Graph& g, int* rounds_out) {
+// The level-synchronous peel; `*peel_rounds` receives its sub-round count.
+std::vector<EdgeId> Peel(const Graph& g, int* peel_rounds) {
   const NodeId n = g.NumNodes();
   std::vector<std::int64_t> degree(n);
   ParallelFor(n, ExecOptions{}, [&](std::size_t u) {
@@ -92,19 +91,27 @@ std::vector<EdgeId> CoreDecomposition(const Graph& g, int* rounds_out) {
     }
     ++level;
   }
-  if (rounds_out != nullptr) *rounds_out = rounds;
+  *peel_rounds = rounds;
   return coreness;
 }
 
-Ordering KCoreOrdering(const Graph& g, int* rounds_out) {
+}  // namespace
+
+std::vector<EdgeId> CoreDecomposition(const Graph& g) {
+  int rounds = 0;
+  return Peel(g, &rounds);
+}
+
+Ordering KCoreOrdering(const Graph& g) {
   const NodeId n = g.NumNodes();
-  const std::vector<EdgeId> coreness = CoreDecomposition(g, rounds_out);
+  int rounds = 0;
+  const std::vector<EdgeId> coreness = Peel(g, &rounds);
   std::vector<std::uint64_t> keys(n);
   ParallelFor(n, ExecOptions{}, [&](std::size_t i) {
     const auto u = static_cast<NodeId>(i);
     keys[u] = PackKey(coreness[u], g.Degree(u));
   });
-  return {"kcore", RanksFromKeys(keys)};
+  return {"kcore", RanksFromKeys(keys), rounds};
 }
 
 }  // namespace pivotscale

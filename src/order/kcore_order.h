@@ -17,16 +17,13 @@
 
 namespace pivotscale {
 
-// Per-vertex coreness via level-synchronous parallel peel. If
-// `rounds_out` is non-null it receives the number of synchronized
-// sub-rounds executed (the scaling-relevant quantity: each sub-round is a
-// parallel pass followed by a barrier).
-std::vector<EdgeId> CoreDecomposition(const Graph& g,
-                                      int* rounds_out = nullptr);
+// Per-vertex coreness via level-synchronous parallel peel.
+std::vector<EdgeId> CoreDecomposition(const Graph& g);
 
-// Ranks by (coreness, original degree, id). If `rounds_out` is non-null it
-// receives the decomposition's synchronized sub-round count.
-Ordering KCoreOrdering(const Graph& g, int* rounds_out = nullptr);
+// Ranks by (coreness, original degree, id). Ordering::rounds is the peel's
+// synchronized sub-round count (the scaling-relevant quantity: each
+// sub-round is a parallel pass followed by a barrier).
+Ordering KCoreOrdering(const Graph& g);
 
 }  // namespace pivotscale
 

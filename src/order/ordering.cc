@@ -39,33 +39,24 @@ std::uint64_t PackKey(std::uint64_t primary, std::uint64_t degree) {
 
 Ordering ComputeOrdering(const Graph& g, const OrderingSpec& spec,
                          TelemetryRegistry* telemetry) {
-  const auto record_rounds = [telemetry](int rounds) {
-    if (telemetry != nullptr)
-      telemetry->SetGauge("ordering.rounds", rounds);
-  };
-  switch (spec.kind) {
-    case OrderingKind::kDegree:
-      record_rounds(1);
-      return DegreeOrdering(g);
-    case OrderingKind::kCore:
-      record_rounds(-1);  // inherently serial peel
-      return CoreOrdering(g);
-    case OrderingKind::kApproxCore: {
-      ApproxCoreResult result = ApproxCoreOrderingWithStats(g, spec.epsilon);
-      record_rounds(result.rounds);
-      return std::move(result.ordering);
+  Ordering ordering = [&] {
+    switch (spec.kind) {
+      case OrderingKind::kDegree:
+        return DegreeOrdering(g);
+      case OrderingKind::kCore:
+        return CoreOrdering(g);
+      case OrderingKind::kApproxCore:
+        return ApproxCoreOrdering(g, spec.epsilon);
+      case OrderingKind::kKCore:
+        return KCoreOrdering(g);
+      case OrderingKind::kCentrality:
+        return CentralityOrdering(g, spec.iterations);
     }
-    case OrderingKind::kKCore: {
-      int rounds = 0;
-      Ordering ordering = KCoreOrdering(g, &rounds);
-      record_rounds(rounds);
-      return ordering;
-    }
-    case OrderingKind::kCentrality:
-      record_rounds(spec.iterations);
-      return CentralityOrdering(g, spec.iterations);
-  }
-  throw std::invalid_argument("ComputeOrdering: unknown kind");
+    throw std::invalid_argument("ComputeOrdering: unknown kind");
+  }();
+  if (telemetry != nullptr)
+    telemetry->SetGauge("ordering.rounds", ordering.rounds);
+  return ordering;
 }
 
 std::string OrderingSpecName(const OrderingSpec& spec) {
@@ -82,6 +73,15 @@ std::string OrderingSpecName(const OrderingSpec& spec) {
       return "centrality(iters=" + std::to_string(spec.iterations) + ")";
   }
   return "unknown";
+}
+
+OrderingSpec ParseOrderingSpec(const std::string& name, double eps) {
+  if (name == "core") return {OrderingKind::kCore};
+  if (name == "approx") return {OrderingKind::kApproxCore, eps};
+  if (name == "kcore") return {OrderingKind::kKCore};
+  if (name == "centrality") return {OrderingKind::kCentrality, 0, 3};
+  if (name == "degree") return {OrderingKind::kDegree};
+  throw std::runtime_error("unknown --ordering: " + name);
 }
 
 }  // namespace pivotscale

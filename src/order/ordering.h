@@ -22,6 +22,11 @@ class TelemetryRegistry;
 struct Ordering {
   std::string name;            // e.g. "core", "approx-core(eps=-0.5)"
   std::vector<NodeId> ranks;   // permutation: ranks[u] in [0, n)
+  // Synchronized parallel rounds the ordering ran (Figure 6): 1 for degree,
+  // the peel rounds for approx-core, the peel sub-rounds for k-core, the
+  // iterations for centrality, and -1 for the inherently serial exact core
+  // peel.
+  int rounds = 1;
 };
 
 // Ranks vertices ascending by (key[u], u). Keys need not be distinct;
@@ -52,14 +57,17 @@ struct OrderingSpec {
 
 // Dispatches to the matching implementation. Convenient for benches that
 // sweep ordering families. When `telemetry` is non-null, records the
-// "ordering.rounds" gauge (synchronized peel rounds for the round-based
-// orderings, iterations for centrality, 1 for degree, -1 for the
-// inherently serial exact core peel).
+// "ordering.rounds" gauge from Ordering::rounds.
 Ordering ComputeOrdering(const Graph& g, const OrderingSpec& spec,
                          TelemetryRegistry* telemetry = nullptr);
 
 // Human-readable name for a spec (matches Ordering::name).
 std::string OrderingSpecName(const OrderingSpec& spec);
+
+// Parses a command-line --ordering name: "core", "approx" (carries `eps`),
+// "kcore", "centrality" (3 iterations) or "degree". Throws
+// std::runtime_error naming any other value.
+OrderingSpec ParseOrderingSpec(const std::string& name, double eps);
 
 }  // namespace pivotscale
 

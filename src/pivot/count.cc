@@ -1,5 +1,6 @@
 #include "pivot/count.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -70,6 +71,25 @@ CountResult CountCliques(const Graph& dag, const CountOptions& options) {
   if (BitmapKernelSupported())
     return DispatchCountDriver<BitmapCounter>(dag, options, step);
   return DispatchCountDriver<RemapCounter>(dag, options, step);
+}
+
+std::vector<VertexCount> RankVerticesByCount(
+    std::span<const BigCount> per_vertex, std::size_t top) {
+  std::vector<NodeId> order;
+  for (NodeId v = 0; v < per_vertex.size(); ++v)
+    if (per_vertex[v] != BigCount{}) order.push_back(v);
+  top = std::min(top, order.size());
+  std::partial_sort(order.begin(), order.begin() + top, order.end(),
+                    [&](NodeId a, NodeId b) {
+                      if (per_vertex[a] != per_vertex[b])
+                        return per_vertex[b] < per_vertex[a];
+                      return a < b;
+                    });
+  std::vector<VertexCount> ranked;
+  ranked.reserve(top);
+  for (std::size_t t = 0; t < top; ++t)
+    ranked.push_back({order[t], per_vertex[order[t]]});
+  return ranked;
 }
 
 }  // namespace pivotscale

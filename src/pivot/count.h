@@ -15,6 +15,7 @@
 #define PIVOTSCALE_PIVOT_COUNT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -90,6 +91,18 @@ struct CountResult {
 // POPCNT. The DAG must come from Directionalize() (each undirected edge
 // stored once, acyclic).
 CountResult CountCliques(const Graph& dag, const CountOptions& options);
+
+// One vertex's clique participation count.
+struct VertexCount {
+  NodeId vertex = 0;
+  BigCount count{};
+};
+
+// The `top` vertices of `per_vertex` (CountResult::per_vertex) with the
+// most cliques: count descending, ties by vertex id, vertices in no clique
+// left out (so fewer than `top` may come back).
+std::vector<VertexCount> RankVerticesByCount(
+    std::span<const BigCount> per_vertex, std::size_t top);
 
 }  // namespace pivotscale
 

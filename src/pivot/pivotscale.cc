@@ -8,34 +8,48 @@
 
 namespace pivotscale {
 
-PivotScaleResult CountKCliques(const Graph& g,
-                               const PivotScaleOptions& options) {
+PreparedDag PrepareDag(const Graph& g, const HeuristicConfig& heuristic,
+                       const std::optional<OrderingSpec>& forced,
+                       TelemetryRegistry* telemetry) {
   if (!g.undirected())
-    throw std::invalid_argument("CountKCliques: input must be undirected");
+    throw std::invalid_argument("PrepareDag: input must be undirected");
 
-  TelemetryRegistry* telemetry = options.telemetry;
-  PivotScaleResult result;
+  PreparedDag prepared;
   PhaseTimer phases;
   phases.Start();
 
   OrderingSpec spec;
-  if (options.forced_ordering.has_value()) {
-    spec = *options.forced_ordering;
+  if (forced.has_value()) {
+    spec = *forced;
   } else {
-    result.decision = SelectOrdering(g, options.heuristic, telemetry);
-    spec.kind = result.decision.use_core_approx ? OrderingKind::kApproxCore
-                                                : OrderingKind::kDegree;
-    spec.epsilon = options.heuristic.epsilon;
+    prepared.decision = SelectOrdering(g, heuristic, telemetry);
+    spec.kind = prepared.decision.use_core_approx ? OrderingKind::kApproxCore
+                                                  : OrderingKind::kDegree;
+    spec.epsilon = heuristic.epsilon;
   }
-  result.heuristic_seconds = phases.Stop("heuristic");
+  prepared.heuristic_seconds = phases.Stop("heuristic");
 
-  const Ordering ordering = ComputeOrdering(g, spec, telemetry);
-  result.ordering_name = ordering.name;
-  result.ordering_seconds = phases.Stop("ordering");
+  prepared.ordering = ComputeOrdering(g, spec, telemetry);
+  prepared.ordering_seconds = phases.Stop("ordering");
 
-  const Graph dag = Directionalize(g, ordering.ranks, telemetry);
-  result.max_out_degree = MaxOutDegree(dag);
-  result.directionalize_seconds = phases.Stop("directionalize");
+  prepared.dag = Directionalize(g, prepared.ordering.ranks, telemetry);
+  prepared.max_out_degree = MaxOutDegree(prepared.dag);
+  prepared.directionalize_seconds = phases.Stop("directionalize");
+  return prepared;
+}
+
+PivotScaleResult CountKCliques(const Graph& g,
+                               const PivotScaleOptions& options) {
+  TelemetryRegistry* telemetry = options.telemetry;
+  const PreparedDag prepared = PrepareDag(
+      g, options.heuristic, options.forced_ordering, telemetry);
+  PivotScaleResult result;
+  result.decision = prepared.decision;
+  result.ordering_name = prepared.ordering.name;
+  result.max_out_degree = prepared.max_out_degree;
+  result.heuristic_seconds = prepared.heuristic_seconds;
+  result.ordering_seconds = prepared.ordering_seconds;
+  result.directionalize_seconds = prepared.directionalize_seconds;
 
   CountOptions count_options = options.count;
   count_options.k = options.k;
@@ -44,11 +58,14 @@ PivotScaleResult CountKCliques(const Graph& g,
   if (options.all_k) count_options.mode = CountMode::kAllK;
   if (count_options.telemetry == nullptr)
     count_options.telemetry = telemetry;
-  result.count = CountCliques(dag, count_options);
-  result.counting_seconds = phases.Stop("counting");
+  Timer count_timer;
+  result.count = CountCliques(prepared.dag, count_options);
+  result.counting_seconds = count_timer.Seconds();
 
   result.total = result.count.total;
-  result.total_seconds = phases.TotalSeconds();
+  result.total_seconds = result.heuristic_seconds + result.ordering_seconds +
+                         result.directionalize_seconds +
+                         result.counting_seconds;
 
   if (telemetry != nullptr) {
     telemetry->RecordSpan("heuristic", result.heuristic_seconds);

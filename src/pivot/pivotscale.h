@@ -5,7 +5,11 @@
 // and a target clique size it (1) runs the order-selecting heuristic of
 // Section III-E (unless an ordering is forced), (2) computes the chosen
 // ordering, (3) directionalizes, and (4) runs the vertex-parallel counting
-// phase (CountCliques, pivot/count.h: the bitmap kernel).
+// phase (CountCliques, pivot/count.h: the bitmap kernel). Steps (1)-(3)
+// are the query-independent prefix, PrepareDag: CountKCliques, the .psx
+// store's BuildArtifact (store/artifact.h) and the benches' traced
+// pipeline all run it, so the heuristic's choice of ordering is made in
+// one place.
 #ifndef PIVOTSCALE_PIVOT_PIVOTSCALE_H_
 #define PIVOTSCALE_PIVOT_PIVOTSCALE_H_
 
@@ -20,6 +24,27 @@
 namespace pivotscale {
 
 class TelemetryRegistry;
+
+// The pipeline prefix's output: the ordering the heuristic (or the caller)
+// chose, and the graph directionalized by it.
+struct PreparedDag {
+  HeuristicDecision decision;  // probes (zeroed if ordering forced)
+  Ordering ordering;           // name, ranks, rounds
+  Graph dag;                   // Directionalize(g, ordering.ranks)
+  EdgeId max_out_degree = 0;   // of `dag` (ordering quality)
+  double heuristic_seconds = 0;
+  double ordering_seconds = 0;
+  double directionalize_seconds = 0;  // includes MaxOutDegree
+};
+
+// Runs steps (1)-(3) on an undirected simple graph: the heuristic under
+// `heuristic` picks degree or approx-core (with heuristic.epsilon) unless
+// `forced` names the ordering, then the ordering and the DAG are computed.
+// `telemetry` goes to SelectOrdering, ComputeOrdering and Directionalize;
+// PrepareDag records no span of its own (callers name the phases).
+PreparedDag PrepareDag(const Graph& g, const HeuristicConfig& heuristic,
+                       const std::optional<OrderingSpec>& forced,
+                       TelemetryRegistry* telemetry = nullptr);
 
 struct PivotScaleOptions {
   std::uint32_t k = 8;

@@ -164,22 +164,8 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     res.ok = true;
     if (q.per_vertex) {
       const Entry::PerVertexMemo& memo = entry->per_vertex_by_k[q.k];
-      const std::vector<BigCount>& pv = memo.counts;
-      // Top-N vertices by participation count, ties broken by id.
-      std::vector<NodeId> order;
-      for (NodeId v = 0; v < pv.size(); ++v)
-        if (pv[v] != BigCount{}) order.push_back(v);
-      const std::size_t top =
-          std::min<std::size_t>(std::max<std::uint32_t>(q.top, 1),
-                                order.size());
-      std::partial_sort(order.begin(), order.begin() + top, order.end(),
-                        [&](NodeId a, NodeId b) {
-                          if (pv[a] != pv[b]) return pv[b] < pv[a];
-                          return a < b;
-                        });
-      res.top_vertices.reserve(top);
-      for (std::size_t t = 0; t < top; ++t)
-        res.top_vertices.push_back({order[t], pv[order[t]]});
+      res.top_vertices =
+          RankVerticesByCount(memo.counts, std::max<std::uint32_t>(q.top, 1));
       res.total = memo.total;
       res.memo_hit = std::find(fresh_per_vertex_ks.begin(),
                                fresh_per_vertex_ks.end(),

@@ -64,11 +64,6 @@ struct ServiceQuery {
   std::uint32_t top = 1;    // how many top vertices to report (per_vertex)
 };
 
-struct VertexCount {
-  NodeId vertex = 0;
-  BigCount count{};
-};
-
 struct ServiceResult {
   bool ok = false;
   std::string error;        // set when !ok

@@ -8,6 +8,7 @@
 
 #include "graph/dag.h"
 #include "order/core_order.h"
+#include "pivot/pivotscale.h"
 #include "store/checksum.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
@@ -109,38 +110,20 @@ std::size_t GraphArtifact::HeapBytes() const {
 
 GraphArtifact BuildArtifact(const Graph& g,
                             const ArtifactBuildOptions& options) {
-  if (!g.undirected())
-    throw std::invalid_argument("BuildArtifact: input must be undirected");
-
   TelemetryRegistry* telemetry = options.telemetry;
+  PreparedDag prepared =
+      PrepareDag(g, options.heuristic, options.forced_ordering, telemetry);
+  if (telemetry != nullptr) {
+    telemetry->RecordSpan("store.heuristic", prepared.heuristic_seconds);
+    telemetry->RecordSpan("store.ordering", prepared.ordering_seconds);
+    telemetry->RecordSpan("store.directionalize",
+                          prepared.directionalize_seconds);
+  }
   GraphArtifact artifact;
-
-  OrderingSpec spec;
-  {
-    TelemetryRegistry::ScopedSpan span(telemetry, "store.heuristic");
-    if (options.forced_ordering.has_value()) {
-      spec = *options.forced_ordering;
-    } else {
-      const HeuristicDecision decision =
-          SelectOrdering(g, options.heuristic, telemetry);
-      spec.kind = decision.use_core_approx ? OrderingKind::kApproxCore
-                                           : OrderingKind::kDegree;
-      spec.epsilon = options.heuristic.epsilon;
-    }
-  }
-
-  {
-    TelemetryRegistry::ScopedSpan span(telemetry, "store.ordering");
-    Ordering ordering = ComputeOrdering(g, spec, telemetry);
-    artifact.ordering_name = std::move(ordering.name);
-    artifact.ranks = std::move(ordering.ranks);
-  }
-
-  {
-    TelemetryRegistry::ScopedSpan span(telemetry, "store.directionalize");
-    artifact.dag = Directionalize(g, artifact.ranks, telemetry);
-    artifact.max_out_degree = MaxOutDegree(artifact.dag);
-  }
+  artifact.ordering_name = std::move(prepared.ordering.name);
+  artifact.ranks = std::move(prepared.ordering.ranks);
+  artifact.dag = std::move(prepared.dag);
+  artifact.max_out_degree = prepared.max_out_degree;
 
   if (options.compute_degeneracy) {
     TelemetryRegistry::ScopedSpan span(telemetry, "store.degeneracy");

@@ -76,8 +76,9 @@ struct ArtifactBuildOptions {
   TelemetryRegistry* telemetry = nullptr;
 };
 
-// Runs the query-independent pipeline prefix (heuristic, ordering,
-// directionalize, stats) on an undirected simple graph.
+// Runs the query-independent pipeline prefix (PrepareDag,
+// pivot/pivotscale.h: heuristic, ordering, directionalize) plus the stats
+// on an undirected simple graph.
 GraphArtifact BuildArtifact(const Graph& g,
                             const ArtifactBuildOptions& options = {});
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "graph/builder.h"
 #include "graph/dag.h"
@@ -105,6 +108,45 @@ TEST(Orderings, SpecNamesAreDistinct) {
   EXPECT_EQ(OrderingSpecName({OrderingKind::kCore}), "core");
   EXPECT_NE(OrderingSpecName({OrderingKind::kApproxCore, -0.5}),
             OrderingSpecName({OrderingKind::kApproxCore, 0.1}));
+}
+
+TEST(Orderings, RoundsFieldIsTheRoundsGauge) {
+  const Graph g = BuildGraph(Rmat(9, 6.0, 3));
+  // Expected rounds per kind; 0 stands for "a peel's count, above 1".
+  const std::pair<OrderingKind, int> expected[] = {
+      {OrderingKind::kDegree, 1},     {OrderingKind::kCore, -1},
+      {OrderingKind::kApproxCore, 0}, {OrderingKind::kKCore, 0},
+      {OrderingKind::kCentrality, 3},
+  };
+  for (const auto& [kind, rounds] : expected) {
+    TelemetryRegistry telemetry;
+    const Ordering o = ComputeOrdering(g, {kind, -0.5, 3}, &telemetry);
+    EXPECT_EQ(telemetry.Gauge("ordering.rounds"), o.rounds) << o.name;
+    if (rounds == 0) {
+      EXPECT_GT(o.rounds, 1) << o.name;
+    } else {
+      EXPECT_EQ(o.rounds, rounds) << o.name;
+    }
+  }
+}
+
+TEST(ParseOrderingSpec, MapsEveryNameAndRejectsOthers) {
+  EXPECT_EQ(ParseOrderingSpec("degree", 0.3).kind, OrderingKind::kDegree);
+  EXPECT_EQ(ParseOrderingSpec("core", 0.3).kind, OrderingKind::kCore);
+  EXPECT_EQ(ParseOrderingSpec("kcore", 0.3).kind, OrderingKind::kKCore);
+  const OrderingSpec centrality = ParseOrderingSpec("centrality", 0.3);
+  EXPECT_EQ(centrality.kind, OrderingKind::kCentrality);
+  EXPECT_EQ(centrality.iterations, 3);
+  const OrderingSpec approx = ParseOrderingSpec("approx", 0.3);
+  EXPECT_EQ(approx.kind, OrderingKind::kApproxCore);
+  EXPECT_DOUBLE_EQ(approx.epsilon, 0.3);
+  try {
+    ParseOrderingSpec("bogus", -0.5);
+    FAIL() << "an unknown --ordering name was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RanksFromKeys, TiebreaksById) {
@@ -213,15 +255,15 @@ TEST(ApproxCore, HighEpsilonDegeneratesToDegreeLike) {
   // eps so large that round 0 removes everything: ordering = (degree, id),
   // i.e. exactly the degree ordering.
   const Graph g = BuildGraph(Rmat(8, 6.0, 11));
-  const ApproxCoreResult result = ApproxCoreOrderingWithStats(g, 50000);
-  EXPECT_EQ(result.rounds, 1);
-  EXPECT_EQ(result.ordering.ranks, DegreeOrdering(g).ranks);
+  const Ordering ordering = ApproxCoreOrdering(g, 50000);
+  EXPECT_EQ(ordering.rounds, 1);
+  EXPECT_EQ(ordering.ranks, DegreeOrdering(g).ranks);
 }
 
 TEST(ApproxCore, RoundsDecreaseWithEpsilon) {
   const Graph g = BuildGraph(Rmat(10, 8.0, 13));
-  const int rounds_low = ApproxCoreOrderingWithStats(g, -0.5).rounds;
-  const int rounds_mid = ApproxCoreOrderingWithStats(g, 0.1).rounds;
+  const int rounds_low = ApproxCoreOrdering(g, -0.5).rounds;
+  const int rounds_mid = ApproxCoreOrdering(g, 0.1).rounds;
   EXPECT_GT(rounds_low, rounds_mid);
   EXPECT_GE(rounds_mid, 1);
 }

@@ -475,6 +475,24 @@ TEST(Pivoter, SaturationOnAstronomicalCounts) {
   EXPECT_TRUE(count.saturated());
 }
 
+TEST(RankVerticesByCount, DropsZerosBreaksTiesByIdAndStopsAtNonzero) {
+  const std::vector<BigCount> per_vertex = {
+      BigCount{3}, BigCount{0}, BigCount{7}, BigCount{3},
+      BigCount{0}, BigCount{7}, BigCount{1}};
+  const std::vector<VertexCount> top2 = RankVerticesByCount(per_vertex, 2);
+  ASSERT_EQ(top2.size(), 2u);
+  EXPECT_EQ(top2[0].vertex, 2u);
+  EXPECT_EQ(top2[1].vertex, 5u);
+  EXPECT_EQ(top2[1].count, BigCount{7});
+
+  // Asking for more than the five nonzero counts returns just those five.
+  const std::vector<VertexCount> all = RankVerticesByCount(per_vertex, 100);
+  std::vector<NodeId> order;
+  for (const VertexCount& vc : all) order.push_back(vc.vertex);
+  EXPECT_EQ(order, (std::vector<NodeId>{2, 5, 0, 3, 6}));
+  EXPECT_TRUE(RankVerticesByCount(std::vector<BigCount>(4), 3).empty());
+}
+
 // ---------------------------------------------------------------- option validation
 
 TEST(CountOptionsValidation, RejectsUndirectedInput) {

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,55 @@ TEST(Artifact, BuildRecordsStoreSpans) {
   EXPECT_TRUE(telemetry.HasSpan("store.ordering"));
   EXPECT_TRUE(telemetry.HasSpan("store.directionalize"));
   EXPECT_TRUE(telemetry.HasSpan("store.degeneracy"));
+}
+
+// ------------------------------------------------------- pipeline prefix
+
+// CountKCliques and BuildArtifact run the same prefix as PrepareDag, under
+// a forced ordering and under both branches of the heuristic.
+TEST(PipelinePrefix, CountAndStoreAgreeWithPrepareDag) {
+  HeuristicConfig heuristic;
+  heuristic.min_nodes = 100;
+  const Graph small = BuildGraph(CompleteGraph(20));  // below min_nodes
+  const Graph large = TestGraph();                    // above it
+  struct Case {
+    const Graph* g;
+    std::optional<OrderingSpec> forced;
+    bool expect_core_approx;
+  };
+  const Case cases[] = {
+      {&small, std::nullopt, false},
+      {&large, std::nullopt, true},
+      {&large, OrderingSpec{OrderingKind::kKCore}, false},
+      {&small, OrderingSpec{OrderingKind::kApproxCore, 0.1}, false},
+  };
+  for (const Case& c : cases) {
+    const PreparedDag prepared = PrepareDag(*c.g, heuristic, c.forced);
+    SCOPED_TRACE(prepared.ordering.name);
+    EXPECT_EQ(prepared.decision.use_core_approx, c.expect_core_approx);
+
+    PivotScaleOptions count_options;
+    count_options.k = 4;
+    count_options.heuristic = heuristic;
+    count_options.forced_ordering = c.forced;
+    const PivotScaleResult counted = CountKCliques(*c.g, count_options);
+    EXPECT_EQ(counted.ordering_name, prepared.ordering.name);
+    EXPECT_EQ(counted.max_out_degree, prepared.max_out_degree);
+    EXPECT_EQ(counted.decision.use_core_approx, c.expect_core_approx);
+    CountOptions on_prepared;
+    on_prepared.k = 4;
+    EXPECT_EQ(counted.total, CountCliques(prepared.dag, on_prepared).total);
+
+    ArtifactBuildOptions build_options;
+    build_options.heuristic = heuristic;
+    build_options.forced_ordering = c.forced;
+    const GraphArtifact built = BuildArtifact(*c.g, build_options);
+    EXPECT_EQ(built.ordering_name, prepared.ordering.name);
+    EXPECT_EQ(built.ranks, prepared.ordering.ranks);
+    EXPECT_EQ(built.dag.offsets(), prepared.dag.offsets());
+    EXPECT_EQ(built.dag.neighbor_array(), prepared.dag.neighbor_array());
+    EXPECT_EQ(built.max_out_degree, prepared.max_out_degree);
+  }
 }
 
 // ------------------------------------------------------------- rejection
