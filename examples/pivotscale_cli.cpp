@@ -16,7 +16,6 @@
 // JSON document and prints the ASCII load-imbalance summary. Unknown flags
 // are rejected. Without --graph a demo graph is generated (so the binary
 // runs bare).
-#include <algorithm>
 #include <iostream>
 #include <limits>
 #include <stdexcept>
@@ -58,8 +57,8 @@ int main(int argc, char** argv) {
     const double eps = args.GetDouble("eps", -0.5);
     if (ordering != "heuristic")
       options.forced_ordering = ParseOrderingSpec(ordering, eps);
-    const auto top_n = static_cast<std::size_t>(
-        std::max<std::int64_t>(args.GetInt("top", 10), 1));
+    const auto top_n = static_cast<std::size_t>(args.GetIntInRange(
+        "top", 10, 1, std::numeric_limits<NodeId>::max()));
 
     Graph g;
     if (!path.empty()) {

@@ -21,7 +21,10 @@
 #      --heuristic-min-nodes 4294967296 must fail instead of wrapping to
 #      0, and before it generates the demo graph; pivotscale_prep
 #      --ordering bogus must fail with "unknown --ordering" before any
-#      graph line), the core-split check (the Release pivotscale_served, linked
+#      graph line; pivotscale_cli --per-vertex --top -5 must fail with
+#      "bad --top" before the demo graph), the NodeId-max smoke (an edge
+#      list naming vertex 4294967295 must make pivotscale_cli exit 1 with
+#      the id error, not crash in the builder), the core-split check (the Release pivotscale_served, linked
 #      against pivotscale_core alone, must hold no DenseSubgraph or
 #      SparseSubgraph symbol), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
@@ -102,6 +105,28 @@ grep -q 'unknown --ordering' <<<"${out}" ||
   { echo "${out}"; echo "--ordering bogus: wrong error"; exit 1; }
 ! grep -qE '^(graph|loaded|no --graph)' <<<"${out}" ||
   { echo "${out}"; echo "--ordering read after the graph"; exit 1; }
+
+echo "==> [2/4] flag smoke (pivotscale_cli --top -5, before the graph)"
+if out="$(./build-check/examples/pivotscale_cli --k 4 --per-vertex \
+    --top -5 2>&1)"; then
+  echo "${out}"; echo "--top -5 was accepted"; exit 1
+fi
+grep -q 'bad --top' <<<"${out}" ||
+  { echo "${out}"; echo "--top -5: wrong error"; exit 1; }
+! grep -q 'generated a demo graph' <<<"${out}" ||
+  { echo "${out}"; echo "--top read after the graph"; exit 1; }
+
+echo "==> [2/4] NodeId-max smoke (vertex 4294967295 in an edge list)"
+MAXID="$(mktemp -d)/max_id.el"
+printf '4294967295 0\n1 2\n' > "${MAXID}"
+status=0
+out="$(./build-check/examples/pivotscale_cli --graph "${MAXID}" --k 3 \
+  2>&1)" || status=$?
+[[ "${status}" == "1" ]] ||
+  { echo "${out}"; echo "vertex 4294967295: exit ${status}, not 1"; exit 1; }
+grep -q 'vertex id 4294967295 exceeds the largest NodeId' <<<"${out}" ||
+  { echo "${out}"; echo "vertex 4294967295: wrong error"; exit 1; }
+rm -r "$(dirname "${MAXID}")"
 
 echo "==> [2/4] core split (no paper structure in pivotscale_served)"
 structures="$(nm -C build-check/examples/pivotscale_served |

@@ -162,7 +162,7 @@ ApproxCountResult ColorSamplingCount(const Graph& g, std::uint32_t k,
     for (NodeId u = 0; u < n; ++u)
       for (NodeId v : g.Neighbors(u))
         if (u < v && color[u] == color[v]) kept.emplace_back(u, v);
-    const Graph sparse = BuildUndirected(std::move(kept), n);
+    const Graph sparse = BuildGraph(std::move(kept), n);
     const Graph dag =
         Directionalize(sparse, DegreeOrdering(sparse).ranks);
     CountOptions options;

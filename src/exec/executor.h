@@ -101,17 +101,27 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   ExecStats stats;
   stats.tasks = n;
   stats.chunks = num_chunks;
+  // Sized here, on the calling thread, and only shrunk inside the region:
+  // an allocation there would land in the malloc arena of whichever thread
+  // runs the `single`, so the caller's heap layout would vary run to run.
+  stats.worker_busy_seconds.assign(granted, 0.0);
+  stats.worker_chunks.assign(granted, 0);
 
   std::vector<std::optional<Worker>> slots(
       static_cast<std::size_t>(granted));
   std::atomic<std::size_t> cursor{0};
-  // Each worker releases its work here and the caller acquires it after
-  // the region: the ordering libgomp's region-end barrier already gives,
-  // made visible to ThreadSanitizer, which cannot see that barrier.
+  // The caller releases what it wrote before the region here and each
+  // worker acquires it on entry; each worker releases its work into
+  // `finished` and the caller acquires it after the region. These are
+  // the orderings libgomp's region start and end already give, made
+  // visible to ThreadSanitizer, which cannot see libgomp's barriers.
+  std::atomic<bool> opened{false};
   std::atomic<int> finished{0};
+  opened.store(true, std::memory_order_release);
   Timer wall;
 #pragma omp parallel num_threads(granted)
   {
+    (void)opened.load(std::memory_order_acquire);
     const int tid = omp_get_thread_num();
 #pragma omp single
     {
@@ -119,8 +129,8 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
       // request (and even the grant) may not be delivered in full.
       const int team = omp_get_num_threads();
       stats.team = team;
-      stats.worker_busy_seconds.assign(team, 0.0);
-      stats.worker_chunks.assign(team, 0);
+      stats.worker_busy_seconds.resize(team);
+      stats.worker_chunks.resize(team);
     }
     // (single's implicit barrier: every thread sees the sized arrays)
     CHECK_LT(static_cast<std::size_t>(tid), slots.size())

@@ -39,7 +39,7 @@ Dataset DblpLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 0);
   return {"dblp-like", "DBLP",
           "co-authorship style: many small overlapping cliques",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset SkitterLike(double scale) {
@@ -53,7 +53,7 @@ Dataset SkitterLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 1);
   return {"skitter-like", "As-Skitter",
           "power-law internet topology with mid-size planted cliques",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset BaiduLike(double scale) {
@@ -66,7 +66,7 @@ Dataset BaiduLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 2);
   return {"baidu-like", "Baidu",
           "web links: skewed but clique-poor, low assortativity",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset WikitalkLike(double scale) {
@@ -98,7 +98,7 @@ Dataset WikitalkLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 3);
   return {"wikitalk-like", "Wiki-Talk",
           "hub-dominated broadcast graph with moderate cliques",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset OrkutLike(double scale) {
@@ -114,7 +114,7 @@ Dataset OrkutLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 4);
   return {"orkut-like", "Orkut",
           "dense social network with community structure",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset LivejournalLike(double scale) {
@@ -135,7 +135,7 @@ Dataset LivejournalLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 5);
   return {"livejournal-like", "LiveJournal",
           "clique-rich social network: combinatorial explosion with k",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset WebeduLike(double scale) {
@@ -148,7 +148,7 @@ Dataset WebeduLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 6);
   return {"webedu-like", "Web-Edu",
           "very sparse web graph with one huge planted clique",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 Dataset FriendsterLike(double scale) {
@@ -161,7 +161,7 @@ Dataset FriendsterLike(double scale) {
   ShuffleVertexIds(&edges, n, 0x5f5f + 7);
   return {"friendster-like", "Friendster",
           "largest graph: high degree, relatively clique-poor",
-          BuildUndirected(std::move(edges), n)};
+          BuildGraph(std::move(edges), n)};
 }
 
 }  // namespace

@@ -34,12 +34,14 @@ EdgeList ReadEdgeList(const std::string& path) {
     if (!(ls >> u >> v))
       throw std::runtime_error(path + ":" + std::to_string(line_no) +
                                ": malformed edge line");
-    constexpr std::uint64_t kMaxId = std::numeric_limits<NodeId>::max();
+    // Ids stay below the NodeId maximum so that the vertex count, id + 1,
+    // is itself a NodeId.
+    constexpr std::uint64_t kMaxId = std::numeric_limits<NodeId>::max() - 1;
     if (u > kMaxId || v > kMaxId)
       throw std::runtime_error(
           path + ":" + std::to_string(line_no) + ": vertex id " +
-          std::to_string(u > kMaxId ? u : v) + " exceeds the " +
-          std::to_string(kMaxId) + " NodeId limit");
+          std::to_string(u > kMaxId ? u : v) + " exceeds the largest NodeId " +
+          std::to_string(kMaxId));
     edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
   return edges;

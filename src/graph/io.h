@@ -17,7 +17,8 @@ namespace pivotscale {
 
 // Reads a text edge list; lines starting with '#' or '%' are comments.
 // Throws std::runtime_error (with the line number) on unreadable files,
-// malformed lines, or vertex ids that exceed the NodeId range.
+// malformed lines, or vertex ids of 2^32 - 1 and above (the vertex count
+// must fit a NodeId).
 EdgeList ReadEdgeList(const std::string& path);
 
 // Writes one "u v" line per edge.
@@ -35,8 +36,8 @@ void WriteBinaryGraph(const std::string& path, const Graph& g);
 Graph ReadBinaryGraph(const std::string& path);
 
 // Loads a graph from a path, dispatching on extension: ".psg" -> binary,
-// anything else -> text edge list built with default BuildOptions
-// (symmetrized, deduplicated, no self-loops).
+// anything else -> text edge list built by BuildGraph (symmetrized,
+// deduplicated, no self-loops, over max id + 1 vertices).
 Graph LoadGraph(const std::string& path);
 
 }  // namespace pivotscale

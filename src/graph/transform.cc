@@ -27,7 +27,7 @@ InducedResult InduceSubgraph(const Graph& g,
         edges.emplace_back(new_id[old_u], new_id[old_v]);
     }
   }
-  result.graph = BuildUndirected(
+  result.graph = BuildGraph(
       std::move(edges), static_cast<NodeId>(result.original_ids.size()));
   return result;
 }
@@ -90,7 +90,7 @@ Graph DisjointUnion(const Graph& a, const Graph& b) {
   for (NodeId u = 0; u < b.NumNodes(); ++u)
     for (NodeId v : b.Neighbors(u))
       if (u < v) edges.emplace_back(u + offset, v + offset);
-  return BuildUndirected(std::move(edges), offset + b.NumNodes());
+  return BuildGraph(std::move(edges), offset + b.NumNodes());
 }
 
 }  // namespace pivotscale

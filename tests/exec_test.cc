@@ -10,6 +10,7 @@
 //     ArgParser::GetIntInRange rejecting serving flags that would wrap
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -199,12 +200,14 @@ TEST(Executor, StatsAreSizedToRealizedTeam) {
 TEST(Executor, EveryRealizedWorkerIsMergedOnce) {
   ExecOptions options;
   options.num_threads = 2;
-  int built = 0;
+  // Workers are constructed inside the region, one per tid, possibly at
+  // the same instant.
+  std::atomic<int> built{0};
   int merged = 0;
   ParallelForWorkers(
       100, options,
       [&built](int) {
-        ++built;  // workers are constructed inside the region, one per tid
+        built.fetch_add(1);
         return 0;
       },
       [](int& acc, std::size_t) { ++acc; },
@@ -212,8 +215,8 @@ TEST(Executor, EveryRealizedWorkerIsMergedOnce) {
         ++merged;
         EXPECT_GE(acc, 0);
       });
-  EXPECT_EQ(merged, built);
-  EXPECT_GE(built, 1);
+  EXPECT_EQ(merged, built.load());
+  EXPECT_GE(built.load(), 1);
 }
 
 TEST(Executor, EmptyRangeStillMergesWorkers) {

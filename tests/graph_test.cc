@@ -2,15 +2,20 @@
 // directionalization, and file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 
+#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
 #include "order/degree_order.h"
+#include "util/rng.h"
 
 namespace pivotscale {
 namespace {
@@ -60,6 +65,15 @@ TEST(Builder, EndpointBeyondNodeCountThrows) {
   EXPECT_THROW(BuildUndirected({{0, 10}}, 5), std::invalid_argument);
 }
 
+TEST(Builder, MaxNodeIdEndpointThrows) {
+  // Inferring n as id + 1 in 32 bits wrapped to 0, and the degree count
+  // then wrote out of bounds.
+  constexpr NodeId kMax = std::numeric_limits<NodeId>::max();
+  EXPECT_THROW(BuildGraph({{kMax, 0}, {1, 2}}), std::invalid_argument);
+  EXPECT_THROW(BuildGraph({{0, kMax}}), std::invalid_argument);
+  EXPECT_THROW(BuildGraph({{0, kMax}}, 10), std::invalid_argument);
+}
+
 TEST(Builder, EmptyGraph) {
   const Graph g = BuildGraph({});
   EXPECT_EQ(g.NumNodes(), 0u);
@@ -86,6 +100,85 @@ TEST(Builder, SymmetryInvariant) {
 TEST(Builder, AverageDegree) {
   const Graph g = Triangle();
   EXPECT_DOUBLE_EQ(g.AverageDegree(), 1.0);  // 3 edges / 3 vertices
+}
+
+// The sort-based build the counting-sort builder replaced: double the
+// list, drop self-loops, sort, de-duplicate, one pass fills the rows.
+Graph SortedReferenceBuild(EdgeList edges, NodeId num_nodes) {
+  const std::size_t original = edges.size();
+  edges.reserve(2 * original);
+  for (std::size_t i = 0; i < original; ++i)
+    edges.emplace_back(edges[i].second, edges[i].first);
+  std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  NodeId n = num_nodes;
+  if (n == 0)
+    for (const Edge& e : edges) n = std::max(n, e.first + 1);
+  std::vector<EdgeId> offsets(std::size_t{n} + 1, 0);
+  std::vector<NodeId> neighbors;
+  for (const Edge& e : edges) {
+    ++offsets[e.first + 1];
+    neighbors.push_back(e.second);
+  }
+  for (NodeId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return Graph(std::move(offsets), std::move(neighbors), true);
+}
+
+// Random pairs over [0, n): every edge repeated in both orientations now
+// and then, and a self-loop every so often.
+EdgeList NoisyEdges(NodeId n, std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  EdgeList edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto u = static_cast<NodeId>(rng.Below(n));
+    const auto v = static_cast<NodeId>(rng.Below(n));
+    edges.emplace_back(u, v);
+    if (i % 5 == 0) edges.emplace_back(v, u);
+    if (i % 7 == 0) edges.emplace_back(u, v);
+    if (i % 11 == 0) edges.emplace_back(u, u);
+  }
+  return edges;
+}
+
+TEST(Builder, ParallelBuildMatchesSortedReference) {
+  struct Case {
+    const char* name;
+    EdgeList edges;
+    NodeId num_nodes;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"noisy small", NoisyEdges(50, 400, 1), 0});
+  // More edges than one scatter chunk and more vertices than buckets.
+  cases.push_back({"noisy large", NoisyEdges(5000, 150'000, 2), 0});
+  // One row far wider than a vertex bucket, with repeats.
+  EdgeList hub = StarGraph(20'000);
+  const EdgeList again = StarGraph(20'000);
+  hub.insert(hub.end(), again.rbegin(), again.rend());
+  cases.push_back({"hub", std::move(hub), 0});
+  cases.push_back({"trailing isolated", NoisyEdges(100, 300, 3), 5000});
+  cases.push_back({"empty", {}, 0});
+  cases.push_back({"empty, explicit n", {}, 17});
+  cases.push_back({"self-loops only", {{3, 3}, {9, 9}}, 0});
+  // friendster-like RMAT (the suite's parameters at a small scale).
+  cases.push_back({"fr-like rmat", Rmat(14, 18.0, 0.50, 0.22, 0.19, 0xf41e),
+                   NodeId{1} << 14});
+
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  for (const int team : {1, 4}) {
+    budget.SetCapacity(team);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + ", team " + std::to_string(team));
+      const Graph want = SortedReferenceBuild(c.edges, c.num_nodes);
+      const Graph got = BuildGraph(c.edges, c.num_nodes);
+      EXPECT_EQ(got.NumNodes(), want.NumNodes());
+      EXPECT_EQ(got.offsets(), want.offsets());
+      EXPECT_EQ(got.neighbor_array(), want.neighbor_array());
+      EXPECT_TRUE(got.undirected());
+    }
+  }
+  budget.SetCapacity(saved);
 }
 
 TEST(Graph, MaxDegree) {

@@ -42,13 +42,29 @@ class TempFile {
 
 // --------------------------------------------------------- text edge list
 
-TEST(ReadEdgeList, AcceptsMaxNodeId) {
+TEST(ReadEdgeList, AcceptsLargestNodeId) {
   TempFile f("edge_list_max_id.el");
-  const std::uint64_t max_id = std::numeric_limits<NodeId>::max();
+  const std::uint64_t max_id = std::numeric_limits<NodeId>::max() - 1;
   f.WriteText("0 " + std::to_string(max_id) + "\n");
   const EdgeList edges = ReadEdgeList(f.path());
   ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].second, std::numeric_limits<NodeId>::max());
+  EXPECT_EQ(edges[0].second, max_id);
+}
+
+TEST(ReadEdgeList, RejectsNodeIdMax) {
+  // Id 2^32 - 1 leaves no NodeId vertex count; it used to reach the
+  // builder, whose 32-bit id + 1 wrapped to 0 and crashed the loader.
+  TempFile f("edge_list_node_id_max.el");
+  f.WriteText("1 2\n4294967295 0\n");
+  try {
+    ReadEdgeList(f.path());
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(":2"), std::string::npos) << what;  // line number
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+  }
+  EXPECT_THROW(LoadGraph(f.path()), std::runtime_error);
 }
 
 TEST(ReadEdgeList, RejectsIdBeyondNodeIdRange) {

@@ -10,6 +10,8 @@
 //   * concurrent executor counting runs (per-thread subgraph pools)
 //   * executor reduction slots + chunk cursor + thread-budget ledger
 //     under concurrent ParallelReduce runs
+//   * concurrent graph builds (shared scatter buffer, per-chunk cursor
+//     rows, per-bucket row cursors)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "exec/executor.h"
+#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "net/worker_pool.h"
@@ -319,6 +322,43 @@ TEST(RaceTest, ReductionSlotsAccumulateExactlyUnderContention) {
     });
   }
   JoinAll(threads);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ------------------------------------------------------ graph builder
+
+TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
+  // Every build runs its count, scatter and row passes on a team of its
+  // own: workers share the scatter buffer and the row cursors in offsets,
+  // each writing only the slots of its chunk's cursor row or its bucket.
+  // Several std::threads build at once, so teams also contend for the
+  // budget; every graph must equal the one-thread build exactly.
+  // 71,680 edges: two scatter chunks, each writing into all 1,024
+  // one-vertex buckets.
+  EdgeList edges = Rmat(10, 140.0, 0.50, 0.22, 0.19, 0xb11d);
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  budget.SetCapacity(1);
+  const Graph want = BuildGraph(edges);
+  budget.SetCapacity(4);
+
+  constexpr int kThreads = 2;
+  constexpr int kBuildsPerThread = 2;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int run = 0; run < kBuildsPerThread; ++run) {
+        const Graph got = BuildGraph(edges);
+        if (got.offsets() != want.offsets() ||
+            got.neighbor_array() != want.neighbor_array())
+          mismatches.fetch_add(1);
+      }
+    });
+  }
+  JoinAll(threads);
+  budget.SetCapacity(saved);
   EXPECT_EQ(mismatches.load(), 0);
 }
 
