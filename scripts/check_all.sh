@@ -24,7 +24,8 @@
 #      graph line; pivotscale_cli --per-vertex --top -5 must fail with
 #      "bad --top" before the demo graph), the NodeId-max smoke (an edge
 #      list naming vertex 4294967295 must make pivotscale_cli exit 1 with
-#      the id error, not crash in the builder), the core-split check (the Release pivotscale_served, linked
+#      the id error, not crash in the builder), the core-split check
+#      (the Release pivotscale_served, linked
 #      against pivotscale_core alone, must hold no DenseSubgraph or
 #      SparseSubgraph symbol), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every

@@ -331,11 +331,11 @@ TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
   // Every build runs its count, scatter and row passes on a team of its
   // own: workers share the scatter buffer and the row cursors in offsets,
   // each writing only the slots of its chunk's cursor row or its bucket.
-  // Several std::threads build at once, so teams also contend for the
+  // Two std::threads build at once, so teams also contend for the
   // budget; every graph must equal the one-thread build exactly.
   // 71,680 edges: two scatter chunks, each writing into all 1,024
   // one-vertex buckets.
-  EdgeList edges = Rmat(10, 140.0, 0.50, 0.22, 0.19, 0xb11d);
+  const EdgeList edges = Rmat(10, 140.0, 0.50, 0.22, 0.19, 0xb11d);
   ThreadBudget& budget = ThreadBudget::Global();
   const int saved = budget.capacity();
   budget.SetCapacity(1);
