@@ -1,7 +1,6 @@
 // The unified parallel execution layer. Every parallel loop in the tree
-// runs through these primitives; the only raw `#pragma omp parallel`
-// regions outside this directory live in util/prefix_sum.h (allowlisted —
-// see tools/lint.py `raw-omp-parallel`).
+// runs through these primitives; no raw `#pragma omp parallel` region
+// lives outside this directory (tools/lint.py `raw-omp-parallel`).
 //
 // What this layer adds over a bare OpenMP pragma:
 //   * a team leased from the process-wide ThreadBudget, so concurrent

@@ -100,12 +100,9 @@ Graph BuildGraph(EdgeList edges, NodeId num_nodes) {
   }
   bucket_begin[buckets] = entries;
 
-  // The scratch is allocated before the CSR arrays: on the lj-k8 benchmark
-  // input the reverse order leaves about 1 MB more resident once the
-  // counting that follows the build has run.
+  // The CSR arrays are allocated once the input is freed, so the input and
+  // the CSR are never resident together.
   auto scatter = std::make_unique_for_overwrite<std::uint64_t[]>(entries);
-  std::vector<EdgeId> offsets(std::size_t{n} + 1, 0);
-  std::vector<NodeId> neighbors(entries);
   ParallelFor(chunks, ExecOptions{}, [&](std::size_t c) {
     EdgeId* row = cursor.data() + c * buckets;
     for_each_edge(c, [&](NodeId u, NodeId v) {
@@ -114,6 +111,8 @@ Graph BuildGraph(EdgeList edges, NodeId num_nodes) {
     });
   });
   EdgeList().swap(edges);
+  std::vector<EdgeId> offsets(std::size_t{n} + 1, 0);
+  std::vector<NodeId> neighbors(entries);
 
   // Per bucket: counting-sort its entries into rows of `neighbors`, then
   // sort, de-duplicate and pack the rows to the bucket's front. offsets[v]

@@ -27,7 +27,9 @@ Graph Directionalize(const Graph& g, std::span<const NodeId> ranks,
   if (!IsPermutation(ranks))
     throw std::invalid_argument("Directionalize: ranks not a permutation");
 
-  std::vector<EdgeId> out_degrees(n, 0);
+  // Out-degrees, scanned in place into the offsets: entry n starts at 0
+  // and ends as the total.
+  std::vector<EdgeId> offsets(std::size_t{n} + 1, 0);
   ExecOptions exec_options;
   exec_options.grain = 1024;
   ParallelFor(n, exec_options, [&](std::size_t i) {
@@ -42,12 +44,9 @@ Graph Directionalize(const Graph& g, std::span<const NodeId> ranks,
                      << " is outside the graph";
       if (ranks[u] < ranks[v]) ++deg;
     }
-    out_degrees[u] = deg;
+    offsets[u] = deg;
   });
-
-  std::vector<EdgeId> offsets;
-  const EdgeId total = ParallelPrefixSum(out_degrees, &offsets);
-  offsets.push_back(total);
+  const EdgeId total = ParallelPrefixSum(offsets, &offsets);
 
   std::vector<NodeId> neighbors(total);
   const std::uint64_t edge_flips = ParallelReduce(

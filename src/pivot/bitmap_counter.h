@@ -90,7 +90,10 @@ class BitmapCounter {
 
   // Counts all cliques rooted at `root`. A root CliqueLeaves::SkipsRoot
   // rules out is neither built nor visited, so it adds no `calls`.
+  // The executor hands out a chunk's roots in ascending order, so the
+  // members of root + 1 are most likely the next ones built.
   void ProcessRoot(NodeId root) {
+    if (root + 1 < dag_.NumNodes()) sg_.PrefetchRow(root + 1);
     if (leaves_.SkipsRoot(dag_.Degree(root))) return;
     sg_.Build(root);
     leaves_.SetRoot(root);

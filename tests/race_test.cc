@@ -12,6 +12,7 @@
 //     under concurrent ParallelReduce runs
 //   * concurrent graph builds (shared scatter buffer, per-chunk cursor
 //     rows, per-bucket row cursors)
+//   * concurrent prefix sums (per-block totals between two regions)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -36,6 +37,7 @@
 #include "service/query_engine.h"
 #include "store/artifact.h"
 #include "test_helpers.h"
+#include "util/prefix_sum.h"
 #include "util/telemetry.h"
 
 namespace pivotscale {
@@ -354,6 +356,50 @@ TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
         if (got.offsets() != want.offsets() ||
             got.neighbor_array() != want.neighbor_array())
           mismatches.fetch_add(1);
+      }
+    });
+  }
+  JoinAll(threads);
+  budget.SetCapacity(saved);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+// ------------------------------------------------------ prefix sum
+
+TEST(RaceTest, ConcurrentPrefixSumsMatchSerialScan) {
+  // Each scan's first region writes one total per block, the caller scans
+  // the totals, and the second region reads them to offset its blocks.
+  // Four std::threads scan at once on one budget, half of them in place,
+  // so the teams contend for it; every scan must equal the serial one.
+  constexpr std::size_t kN = 4 * kPrefixSumBlock + 5;
+  std::vector<std::uint64_t> in(kN);
+  for (std::size_t i = 0; i < kN; ++i) in[i] = (i * 7919) % 13;
+  std::vector<std::uint64_t> want(kN);
+  std::uint64_t run = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    want[i] = run;
+    run += in[i];
+  }
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  budget.SetCapacity(4);
+
+  constexpr int kThreads = 4;
+  constexpr int kScansPerThread = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int scan = 0; scan < kScansPerThread; ++scan) {
+        std::vector<std::uint64_t> out;
+        if (t % 2 == 0) {
+          if (ParallelPrefixSum(in, &out) != run) mismatches.fetch_add(1);
+        } else {
+          out = in;
+          if (ParallelPrefixSum(out, &out) != run) mismatches.fetch_add(1);
+        }
+        if (out != want) mismatches.fetch_add(1);
       }
     });
   }

@@ -2,9 +2,11 @@
 // binomial tables, byte maps, prefix sums, CLI parsing, stats.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 #include <vector>
 
+#include "exec/thread_budget.h"
 #include "util/binomial.h"
 #include "util/bytemap.h"
 #include "util/cli.h"
@@ -274,6 +276,36 @@ TEST(PrefixSum, LargeRandomMatchesSequential) {
   std::vector<std::uint64_t> out;
   EXPECT_EQ(ParallelPrefixSum(in, &out), run);
   EXPECT_EQ(out, expected);
+}
+
+TEST(PrefixSum, MatchesExclusiveScanAtEveryTeamSize) {
+  // Sizes 0 and 1 scan serially; one item above three blocks runs both
+  // parallel passes and leaves a one-item last block. Every team must
+  // give std::exclusive_scan's output, into a second vector and in place.
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  Rng rng(21);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              3 * kPrefixSumBlock + 1}) {
+    std::vector<std::uint64_t> in(n);
+    for (auto& x : in) x = rng.Below(1000);
+    std::vector<std::uint64_t> want(n);
+    std::exclusive_scan(in.begin(), in.end(), want.begin(),
+                        std::uint64_t{0});
+    const std::uint64_t total =
+        std::accumulate(in.begin(), in.end(), std::uint64_t{0});
+    for (int team = 1; team <= 4; ++team) {
+      budget.SetCapacity(team);
+      std::vector<std::uint64_t> out;
+      EXPECT_EQ(ParallelPrefixSum(in, &out), total) << n << " " << team;
+      EXPECT_EQ(out, want) << n << " " << team;
+      std::vector<std::uint64_t> aliased = in;
+      EXPECT_EQ(ParallelPrefixSum(aliased, &aliased), total)
+          << n << " " << team;
+      EXPECT_EQ(aliased, want) << n << " " << team;
+    }
+  }
+  budget.SetCapacity(saved);
 }
 
 // ---------------------------------------------------------------- cli

@@ -18,8 +18,7 @@ Checks conventions a compiler cannot see:
                    other writers must go through WriteFileAtomic so readers
                    can never observe a truncated artifact.
   raw-omp-parallel `#pragma omp parallel` is banned outside the exec layer
-                   (src/exec/) and src/util/prefix_sum.h: every parallel
-                   region in src/, bench/, and examples/ must go through
+                   (src/exec/): every parallel region in src/, bench/, and examples/ must go through
                    the Executor primitives (ParallelFor / ParallelReduce /
                    ParallelForWorkers) so thread budgeting, chunking, and
                    exec.* telemetry stay uniform (tests/ exempt: harness
@@ -64,12 +63,9 @@ LIBRARY_CMAKE = SRC_DIR / "CMakeLists.txt"
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 UMBRELLA_HEADER = "src/pivotscale.h"
 
-# Files allowed to open raw OpenMP parallel regions: the executor itself
-# and the two-pass prefix sum (a barrier-structured region the Executor's
-# chunked self-scheduling loop cannot express).
+# Files allowed to open raw OpenMP parallel regions: the executor itself.
 OMP_PARALLEL_ALLOWLIST = (
     "src/exec/",
-    "src/util/prefix_sum.h",
 )
 
 
