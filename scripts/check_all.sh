@@ -17,7 +17,9 @@
 #      C(300, 2) - 3 = 44847 edge ops: the closed-form tail's triangle
 #      pass costs a clique one popcount per member; and 297 recursion
 #      calls: the 3 roots of out-degree below k - 1 are skipped before
-#      their build), the flag-range smoke (pivotscale_cli
+#      their build), the demo-graph smoke (pivotscale_cli --k 4 must
+#      print the recorded vertex, edge and 4-clique counts, so generator
+#      drift shows in the shipped binary), the flag-range smoke (pivotscale_cli
 #      --heuristic-min-nodes 4294967296 must fail instead of wrapping to
 #      0, and before it generates the demo graph; pivotscale_prep
 #      --ordering bogus must fail with "unknown --ordering" before any
@@ -88,6 +90,13 @@ grep -Eq '"count.recursion_calls":297[,}]' "${K300%.el}.json" ||
   { echo "K300: the short-root skip did not skip exactly the 3 short roots"
     exit 1; }
 rm -r "$(dirname "${K300}")"
+
+echo "==> [2/4] demo-graph CLI smoke (generator output, k = 4)"
+out="$(./build-check/examples/pivotscale_cli --k 4)"
+grep -q '^graph: 4088 vertices, 14961 edges' <<<"${out}" ||
+  { echo "${out}"; echo "demo graph: the generators' output drifted"; exit 1; }
+grep -qx '4-cliques: 83992' <<<"${out}" ||
+  { echo "${out}"; echo "demo graph: wrong 4-clique count"; exit 1; }
 
 echo "==> [2/4] flag-range smoke (--heuristic-min-nodes past NodeId)"
 if out="$(./build-check/examples/pivotscale_cli --k 4 \

@@ -106,8 +106,13 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   stats.worker_busy_seconds.assign(granted, 0.0);
   stats.worker_chunks.assign(granted, 0);
 
-  std::vector<std::optional<Worker>> slots(
-      static_cast<std::size_t>(granted));
+  // Workers may write their slot on every item (an argmax, a counter), so
+  // each slot gets cache lines of its own: 128 B also keeps the adjacent-
+  // line prefetcher from pairing two slots.
+  struct alignas(128) Slot {
+    std::optional<Worker> worker;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(granted));
   std::atomic<std::size_t> cursor{0};
   // The caller releases what it wrote before the region here and each
   // worker acquires it on entry; each worker releases its work into
@@ -134,7 +139,7 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
     // (single's implicit barrier: every thread sees the sized arrays)
     CHECK_LT(static_cast<std::size_t>(tid), slots.size())
         << "exec: OpenMP delivered a thread id outside the granted team";
-    slots[tid].emplace(make_worker(tid));
+    slots[tid].worker.emplace(make_worker(tid));
     std::uint64_t my_chunks = 0;
     Timer busy;
     for (;;) {
@@ -142,7 +147,7 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
       if (c >= num_chunks) break;
       ++my_chunks;
       for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i)
-        body(*slots[tid], i);
+        body(*slots[tid].worker, i);
     }
     stats.worker_busy_seconds[tid] = busy.Seconds();
     stats.worker_chunks[tid] = my_chunks;
@@ -151,8 +156,8 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   stats.seconds = wall.Seconds();
   CHECK_EQ(finished.load(std::memory_order_acquire), stats.team);
 
-  for (auto& slot : slots)
-    if (slot.has_value()) merge(*slot);
+  for (Slot& slot : slots)
+    if (slot.worker.has_value()) merge(*slot.worker);
 
   exec_detail::RecordExecTelemetry(options.telemetry, stats);
   return stats;

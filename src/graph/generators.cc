@@ -1,13 +1,24 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
+#include "exec/executor.h"
 #include "util/rng.h"
 
 namespace pivotscale {
+
+namespace {
+
+// Edges per parallel chunk of Rmat and of the relabel pass. Output does not
+// depend on it: each Rmat chunk starts from its exact serial-stream state.
+constexpr EdgeId kChunkEdges = EdgeId{1} << 16;
+
+}  // namespace
 
 EdgeList ErdosRenyi(NodeId n, double p, std::uint64_t seed) {
   Rng rng(seed);
@@ -26,15 +37,34 @@ EdgeList GnM(NodeId n, EdgeId m, std::uint64_t seed) {
   if (m > max_edges)
     throw std::invalid_argument("GnM: m exceeds possible edges");
   Rng rng(seed);
-  std::set<Edge> chosen;
-  while (chosen.size() < m) {
+  // Edges are packed as (u << 32) | v with u < v, so key 0 never occurs and
+  // marks an empty slot of the linear-probing table. The table is at most
+  // half full.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(m);
+  std::vector<std::uint64_t> table(std::bit_ceil(std::max<EdgeId>(m, 1) * 2),
+                                   0);
+  const std::size_t mask = table.size() - 1;
+  while (keys.size() < m) {
     NodeId u = static_cast<NodeId>(rng.Below(n));
     NodeId v = static_cast<NodeId>(rng.Below(n));
     if (u == v) continue;
     if (u > v) std::swap(u, v);
-    chosen.emplace(u, v);
+    const std::uint64_t key = (std::uint64_t{u} << 32) | v;
+    std::size_t slot = SplitMix64::Mix(key) & mask;
+    while (table[slot] != 0 && table[slot] != key) slot = (slot + 1) & mask;
+    if (table[slot] == 0) {
+      table[slot] = key;
+      keys.push_back(key);
+    }
   }
-  return EdgeList(chosen.begin(), chosen.end());
+  std::vector<std::uint64_t>().swap(table);
+  std::sort(keys.begin(), keys.end());
+  EdgeList edges(m);
+  for (EdgeId i = 0; i < m; ++i)
+    edges[i] = {static_cast<NodeId>(keys[i] >> 32),
+                static_cast<NodeId>(keys[i])};
+  return edges;
 }
 
 EdgeList Rmat(int scale, double avg_degree, double a, double b, double c,
@@ -47,26 +77,38 @@ EdgeList Rmat(int scale, double avg_degree, double a, double b, double c,
   const NodeId n = NodeId{1} << scale;
   const EdgeId m =
       static_cast<EdgeId>(avg_degree * static_cast<double>(n) / 2.0);
-  Rng rng(seed);
-  EdgeList edges;
-  edges.reserve(m);
-  for (EdgeId i = 0; i < m; ++i) {
-    NodeId u = 0, v = 0;
-    for (int bit = scale - 1; bit >= 0; --bit) {
-      const double r = rng.NextDouble();
-      if (r < a) {
-        // top-left quadrant: no bits set
-      } else if (r < a + b) {
-        v |= NodeId{1} << bit;
-      } else if (r < a + b + c) {
-        u |= NodeId{1} << bit;
-      } else {
-        u |= NodeId{1} << bit;
-        v |= NodeId{1} << bit;
-      }
+  // Chunk i generates edges [i, i + 1) * kChunkEdges from the state the
+  // serial stream reaches after i * kChunkEdges * scale draws, so the edge
+  // list is the serial one at every team size.
+  const std::size_t chunks = (m + kChunkEdges - 1) / kChunkEdges;
+  std::vector<Rng> starts(chunks, Rng(seed));
+  if (chunks > 1) {
+    const RngJump jump(kChunkEdges * static_cast<std::uint64_t>(scale));
+    for (std::size_t chunk = 1; chunk < chunks; ++chunk) {
+      starts[chunk] = starts[chunk - 1];
+      jump.Apply(&starts[chunk]);
     }
-    edges.emplace_back(u, v);
   }
+  // Quadrants by r in [0, a), [a, ab), [ab, abc), [abc, 1): none, v, u,
+  // both. The bit of u is r >= ab; the bit of v is the parity of the three
+  // comparisons, so the loop has no data-dependent branch.
+  const double ab = a + b;
+  const double abc = a + b + c;
+  EdgeList edges(m);
+  ParallelFor(chunks, ExecOptions{}, [&](std::size_t chunk) {
+    Rng rng = starts[chunk];
+    const EdgeId end = std::min<EdgeId>(m, (chunk + 1) * kChunkEdges);
+    for (EdgeId i = chunk * kChunkEdges; i < end; ++i) {
+      NodeId u = 0, v = 0;
+      for (int bit = scale - 1; bit >= 0; --bit) {
+        const double r = rng.NextDouble();
+        const NodeId past_b = r >= ab;
+        u |= past_b << bit;
+        v |= (NodeId{r >= a} ^ past_b ^ NodeId{r >= abc}) << bit;
+      }
+      edges[i] = {u, v};
+    }
+  });
   return edges;
 }
 
@@ -192,10 +234,13 @@ void ShuffleVertexIds(EdgeList* edges, NodeId n, std::uint64_t seed) {
   // Fisher-Yates.
   for (NodeId i = n; i > 1; --i)
     std::swap(relabel[i - 1], relabel[rng.Below(i)]);
-  for (Edge& e : *edges) {
+  ExecOptions by_edge;
+  by_edge.grain = kChunkEdges;
+  ParallelFor(edges->size(), by_edge, [edges, &relabel](std::size_t i) {
+    Edge& e = (*edges)[i];
     e.first = relabel[e.first];
     e.second = relabel[e.second];
-  }
+  });
 }
 
 EdgeList CompleteGraph(NodeId n) {

@@ -3,9 +3,28 @@
 namespace pivotscale {
 
 namespace {
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
+
+// Xoshiro's 256-bit state, and a 256x256 bit matrix as its 256 columns.
+using State = std::array<std::uint64_t, 4>;
+using Matrix = std::array<State, 256>;
+
+// m * x over GF(2): the XOR of the columns of m selected by x's bits.
+State Times(const Matrix& m, const State& x) {
+  State out{};
+  for (int i = 0; i < 256; ++i) {
+    const std::uint64_t mask = 0 - ((x[i / 64] >> (i % 64)) & 1);
+    for (int w = 0; w < 4; ++w) out[w] ^= m[i][w] & mask;
+  }
+  return out;
 }
+
+// a * b, column by column.
+Matrix Times(const Matrix& a, const Matrix& b) {
+  Matrix out;
+  for (int i = 0; i < 256; ++i) out[i] = Times(a, b[i]);
+  return out;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -14,18 +33,6 @@ Rng::Rng(std::uint64_t seed) {
   // All-zero state is the one forbidden state of xoshiro; SplitMix64 cannot
   // produce four consecutive zeros from any seed, but guard regardless.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::Below(std::uint64_t bound) {
@@ -49,15 +56,37 @@ std::int64_t Rng::Between(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(Below(span));
 }
 
-double Rng::NextDouble() {
-  // 53 random mantissa bits scaled into [0, 1).
-  return (Next() >> 11) * 0x1.0p-53;
-}
-
 bool Rng::Chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
+}
+
+RngJump::RngJump(std::uint64_t draws) {
+  // step: one call of Next(), found by stepping each basis state.
+  Matrix step;
+  for (int i = 0; i < 256; ++i) {
+    Rng basis(0);
+    for (int w = 0; w < 4; ++w)
+      basis.s_[w] = w == i / 64 ? std::uint64_t{1} << (i % 64) : 0;
+    basis.Next();
+    for (int w = 0; w < 4; ++w) step[i][w] = basis.s_[w];
+  }
+  for (int i = 0; i < 256; ++i) {
+    columns_[i] = State{};
+    columns_[i][i / 64] = std::uint64_t{1} << (i % 64);
+  }
+  // Powers of one matrix commute, so the product order is free.
+  for (; draws != 0; draws >>= 1) {
+    if (draws & 1) columns_ = Times(step, columns_);
+    if (draws > 1) step = Times(step, step);
+  }
+}
+
+void RngJump::Apply(Rng* rng) const {
+  const State next =
+      Times(columns_, State{rng->s_[0], rng->s_[1], rng->s_[2], rng->s_[3]});
+  for (int w = 0; w < 4; ++w) rng->s_[w] = next[w];
 }
 
 }  // namespace pivotscale

@@ -8,6 +8,7 @@
 #ifndef PIVOTSCALE_UTIL_RNG_H_
 #define PIVOTSCALE_UTIL_RNG_H_
 
+#include <array>
 #include <cstdint>
 
 namespace pivotscale {
@@ -33,14 +34,25 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-// Xoshiro256**: the repository's primary PRNG.
+// Xoshiro256**: the repository's primary PRNG. Next and NextDouble are
+// inline: the RMAT generator draws tens of millions of values per graph.
 class Rng {
  public:
   // Seeds the four words of state from SplitMix64(seed).
   explicit Rng(std::uint64_t seed);
 
   // Uniform 64-bit value.
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
   // multiply-shift rejection method to avoid modulo bias.
@@ -49,14 +61,38 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t Between(std::int64_t lo, std::int64_t hi);
 
-  // Uniform double in [0, 1).
-  double NextDouble();
+  // Uniform double in [0, 1): 53 random mantissa bits.
+  double NextDouble() { return (Next() >> 11) * 0x1.0p-53; }
 
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool Chance(double p);
 
  private:
+  friend class RngJump;
+
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
+};
+
+// Moves an Rng `draws` calls of Next() ahead without making them, so that
+// the chunks of a parallel generator can each start where the serial
+// stream would be. Xoshiro's step is linear over GF(2), so `draws` steps
+// are one 256x256 bit matrix: the constructor raises the one-step matrix
+// to `draws` by repeated squaring (O(log draws) matrix products, a few
+// milliseconds), and Apply costs 256 masked 4-word XORs.
+class RngJump {
+ public:
+  explicit RngJump(std::uint64_t draws);
+
+  // Leaves *rng in the state it would reach after `draws` calls of Next().
+  void Apply(Rng* rng) const;
+
+ private:
+  // Column i is the image of state bit i (word i / 64, bit i % 64).
+  std::array<std::array<std::uint64_t, 4>, 256> columns_;
 };
 
 }  // namespace pivotscale

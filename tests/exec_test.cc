@@ -10,12 +10,15 @@
 //     ArgParser::GetIntInRange rejecting serving flags that would wrap
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/executor.h"
@@ -217,6 +220,43 @@ TEST(Executor, EveryRealizedWorkerIsMergedOnce) {
       });
   EXPECT_EQ(merged, built.load());
   EXPECT_GE(built.load(), 1);
+}
+
+TEST(Executor, WorkerSlotsDoNotShareCacheLines) {
+  // Small accumulators written on every item, as SelectOrdering's argmax
+  // does: two of them on one cache line would bounce it between cores.
+  struct Acc {
+    int tid;
+    std::uint64_t best;
+  };
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  budget.SetCapacity(4);
+  ExecOptions options;
+  options.num_threads = 4;
+  std::vector<std::uintptr_t> seen(4, 0);
+  const ExecStats stats = ParallelForWorkers(
+      256, options, [](int tid) { return Acc{tid, 0}; },
+      [&seen](Acc& acc, std::size_t i) {
+        // Slow enough that every worker takes a chunk before they run out.
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        acc.best = std::max<std::uint64_t>(acc.best, i);
+        seen[acc.tid] = reinterpret_cast<std::uintptr_t>(&acc);
+      },
+      [](Acc&) {});
+  budget.SetCapacity(saved);
+  int recorded = 0;
+  for (std::size_t a = 0; a < seen.size(); ++a) {
+    if (seen[a] == 0) continue;
+    ++recorded;
+    for (std::size_t b = a + 1; b < seen.size(); ++b) {
+      if (seen[b] == 0) continue;
+      const std::uintptr_t gap =
+          seen[a] > seen[b] ? seen[a] - seen[b] : seen[b] - seen[a];
+      EXPECT_GE(gap, 64u) << "workers " << a << " and " << b;
+    }
+  }
+  EXPECT_GE(recorded, std::min(stats.team, 2));
 }
 
 TEST(Executor, EmptyRangeStillMergesWorkers) {

@@ -1,11 +1,14 @@
 // Tests for the synthetic graph generators and the dataset suite.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
+#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace pivotscale {
 namespace {
@@ -36,6 +39,28 @@ TEST(Generators, GnMExactCount) {
   for (const Edge& e : edges) EXPECT_LT(e.first, e.second);
 }
 
+// GnM as written with a std::set: the hash-set version must make the same
+// draws, reject the same duplicates and return the same sorted list.
+EdgeList SetReferenceGnM(NodeId n, EdgeId m, std::uint64_t seed) {
+  Rng rng(seed);
+  std::set<Edge> chosen;
+  while (chosen.size() < m) {
+    NodeId u = static_cast<NodeId>(rng.Below(n));
+    NodeId v = static_cast<NodeId>(rng.Below(n));
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    chosen.emplace(u, v);
+  }
+  return EdgeList(chosen.begin(), chosen.end());
+}
+
+TEST(Generators, GnMMatchesSetReference) {
+  // Sparse, and complete (the last edges take many rejected draws).
+  EXPECT_EQ(GnM(30000, 20000, 0x11ff), SetReferenceGnM(30000, 20000, 0x11ff));
+  EXPECT_EQ(GnM(60, 1770, 3), SetReferenceGnM(60, 1770, 3));
+  EXPECT_EQ(GnM(2, 1, 4), SetReferenceGnM(2, 1, 4));
+}
+
 TEST(Generators, GnMTooManyEdgesThrows) {
   EXPECT_THROW(GnM(4, 7, 1), std::invalid_argument);
 }
@@ -47,6 +72,53 @@ TEST(Generators, RmatSizeAndBounds) {
     EXPECT_LT(e.first, 1024u);
     EXPECT_LT(e.second, 1024u);
   }
+}
+
+// Rmat as a single serial loop with a three-way branch per bit: the
+// chunked, branchless generator must reproduce it edge for edge.
+EdgeList SerialReferenceRmat(int scale, double avg_degree, double a,
+                             double b, double c, std::uint64_t seed) {
+  const NodeId n = NodeId{1} << scale;
+  const EdgeId m =
+      static_cast<EdgeId>(avg_degree * static_cast<double>(n) / 2.0);
+  Rng rng(seed);
+  EdgeList edges;
+  edges.reserve(m);
+  for (EdgeId i = 0; i < m; ++i) {
+    NodeId u = 0, v = 0;
+    for (int bit = scale - 1; bit >= 0; --bit) {
+      const double r = rng.NextDouble();
+      if (r < a) {
+      } else if (r < a + b) {
+        v |= NodeId{1} << bit;
+      } else if (r < a + b + c) {
+        u |= NodeId{1} << bit;
+      } else {
+        u |= NodeId{1} << bit;
+        v |= NodeId{1} << bit;
+      }
+    }
+    edges.emplace_back(u, v);
+  }
+  return edges;
+}
+
+TEST(Generators, RmatIdenticalAtEveryTeamSize) {
+  // 1,042,022 edges: 15 full chunks of 65,536 and a partial 16th.
+  const EdgeList want =
+      SerialReferenceRmat(17, 15.9, 0.50, 0.22, 0.19, 0xf41e);
+  ASSERT_EQ(want.size(), 1'042'022u);
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  for (int team = 1; team <= 4; ++team) {
+    budget.SetCapacity(team);
+    EXPECT_EQ(Rmat(17, 15.9, 0.50, 0.22, 0.19, 0xf41e), want)
+        << "team " << team;
+  }
+  budget.SetCapacity(saved);
+  // Graph500 constants, one partial chunk.
+  EXPECT_EQ(Rmat(10, 8.0, 17), SerialReferenceRmat(10, 8.0, 0.57, 0.19,
+                                                    0.19, 17));
 }
 
 TEST(Generators, RmatSkewedDegrees) {
@@ -213,6 +285,38 @@ TEST(Datasets, Deterministic) {
   EXPECT_EQ(a.graph.NumNodes(), b.graph.NumNodes());
   EXPECT_EQ(a.graph.NumDirectedEdges(), b.graph.NumDirectedEdges());
   EXPECT_EQ(a.graph.neighbor_array(), b.graph.neighbor_array());
+}
+
+TEST(Datasets, FingerprintsMatchRecorded) {
+  // Recorded before the generators went parallel. friendster-like has two
+  // RMAT chunks at this scale, so the second starts from a jumped state.
+  struct Fingerprint {
+    const char* name;
+    NodeId n;
+    EdgeId m;
+    std::uint64_t hash;
+  };
+  const Fingerprint recorded[] = {
+      {"dblp-like", 600, 4459, 0xf4ee6d8024a83cc4ULL},
+      {"skitter-like", 4096, 23585, 0xc3a8e0248298d7edULL},
+      {"baidu-like", 4096, 28230, 0x0197788298cd44ccULL},
+      {"wikitalk-like", 3000, 22390, 0x799bc09d20123d30ULL},
+      {"orkut-like", 1024, 11226, 0xcce8d3bc785239ddULL},
+      {"livejournal-like", 1500, 7647, 0x8e228b6a4969210bULL},
+      {"webedu-like", 5000, 16834, 0x1b620fab157ac151ULL},
+      {"friendster-like", 8192, 70993, 0x40e43e167ae895d1ULL},
+  };
+  ASSERT_EQ(std::size(recorded), DatasetNames().size());
+  for (const Fingerprint& want : recorded) {
+    const Graph g = MakeDataset(want.name, 0.05).graph;
+    std::uint64_t hash = 0;
+    for (const EdgeId o : g.offsets()) hash = SplitMix64::Mix(hash ^ o);
+    for (const NodeId v : g.neighbor_array())
+      hash = SplitMix64::Mix(hash ^ v);
+    EXPECT_EQ(g.NumNodes(), want.n) << want.name;
+    EXPECT_EQ(g.NumUndirectedEdges(), want.m) << want.name;
+    EXPECT_EQ(hash, want.hash) << want.name;
+  }
 }
 
 TEST(Datasets, UnknownNameThrows) {

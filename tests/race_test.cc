@@ -364,6 +364,35 @@ TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// ------------------------------------------------------ generators
+
+TEST(RaceTest, ConcurrentRmatMatchesSerial) {
+  // Each call fills its own edge list from per-chunk generator copies;
+  // the chunk start states are written before the region and only read
+  // inside it. Four std::threads generate at once under one budget, so
+  // their teams contend for it; every list must equal the team-1 one.
+  // 147,456 edges: three chunks, so two starts come from the jump matrix.
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  budget.SetCapacity(1);
+  const EdgeList want = Rmat(14, 18.0, 0.50, 0.22, 0.19, 0xf41e);
+  budget.SetCapacity(4);
+
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      if (Rmat(14, 18.0, 0.50, 0.22, 0.19, 0xf41e) != want)
+        mismatches.fetch_add(1);
+    });
+  }
+  JoinAll(threads);
+  budget.SetCapacity(saved);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // ------------------------------------------------------ prefix sum
 
 TEST(RaceTest, ConcurrentPrefixSumsMatchSerialScan) {
