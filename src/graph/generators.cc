@@ -1,10 +1,14 @@
 #include "graph/generators.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cerrno>
 #include <set>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 #include "exec/executor.h"
@@ -17,6 +21,40 @@ namespace {
 // Edges per parallel chunk of Rmat and of the relabel pass. Output does not
 // depend on it: each Rmat chunk starts from its exact serial-stream state.
 constexpr EdgeId kChunkEdges = EdgeId{1} << 16;
+
+// A linear-probing set of nonzero 64-bit keys, at most half full. The
+// table is mapped from the kernel, not malloc'd: freeing a malloc'd block
+// this large raises glibc's dynamic mmap threshold to its size, which
+// moves the rest of a dataset's mid-size vectors into the heap and
+// fragments it (perfbench lj-k8's peak RSS read 3-7 % higher that way).
+class KeySet {
+ public:
+  explicit KeySet(std::size_t capacity)
+      : slots_(std::bit_ceil(std::max<std::size_t>(capacity, 1) * 2)) {
+    void* table = mmap(nullptr, slots_ * sizeof(std::uint64_t),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+    if (table == MAP_FAILED)
+      throw std::system_error(errno, std::generic_category(), "KeySet mmap");
+    table_ = static_cast<std::uint64_t*>(table);  // zero-filled
+  }
+  ~KeySet() { munmap(table_, slots_ * sizeof(std::uint64_t)); }
+  KeySet(const KeySet&) = delete;
+  KeySet& operator=(const KeySet&) = delete;
+
+  // Adds `key`; returns whether it was absent.
+  bool Insert(std::uint64_t key) {
+    std::size_t slot = SplitMix64::Mix(key) & (slots_ - 1);
+    for (; table_[slot] != 0; slot = (slot + 1) & (slots_ - 1))
+      if (table_[slot] == key) return false;
+    table_[slot] = key;
+    return true;
+  }
+
+ private:
+  std::size_t slots_;
+  std::uint64_t* table_;
+};
 
 }  // namespace
 
@@ -37,33 +75,18 @@ EdgeList GnM(NodeId n, EdgeId m, std::uint64_t seed) {
   if (m > max_edges)
     throw std::invalid_argument("GnM: m exceeds possible edges");
   Rng rng(seed);
-  // Edges are packed as (u << 32) | v with u < v, so key 0 never occurs and
-  // marks an empty slot of the linear-probing table. The table is at most
-  // half full.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(m);
-  std::vector<std::uint64_t> table(std::bit_ceil(std::max<EdgeId>(m, 1) * 2),
-                                   0);
-  const std::size_t mask = table.size() - 1;
-  while (keys.size() < m) {
+  EdgeList edges;
+  edges.reserve(m);
+  KeySet chosen(m);
+  while (edges.size() < m) {
     NodeId u = static_cast<NodeId>(rng.Below(n));
     NodeId v = static_cast<NodeId>(rng.Below(n));
     if (u == v) continue;
     if (u > v) std::swap(u, v);
-    const std::uint64_t key = (std::uint64_t{u} << 32) | v;
-    std::size_t slot = SplitMix64::Mix(key) & mask;
-    while (table[slot] != 0 && table[slot] != key) slot = (slot + 1) & mask;
-    if (table[slot] == 0) {
-      table[slot] = key;
-      keys.push_back(key);
-    }
+    // u < v, so the key is never 0.
+    if (chosen.Insert((std::uint64_t{u} << 32) | v)) edges.emplace_back(u, v);
   }
-  std::vector<std::uint64_t>().swap(table);
-  std::sort(keys.begin(), keys.end());
-  EdgeList edges(m);
-  for (EdgeId i = 0; i < m; ++i)
-    edges[i] = {static_cast<NodeId>(keys[i] >> 32),
-                static_cast<NodeId>(keys[i])};
+  std::sort(edges.begin(), edges.end());
   return edges;
 }
 

@@ -66,27 +66,22 @@ RngJump::RngJump(std::uint64_t draws) {
   // step: one call of Next(), found by stepping each basis state.
   Matrix step;
   for (int i = 0; i < 256; ++i) {
-    Rng basis(0);
-    for (int w = 0; w < 4; ++w)
-      basis.s_[w] = w == i / 64 ? std::uint64_t{1} << (i % 64) : 0;
-    basis.Next();
-    for (int w = 0; w < 4; ++w) step[i][w] = basis.s_[w];
+    State basis{};
+    basis[i / 64] = std::uint64_t{1} << (i % 64);
+    columns_[i] = basis;
+    Rng rng(0);
+    rng.s_ = basis;
+    rng.Next();
+    step[i] = rng.s_;
   }
-  for (int i = 0; i < 256; ++i) {
-    columns_[i] = State{};
-    columns_[i][i / 64] = std::uint64_t{1} << (i % 64);
-  }
-  // Powers of one matrix commute, so the product order is free.
+  // columns_ starts as the identity. Powers of one matrix commute, so the
+  // product order is free.
   for (; draws != 0; draws >>= 1) {
     if (draws & 1) columns_ = Times(step, columns_);
     if (draws > 1) step = Times(step, step);
   }
 }
 
-void RngJump::Apply(Rng* rng) const {
-  const State next =
-      Times(columns_, State{rng->s_[0], rng->s_[1], rng->s_[2], rng->s_[3]});
-  for (int w = 0; w < 4; ++w) rng->s_[w] = next[w];
-}
+void RngJump::Apply(Rng* rng) const { rng->s_ = Times(columns_, rng->s_); }
 
 }  // namespace pivotscale

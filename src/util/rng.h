@@ -74,7 +74,7 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::uint64_t s_[4];
+  std::array<std::uint64_t, 4> s_;
 };
 
 // Moves an Rng `draws` calls of Next() ahead without making them, so that
