@@ -4,8 +4,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cerrno>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <system_error>
@@ -35,7 +35,7 @@ class KeySet {
                        PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
                        -1, 0);
     if (table == MAP_FAILED)
-      throw std::system_error(errno, std::generic_category(), "KeySet mmap");
+      throw std::system_error(errno, std::generic_category(), "GnM: mmap");
     table_ = static_cast<std::uint64_t*>(table);  // zero-filled
   }
   ~KeySet() { munmap(table_, slots_ * sizeof(std::uint64_t)); }
@@ -53,7 +53,7 @@ class KeySet {
 
  private:
   std::size_t slots_;
-  std::uint64_t* table_;
+  std::uint64_t* table_ = nullptr;
 };
 
 }  // namespace

@@ -28,6 +28,7 @@ EdgeList GnM(NodeId n, EdgeId m, std::uint64_t seed);
 // RMAT (Chakrabarti et al.) power-law graph over 2^scale vertices with
 // about avg_degree * 2^scale edges and partition probabilities (a, b, c):
 // the skewed-degree model used by Graph500 and the GAP benchmark suite.
+// Runs on the exec layer; the edge list does not depend on the team size.
 EdgeList Rmat(int scale, double avg_degree, double a, double b, double c,
               std::uint64_t seed);
 

@@ -3,7 +3,8 @@
 //   * ThreadBudget lease accounting: grant rules, min-1 progress, release
 //   * BuildChunkBounds invariants in uniform and cost-weighted modes
 //   * ParallelFor / ParallelReduce / ParallelForWorkers correctness and
-//     realized-team-sized ExecStats
+//     realized-team-sized ExecStats, and worker slots on cache lines of
+//     their own
 //   * exec.* telemetry emitted by a region
 //   * ArgParser::GetThreads rejecting 0 / negative / absurd values,
 //     ArgParser::GetK rejecting k outside [1, 2^32 - 1], and

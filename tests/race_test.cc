@@ -13,6 +13,8 @@
 //   * concurrent graph builds (shared scatter buffer, per-chunk cursor
 //     rows, per-bucket row cursors)
 //   * concurrent prefix sums (per-block totals between two regions)
+//   * concurrent Rmat calls (per-chunk generator states set before the
+//     region)
 #include <gtest/gtest.h>
 
 #include <atomic>
