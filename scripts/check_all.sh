@@ -27,9 +27,11 @@
 #      "bad --top" before the demo graph), the NodeId-max smoke (an edge
 #      list naming vertex 4294967295 must make pivotscale_cli exit 1 with
 #      the id error, not crash in the builder), the core-split check
-#      (the Release pivotscale_served, linked
-#      against pivotscale_core alone, must hold no DenseSubgraph or
-#      SparseSubgraph symbol), and the benchmark
+#      (the Release pivotscale_served, linked against pivotscale_core
+#      alone, must hold no paper structure, Pivoter recursion, ordering or
+#      artifact builder: no DenseSubgraph, SparseSubgraph, RemapSubgraph,
+#      PivotCounter<, ApproxCoreOrdering, PrepareDag or BuildArtifact
+#      symbol), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)
@@ -138,12 +140,15 @@ grep -q 'vertex id 4294967295 exceeds the largest NodeId' <<<"${out}" ||
   { echo "${out}"; echo "vertex 4294967295: wrong error"; exit 1; }
 rm -r "$(dirname "${MAXID}")"
 
-echo "==> [2/4] core split (no paper structure in pivotscale_served)"
+echo "==> [2/4] core split (no paper structure, ordering or builder in pivotscale_served)"
+split_re='DenseSubgraph|SparseSubgraph|RemapSubgraph|PivotCounter<'
+split_re+='|ApproxCoreOrdering|PrepareDag|BuildArtifact'
 structures="$(nm -C build-check/examples/pivotscale_served |
-  grep -cE 'DenseSubgraph|SparseSubgraph' || true)"
+  grep -cE "${split_re}" || true)"
 [[ "${structures}" == "0" ]] ||
-  { echo "pivotscale_served links ${structures} DenseSubgraph/SparseSubgraph"
-    echo "symbols; it must link pivotscale_core alone"; exit 1; }
+  { echo "pivotscale_served links ${structures} symbols matching"
+    echo "${split_re}; it must link only the core's reader and counting"
+    exit 1; }
 
 echo "==> [2/4] perfbench smoke (exact counts, corrupted reference, op counts)"
 python3 perfbench/run.py --smoke

@@ -40,9 +40,6 @@ const std::vector<std::string>& DatasetNames();
 // names. scale in (0, 4] multiplies the vertex count.
 Dataset MakeDataset(const std::string& name, double scale = 1.0);
 
-// Builds the full eight-graph suite in Table I order.
-std::vector<Dataset> MakeDatasetSuite(double scale = 1.0);
-
 }  // namespace pivotscale
 
 #endif  // PIVOTSCALE_GRAPH_DATASETS_H_

@@ -43,9 +43,6 @@
 // least 5 |P| words, which dwarfs its heap-allocated frame. The matrix of
 // an n-vertex subgraph takes n * ⌈n / 64⌉ * 8 bytes of workspace.
 //
-// Needs BitmapKernelSupported(); the driver (pivot/count.cc) checks it once
-// per run.
-//
 // Op counters (pivot/stats.h) on this kernel: `calls` counts Recurse
 // invocations (none for a skipped root), `edge_ops` one per
 // popcount(row[u] & P) of a pivot scan and one per popcount of a tail pass
@@ -84,7 +81,6 @@ class BitmapCounter {
       : dag_(dag),
         leaves_(dag.NumNodes(), k, max_clique_bound, binom,
                 early_termination) {
-    DCHECK(BitmapKernelSupported());
     sg_.Attach(dag);
   }
 
@@ -184,8 +180,7 @@ class BitmapCounter {
   }
 
   template <std::uint32_t W>
-  PIVOTSCALE_POPCNT_TARGET void Recurse(const Bits<W>& cand, std::uint32_t r,
-                                        std::uint32_t np) {
+  void Recurse(const Bits<W>& cand, std::uint32_t r, std::uint32_t np) {
     stats_.OnCall();
     const std::uint32_t width = Width<W>();
     std::uint32_t size = 0;
@@ -215,9 +210,8 @@ class BitmapCounter {
   // then so does N_u, whose C(|N_u|, 2) edges need no popcount. A clique P
   // therefore costs |P| popcounts, as its clique leaf does.
   template <std::uint32_t W>
-  PIVOTSCALE_POPCNT_TARGET void TailScan(const Bits<W>& cand, std::uint32_t r,
-                                         std::uint32_t np,
-                                         std::uint32_t size) {
+  void TailScan(const Bits<W>& cand, std::uint32_t r, std::uint32_t np,
+                std::uint32_t size) {
     const std::uint64_t* rows = matrix_[W].rows;
     const std::uint32_t width = Width<W>();
     const bool triangles_wanted = r + 3 == leaves_.k();
@@ -264,8 +258,7 @@ class BitmapCounter {
   // |E(G[set])| for a set in words `lo` and above: one popcount of
   // row[v] ∧ (the members of `set` above v) per member v.
   template <std::uint32_t W>
-  PIVOTSCALE_POPCNT_TARGET std::uint64_t InducedEdges(const Bits<W>& set,
-                                                      std::uint32_t lo) {
+  std::uint64_t InducedEdges(const Bits<W>& set, std::uint32_t lo) {
     const std::uint64_t* rows = matrix_[W].rows;
     const std::uint32_t width = Width<W>();
     std::uint64_t edges = 0;
@@ -289,8 +282,8 @@ class BitmapCounter {
   // Re-indexes P (`size` members) into the narrowing buffer of the fewest
   // words, at most N, that hold it, and expands the node there.
   template <std::uint32_t W, std::uint32_t N>
-  PIVOTSCALE_POPCNT_TARGET void Narrow(const Bits<W>& cand, std::uint32_t r,
-                                       std::uint32_t np, std::uint32_t size) {
+  void Narrow(const Bits<W>& cand, std::uint32_t r, std::uint32_t np,
+              std::uint32_t size) {
     if constexpr (N > 1) {
       if (size <= 64 * (N - 1)) return Narrow<W, N - 1>(cand, r, np, size);
     }
@@ -307,8 +300,8 @@ class BitmapCounter {
 
   // A node that needs a pivot scan, with `size` = |P| members.
   template <std::uint32_t W>
-  PIVOTSCALE_POPCNT_TARGET void Expand(const Bits<W>& cand, std::uint32_t r,
-                                       std::uint32_t np, std::uint32_t size) {
+  void Expand(const Bits<W>& cand, std::uint32_t r, std::uint32_t np,
+              std::uint32_t size) {
     const std::uint64_t* rows = matrix_[W].rows;
     const std::uint32_t width = Width<W>();
     // Pivot scan: the candidate with the most neighbors inside the set.
@@ -372,9 +365,8 @@ class BitmapCounter {
 
   // The branch of `w`: its child candidate set is N(w) within `pool`.
   template <std::uint32_t W>
-  PIVOTSCALE_POPCNT_TARGET void Descend(std::uint32_t w, const Bits<W>& pool,
-                                        std::uint32_t r, std::uint32_t np,
-                                        bool is_pivot) {
+  void Descend(std::uint32_t w, const Bits<W>& pool, std::uint32_t r,
+               std::uint32_t np, bool is_pivot) {
     const std::uint32_t width = Width<W>();
     const std::uint64_t* row =
         matrix_[W].rows + static_cast<std::size_t>(w) * width;

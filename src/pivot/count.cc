@@ -7,8 +7,6 @@
 
 #include "pivot/bitmap_counter.h"
 #include "pivot/count_driver.h"
-#include "pivot/pivoter.h"
-#include "pivot/subgraph_remap.h"
 #include "util/stats.h"
 #include "util/telemetry.h"
 
@@ -54,23 +52,11 @@ void RecordCountTelemetry(const CountOptions& options,
   telemetry->RecordSpan("count.wall", result.seconds);
 }
 
-namespace {
-
-template <typename Stats, typename Policy>
-using RemapCounter = PivotCounter<RemapSubgraph, Stats, Policy>;
-
-}  // namespace
-
 CountResult CountCliques(const Graph& dag, const CountOptions& options) {
   ValidateCountArgs(dag, options, "CountCliques");
-  const auto step = [](auto& counter, NodeId root) {
-    counter.ProcessRoot(root);
-  };
-  // One kernel per run: the remap structure only where the CPU lacks the
-  // bitmap kernel's popcount.
-  if (BitmapKernelSupported())
-    return DispatchCountDriver<BitmapCounter>(dag, options, step);
-  return DispatchCountDriver<RemapCounter>(dag, options, step);
+  return DispatchCountDriver<BitmapCounter>(
+      dag, options,
+      [](auto& counter, NodeId root) { counter.ProcessRoot(root); });
 }
 
 std::vector<VertexCount> RankVerticesByCount(

@@ -86,10 +86,9 @@ struct CountResult {
   std::vector<double> thread_busy_seconds;
 };
 
-// Counts cliques on a directionalized DAG with the bitmap kernel, or with
-// the paper's remap structure (pivot/pivoter.h) on x86-64 CPUs without
-// POPCNT. The DAG must come from Directionalize() (each undirected edge
-// stored once, acyclic).
+// Counts cliques on a directionalized DAG with the bitmap kernel
+// (pivot/bitmap_counter.h). The DAG must come from Directionalize() (each
+// undirected edge stored once, acyclic).
 CountResult CountCliques(const Graph& dag, const CountOptions& options);
 
 // One vertex's clique participation count.

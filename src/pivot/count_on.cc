@@ -46,9 +46,6 @@ CountResult DispatchKind(const Graph& dag, const CountOptions& options,
     case SubgraphKind::kRemap:
       return DispatchCountDriver<RemapCounter>(dag, options, step);
     case SubgraphKind::kBitmap:
-      if (!BitmapKernelSupported())
-        throw std::invalid_argument(
-            "CountCliquesOn: the bitmap kernel needs a CPU with POPCNT");
       return DispatchCountDriver<BitmapCounter>(dag, options, step);
   }
   throw std::invalid_argument("CountCliquesOn: unknown subgraph kind");

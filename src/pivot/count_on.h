@@ -21,15 +21,13 @@ enum class SubgraphKind {
   kDense,   // |V|-sized index (original Pivoter layout)
   kSparse,  // hash-indexed compact slots
   kRemap,   // first-level id remap + compact dense arrays (this paper's)
-  kBitmap,  // the production bit-matrix kernel; needs
-            // BitmapKernelSupported() (pivot/subgraph_bitmap.h)
+  kBitmap,  // the production bit-matrix kernel (pivot/bitmap_counter.h)
 };
 
 std::string SubgraphKindName(SubgraphKind kind);
 
 // Counts cliques on a directionalized DAG exactly as CountCliques does,
-// but always with the kernel `kind` names: there is no CPU fallback, and
-// kBitmap on a CPU without POPCNT throws std::invalid_argument. When
+// but with the kernel `kind` names (kBitmap is CountCliques itself). When
 // `trace` is non-null it receives one RootWork per root, indexed by root
 // id, and the run collects op stats.
 CountResult CountCliquesOn(const Graph& dag, const CountOptions& options,

@@ -50,20 +50,6 @@
 
 namespace pivotscale {
 
-// The bitmap kernel's loops are popcounts. The x86-64 baseline ISA this
-// project compiles for has no popcount instruction, so there the recursion
-// and NarrowRows alone are compiled for it and the CPU is checked once per
-// counter.
-#if defined(__x86_64__) && !defined(__POPCNT__)
-#define PIVOTSCALE_POPCNT_TARGET __attribute__((target("popcnt")))
-inline bool BitmapKernelSupported() {
-  return __builtin_cpu_supports("popcnt");
-}
-#else
-#define PIVOTSCALE_POPCNT_TARGET
-inline bool BitmapKernelSupported() { return true; }
-#endif
-
 // The word count template argument of a set wider than four words, whose
 // width is known only at run time (NarrowRows, pivot/bitmap_counter.h).
 inline constexpr std::uint32_t kWide = 0;
@@ -128,15 +114,12 @@ class SubgraphBitmap {
 // iff members i and j are adjacent. `ids` maps the local ids of `rows` to
 // original ids; out_ids[i] receives member i's original id. A member's new
 // id is the number of members below it: one popcount per adjacent bit.
-// `words` is W, or the source width for W = kWide. Needs
-// BitmapKernelSupported().
+// `words` is W, or the source width for W = kWide.
 template <std::uint32_t W>
-PIVOTSCALE_POPCNT_TARGET void NarrowRows(const std::uint64_t* rows,
-                                         const std::uint64_t* set,
-                                         const NodeId* ids,
-                                         std::uint32_t out_words,
-                                         std::uint64_t* out, NodeId* out_ids,
-                                         std::uint32_t words = W) {
+void NarrowRows(const std::uint64_t* rows, const std::uint64_t* set,
+                const NodeId* ids, std::uint32_t out_words,
+                std::uint64_t* out, NodeId* out_ids,
+                std::uint32_t words = W) {
   DCHECK(W == kWide || words == W);
   if constexpr (W != kWide) words = W;  // a compile-time loop bound
   // below[i]: members in the words before word i.

@@ -1,5 +1,6 @@
 // Remapped induced-subgraph structure (PivotScale (remap), Figure 4C) —
-// the default and fastest structure.
+// the paper's default and fastest structure, a reproduction artifact here:
+// production counts with the bitmap kernel (pivot/bitmap_counter.h).
 //
 // At the first recursion level the members of the induced subgraph are
 // remapped to the compact id range [0, d(root)); all deeper levels reuse the

@@ -5,14 +5,11 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "graph/dag.h"
-#include "order/core_order.h"
-#include "pivot/pivotscale.h"
 #include "store/checksum.h"
 #include "util/atomic_file.h"
-#include "util/check.h"
-#include "util/telemetry.h"
 
 namespace pivotscale {
 
@@ -34,7 +31,7 @@ void AppendScalar(std::string* out, T value) {
 // bounds-checked so a lying header cannot run past the buffer.
 class ByteReader {
  public:
-  ByteReader(const std::string& path, const std::string& data)
+  ByteReader(const std::string& path, std::string_view data)
       : path_(path), data_(data) {}
 
   template <typename T>
@@ -76,7 +73,7 @@ class ByteReader {
   }
 
   const std::string& path_;
-  const std::string& data_;
+  std::string_view data_;
   std::size_t pos_ = 0;
 };
 
@@ -106,38 +103,6 @@ void ValidateCsr(const std::string& path, const char* what,
 std::size_t GraphArtifact::HeapBytes() const {
   return graph.HeapBytes() + dag.HeapBytes() +
          ranks.capacity() * sizeof(NodeId) + ordering_name.size();
-}
-
-GraphArtifact BuildArtifact(const Graph& g,
-                            const ArtifactBuildOptions& options) {
-  TelemetryRegistry* telemetry = options.telemetry;
-  PreparedDag prepared =
-      PrepareDag(g, options.heuristic, options.forced_ordering, telemetry);
-  if (telemetry != nullptr) {
-    telemetry->RecordSpan("store.heuristic", prepared.heuristic_seconds);
-    telemetry->RecordSpan("store.ordering", prepared.ordering_seconds);
-    telemetry->RecordSpan("store.directionalize",
-                          prepared.directionalize_seconds);
-  }
-  GraphArtifact artifact;
-  artifact.ordering_name = std::move(prepared.ordering.name);
-  artifact.ranks = std::move(prepared.ordering.ranks);
-  artifact.dag = std::move(prepared.dag);
-  artifact.max_out_degree = prepared.max_out_degree;
-
-  if (options.compute_degeneracy) {
-    TelemetryRegistry::ScopedSpan span(telemetry, "store.degeneracy");
-    artifact.degeneracy = Degeneracy(g);
-  }
-
-  artifact.graph = g;
-  // Pipeline postconditions every consumer (writer, query engine) builds
-  // on; a mismatch here means one of the phases above broke its contract.
-  CHECK_EQ(artifact.ranks.size(), static_cast<std::size_t>(g.NumNodes()));
-  CHECK_EQ(artifact.dag.NumNodes(), g.NumNodes());
-  CHECK_EQ(artifact.dag.NumDirectedEdges() * 2, g.NumDirectedEdges())
-      << "BuildArtifact: DAG must hold each undirected edge exactly once";
-  return artifact;
 }
 
 void WriteArtifact(const std::string& path, const GraphArtifact& artifact) {
@@ -230,8 +195,9 @@ GraphArtifact ReadArtifact(const std::string& path) {
                              std::to_string(computed_crc) +
                              "); the artifact is corrupt");
 
-  const std::string body(data.data(), data.size() - sizeof(stored_crc));
-  ByteReader reader(path, body);
+  // The body is the file less its crc, read in place.
+  ByteReader reader(path, std::string_view(data.data(),
+                                           data.size() - sizeof(stored_crc)));
   reader.ReadString(sizeof(kMagic));  // magic, already checked
   reader.ReadScalar<std::uint32_t>();  // version
   reader.ReadScalar<std::uint32_t>();  // endian sentinel

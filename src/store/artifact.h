@@ -78,7 +78,7 @@ struct ArtifactBuildOptions {
 
 // Runs the query-independent pipeline prefix (PrepareDag,
 // pivot/pivotscale.h: heuristic, ordering, directionalize) plus the stats
-// on an undirected simple graph.
+// on an undirected simple graph (store/build_artifact.cc).
 GraphArtifact BuildArtifact(const Graph& g,
                             const ArtifactBuildOptions& options = {});
 

@@ -24,4 +24,24 @@ CheckFailure::~CheckFailure() {
 }
 
 }  // namespace check_internal
+
+void ExitIfCpuLacksPopcnt([[maybe_unused]] bool has_popcnt) {
+#if defined(__x86_64__)
+  if (has_popcnt) return;
+  std::fputs("error: this CPU lacks POPCNT; pivotscale needs an x86-64 CPU "
+             "with POPCNT (x86-64-v2)\n", stderr);
+  std::_Exit(1);
+#endif
+}
+
+#if defined(__x86_64__)
+namespace {
+// Priority 101, the first a program may use: before every default-priority
+// static initializer, and maybe before libgcc's own CPU probe.
+__attribute__((constructor(101))) void ExitAtStartUpIfCpuLacksPopcnt() {
+  __builtin_cpu_init();
+  ExitIfCpuLacksPopcnt(__builtin_cpu_supports("popcnt"));
+}
+}  // namespace
+#endif
 }  // namespace pivotscale

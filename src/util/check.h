@@ -145,6 +145,12 @@ std::optional<std::string> CheckOpGE(const A& a, const B& b) {
 }
 
 }  // namespace check_internal
+
+// On x86-64, where the tree compiles with -mpopcnt (src/CMakeLists.txt),
+// prints an error naming POPCNT and exits 1 unless has_popcnt; a no-op
+// elsewhere. Every binary calls it at start-up with the CPU's answer.
+void ExitIfCpuLacksPopcnt(bool has_popcnt);
+
 }  // namespace pivotscale
 
 // The failure branch is a `while` so a trailing `<< message` chain binds to

@@ -1,9 +1,6 @@
 #include "util/mem.h"
 
 #include <sys/resource.h>
-#include <unistd.h>
-
-#include <cstdio>
 
 namespace pivotscale {
 
@@ -12,17 +9,6 @@ std::uint64_t PeakRssBytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // ru_maxrss is kilobytes on Linux.
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-}
-
-std::uint64_t CurrentRssBytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long size = 0, resident = 0;
-  const int matched = std::fscanf(f, "%lu %lu", &size, &resident);
-  std::fclose(f);
-  if (matched != 2) return 0;
-  return static_cast<std::uint64_t>(resident) *
-         static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
 }
 
 }  // namespace pivotscale

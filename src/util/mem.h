@@ -14,10 +14,6 @@ namespace pivotscale {
 // Peak resident set size of this process so far, in bytes.
 std::uint64_t PeakRssBytes();
 
-// Current resident set size of this process, in bytes (from /proc/self/statm;
-// returns 0 if unavailable).
-std::uint64_t CurrentRssBytes();
-
 }  // namespace pivotscale
 
 #endif  // PIVOTSCALE_UTIL_MEM_H_

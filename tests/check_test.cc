@@ -2,7 +2,8 @@
 // operand echo, DCHECK is compiled out under NDEBUG (the default Release
 // configuration), and the real invariants the layer guards — corrupt CSR
 // offsets and out-of-range DAG neighbors — die fast instead of corrupting
-// counts downstream.
+// counts downstream. The start-up CPU check exits 1 naming POPCNT when told
+// the CPU lacks it.
 #include "util/check.h"
 
 #include <gtest/gtest.h>
@@ -65,6 +66,17 @@ TEST(CheckDeathTest, OperandsEvaluateExactlyOnce) {
   CHECK_GE(bump(), 1);
   EXPECT_EQ(evaluations, 1);
 }
+
+TEST(CpuCheckDeathTest, MissingPopcntExitsWithAMessage) {
+#if defined(__x86_64__)
+  EXPECT_EXIT(ExitIfCpuLacksPopcnt(false), ::testing::ExitedWithCode(1),
+              "POPCNT");
+#else
+  ExitIfCpuLacksPopcnt(false);  // no popcount instruction to lack
+#endif
+}
+
+TEST(CpuCheckTest, PresentPopcntReturns) { ExitIfCpuLacksPopcnt(true); }
 
 #if PIVOTSCALE_DCHECK_ENABLED
 

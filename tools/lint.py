@@ -28,9 +28,9 @@ Checks conventions a compiler cannot see:
                    include a header of the reproduction library
                    pivotscale_repro. Both source lists are read from
                    src/CMakeLists.txt, so the split is written down once: a
-                   header belongs to the library that lists its .cc, and a
-                   header without one belongs to the core (src/pivotscale.h,
-                   the umbrella over both, is exempt).
+                   header belongs to the library that lists it or its .cc,
+                   and any other header belongs to the core
+                   (src/pivotscale.h, the umbrella over both, is exempt).
 
 Exit status: 0 when clean, 1 when any finding was printed. Run from
 anywhere; paths resolve relative to the repo root (this file's parent's
@@ -133,7 +133,8 @@ def strip_comments_and_strings(text):
 
 
 def library_stems(library):
-    """Paths below src/, without extension, of one library's sources."""
+    """Paths below src/, without extension, of one library's sources and
+    of the headers it lists by name (those without a .cc)."""
     text = LIBRARY_CMAKE.read_text(encoding="utf-8")
     match = re.search(r"add_library\(\s*" + re.escape(library)
                       + r"\s+STATIC\s+([^)]*)\)", text)
@@ -141,7 +142,7 @@ def library_stems(library):
         return set()
     return {str(pathlib.PurePosixPath(token).with_suffix(""))
             for token in match.group(1).split()
-            if token.endswith(".cc")}
+            if token.endswith((".cc", ".h"))}
 
 
 REPRO_STEMS = library_stems("pivotscale_repro")
