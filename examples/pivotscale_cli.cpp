@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     const std::string save_path = args.GetPath("save-binary", "");
     PivotScaleOptions options;
     options.k = args.GetK(8);
-    options.all_k = args.GetBool("all-k", false);
+    if (args.GetBool("all-k", false)) options.count.mode = CountMode::kAllK;
     options.count.per_vertex = args.GetBool("per-vertex", false);
     options.count.num_threads = args.GetThreads();
     options.count.collect_op_stats = args.GetBool("stats", false);
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
 
     std::cout << "\nordering: " << result.ordering_name
               << " (max out-degree " << result.max_out_degree << ")\n";
-    if (options.all_k) {
+    if (options.count.mode == CountMode::kAllK) {
       TablePrinter table("clique counts by size", {"k", "count"});
       for (std::size_t s = 1; s < result.count.per_size.size(); ++s)
         if (result.count.per_size[s] != BigCount{})

@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# End-to-end smokes of the shipped binaries, shared by scripts/check_all.sh
+# (stage 2) and the `ablation` job of .github/workflows/analysis.yml:
+#   - wide path: K300 at k = 8, whose subgraphs of up to 299 vertices run
+#     the bitmap kernel's five-word width, must count C(300, 8) and
+#     C(299, 7) per vertex;
+#   - clique guard: K300 at k = 4 must count C(300, 4) and report
+#     count.edge_ops 44847, the clique leaf's C(300, 2) - 3 (the
+#     closed-form tail's triangle pass costs a clique one popcount per
+#     member), and count.recursion_calls 297 (the 3 roots of out-degree
+#     below k - 1 are skipped before their build);
+#   - demo graph: pivotscale_cli --k 4 must print the recorded vertex,
+#     edge and 4-clique counts, so generator drift shows in the binary;
+#   - flag ranges: pivotscale_cli --heuristic-min-nodes 4294967296 must
+#     fail instead of wrapping to 0, pivotscale_prep --ordering bogus with
+#     "unknown --ordering" and pivotscale_cli --per-vertex --top -5 with
+#     "bad --top", each before any graph is loaded or generated;
+#   - NodeId max: an edge list naming vertex 4294967295 must make
+#     pivotscale_cli exit 1 with the id error, not a signal;
+#   - core split: pivotscale_served links pivotscale_core alone, so it
+#     must hold no paper structure, Pivoter recursion, ordering, pipeline
+#     prefix, artifact builder, DAG builder or edge-list loader symbol.
+#
+# Usage: scripts/cli_smokes.sh [build-dir]   (default: build)
+set -euo pipefail
+
+build="${1:-build}"
+cli="${build}/examples/pivotscale_cli"
+prep="${build}/examples/pivotscale_prep"
+served="${build}/examples/pivotscale_served"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "${tmp}"' EXIT
+
+fail() {
+  if [[ -n "${out:-}" ]]; then echo "${out}"; fi
+  echo "cli_smokes: $*"
+  exit 1
+}
+
+echo "==> wide-path CLI smoke (K300, k = 8)"
+k300="${tmp}/k300.el"
+python3 -c "n = 300; print('\n'.join(f'{i} {j}' for i in range(n) for j in range(i + 1, n)))" > "${k300}"
+out="$("${cli}" --graph "${k300}" --k 8)"
+grep -qx '8-cliques: 1481062243936275' <<<"${out}" ||
+  fail "K300: wrong 8-clique count"
+out="$("${cli}" --graph "${k300}" --k 8 --per-vertex --top 1)"
+grep -q ' 39494993171634 ' <<<"${out}" || fail "K300: wrong per-vertex count"
+
+echo "==> clique-guard CLI smoke (K300, k = 4)"
+out="$("${cli}" --graph "${k300}" --k 4 --telemetry-json="${tmp}/k300.json")"
+grep -qx '4-cliques: 330791175' <<<"${out}" ||
+  fail "K300: wrong 4-clique count"
+grep -Eq '"count.edge_ops":44847[,}]' "${tmp}/k300.json" ||
+  fail "K300: the triangle tail paid more than the clique leaf's edge ops"
+grep -Eq '"count.recursion_calls":297[,}]' "${tmp}/k300.json" ||
+  fail "K300: the short-root skip did not skip exactly the 3 short roots"
+
+echo "==> demo-graph CLI smoke (generator output, k = 4)"
+out="$("${cli}" --k 4)"
+grep -q '^graph: 4088 vertices, 14961 edges' <<<"${out}" ||
+  fail "demo graph: the generators' output drifted"
+grep -qx '4-cliques: 83992' <<<"${out}" ||
+  fail "demo graph: wrong 4-clique count"
+
+echo "==> flag-range smoke (--heuristic-min-nodes past NodeId)"
+if out="$("${cli}" --k 4 --heuristic-min-nodes 4294967296 2>&1)"; then
+  fail "--heuristic-min-nodes 4294967296 was accepted"
+fi
+grep -q 'bad --heuristic-min-nodes' <<<"${out}" ||
+  fail "--heuristic-min-nodes: wrong error"
+! grep -q 'generated a demo graph' <<<"${out}" ||
+  fail "--heuristic-min-nodes read after the graph"
+
+echo "==> flag smoke (pivotscale_prep --ordering bogus, before the graph)"
+if out="$("${prep}" --ordering bogus 2>&1)"; then
+  fail "--ordering bogus was accepted"
+fi
+grep -q 'unknown --ordering' <<<"${out}" ||
+  fail "--ordering bogus: wrong error"
+! grep -qE '^(graph|loaded|no --graph)' <<<"${out}" ||
+  fail "--ordering read after the graph"
+
+echo "==> flag smoke (pivotscale_cli --top -5, before the graph)"
+if out="$("${cli}" --k 4 --per-vertex --top -5 2>&1)"; then
+  fail "--top -5 was accepted"
+fi
+grep -q 'bad --top' <<<"${out}" || fail "--top -5: wrong error"
+! grep -q 'generated a demo graph' <<<"${out}" ||
+  fail "--top read after the graph"
+
+echo "==> NodeId-max smoke (vertex 4294967295 in an edge list)"
+printf '4294967295 0\n1 2\n' > "${tmp}/max_id.el"
+status=0
+out="$("${cli}" --graph "${tmp}/max_id.el" --k 3 2>&1)" || status=$?
+[[ "${status}" == "1" ]] || fail "vertex 4294967295: exit ${status}, not 1"
+grep -q 'vertex id 4294967295 exceeds the largest NodeId' <<<"${out}" ||
+  fail "vertex 4294967295: wrong error"
+
+echo "==> core split (pivotscale_served links only the reader and counting)"
+split_re='DenseSubgraph|SparseSubgraph|RemapSubgraph|PivotCounter<'
+split_re+='|ApproxCoreOrdering|PrepareDag|BuildArtifact'
+split_re+='|Directionalize|BuildGraph|ReadEdgeList'
+out=""
+n="$(nm -C "${served}" | grep -cE "${split_re}" || true)"
+[[ "${n}" == "0" ]] ||
+  fail "pivotscale_served links ${n} symbols matching ${split_re}"

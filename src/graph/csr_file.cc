@@ -1,0 +1,103 @@
+#include "graph/csr_file.h"
+
+#include <limits>
+#include <stdexcept>
+
+#include "util/check.h"
+
+namespace pivotscale {
+
+void AppendBytes(std::string* out, const void* data, std::size_t bytes) {
+  out->append(static_cast<const char*>(data), bytes);
+}
+
+void AppendCsr(std::string* out, const Graph& g) {
+  // A default-constructed Graph holds no offsets; its row list is {0}.
+  if (g.offsets().empty()) AppendScalar(out, EdgeId{0});
+  AppendBytes(out, g.offsets().data(), g.offsets().size() * sizeof(EdgeId));
+  AppendBytes(out, g.neighbor_array().data(),
+              g.neighbor_array().size() * sizeof(NodeId));
+}
+
+CsrFileReader::CsrFileReader(const std::string& path)
+    : path_(path), in_(path, std::ios::binary) {
+  if (!in_) throw std::runtime_error("cannot open " + path);
+  in_.seekg(0, std::ios::end);
+  const std::streamoff size = in_.tellg();
+  in_.seekg(0);
+  if (!in_ || size < 0) Fail("cannot determine the file size");
+  file_size_ = end_ = static_cast<std::uint64_t>(size);
+}
+
+void CsrFileReader::set_end(std::uint64_t end) {
+  CHECK_LE(pos_, end);
+  CHECK_LE(end, file_size_);
+  end_ = end;
+}
+
+void CsrFileReader::Seek(std::uint64_t pos) {
+  CHECK_LE(pos, end_);
+  in_.seekg(static_cast<std::streamoff>(pos));
+  if (!in_) Fail("read failure");
+  pos_ = pos;
+}
+
+void CsrFileReader::Require(std::uint64_t bytes) const {
+  if (bytes > remaining())
+    Fail("truncated file (" + std::to_string(bytes) + " bytes needed at " +
+         std::to_string(pos_) + ", " + std::to_string(remaining()) +
+         " left)");
+}
+
+void CsrFileReader::ReadBytes(void* dst, std::uint64_t bytes) {
+  Require(bytes);
+  in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+  if (!in_) Fail("read failure");
+  pos_ += bytes;
+}
+
+std::string CsrFileReader::ReadString(std::uint64_t bytes) {
+  Require(bytes);
+  std::string s(bytes, '\0');
+  ReadBytes(s.data(), bytes);
+  return s;
+}
+
+Graph CsrFileReader::ReadCsr(const std::string& what,
+                             std::uint64_t num_nodes,
+                             std::uint64_t num_entries, bool undirected) {
+  // Header sanity before allocating: the vertex count must be a NodeId.
+  if (num_nodes > std::numeric_limits<NodeId>::max())
+    Fail("header num_nodes " + std::to_string(num_nodes) +
+         " exceeds the NodeId limit");
+  std::vector<EdgeId> offsets = ReadVector<EdgeId>(num_nodes + 1);
+  std::vector<NodeId> neighbors = ReadVector<NodeId>(num_entries);
+  // The CSR invariants the whole pipeline assumes: monotone offsets that
+  // cover exactly the neighbor array, and every neighbor id in range.
+  for (std::uint64_t u = 0; u < num_nodes; ++u)
+    if (offsets[u] > offsets[u + 1])
+      Fail("corrupt " + what + " offsets (decreasing at " +
+           std::to_string(u) + ")");
+  if (offsets[0] != 0 || offsets[num_nodes] != num_entries)
+    Fail("corrupt " + what + " offsets (span [" +
+         std::to_string(offsets[0]) + ", " +
+         std::to_string(offsets[num_nodes]) + "] does not cover the " +
+         std::to_string(num_entries) + " neighbor entries)");
+  for (std::uint64_t e = 0; e < num_entries; ++e)
+    if (neighbors[e] >= num_nodes)
+      Fail(what + " neighbor id " + std::to_string(neighbors[e]) +
+           " at entry " + std::to_string(e) + " is out of range (" +
+           std::to_string(num_nodes) + " nodes)");
+  return Graph(std::move(offsets), std::move(neighbors), undirected);
+}
+
+void CsrFileReader::ExpectEnd() {
+  if (remaining() != 0)
+    Fail(std::to_string(remaining()) + " trailing bytes after the payload");
+}
+
+void CsrFileReader::Fail(const std::string& message) const {
+  throw std::runtime_error(path_ + ": " + message);
+}
+
+}  // namespace pivotscale

@@ -10,15 +10,6 @@
 
 namespace pivotscale {
 
-bool IsPermutation(std::span<const NodeId> ranks) {
-  std::vector<bool> seen(ranks.size(), false);
-  for (NodeId r : ranks) {
-    if (r >= ranks.size() || seen[r]) return false;
-    seen[r] = true;
-  }
-  return true;
-}
-
 Graph Directionalize(const Graph& g, std::span<const NodeId> ranks,
                      TelemetryRegistry* telemetry) {
   const NodeId n = g.NumNodes();

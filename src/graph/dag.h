@@ -30,9 +30,6 @@ Graph Directionalize(const Graph& g, std::span<const NodeId> ranks,
 // metric used throughout the evaluation.
 EdgeId MaxOutDegree(const Graph& dag);
 
-// True iff `ranks` holds each value in [0, n) exactly once.
-bool IsPermutation(std::span<const NodeId> ranks);
-
 }  // namespace pivotscale
 
 #endif  // PIVOTSCALE_GRAPH_DAG_H_

@@ -96,6 +96,16 @@ class Graph {
   std::vector<NodeId> neighbors_;  // size offsets_.back()
 };
 
+// True iff `ranks` holds each value in [0, n) exactly once.
+inline bool IsPermutation(std::span<const NodeId> ranks) {
+  std::vector<bool> seen(ranks.size(), false);
+  for (NodeId r : ranks) {
+    if (r >= ranks.size() || seen[r]) return false;
+    seen[r] = true;
+  }
+  return true;
+}
+
 }  // namespace pivotscale
 
 #endif  // PIVOTSCALE_GRAPH_GRAPH_H_

@@ -15,8 +15,7 @@ PreparedDag PrepareDag(const Graph& g, const HeuristicConfig& heuristic,
     throw std::invalid_argument("PrepareDag: input must be undirected");
 
   PreparedDag prepared;
-  PhaseTimer phases;
-  phases.Start();
+  Timer phase;
 
   OrderingSpec spec;
   if (forced.has_value()) {
@@ -27,14 +26,16 @@ PreparedDag PrepareDag(const Graph& g, const HeuristicConfig& heuristic,
                                                   : OrderingKind::kDegree;
     spec.epsilon = heuristic.epsilon;
   }
-  prepared.heuristic_seconds = phases.Stop("heuristic");
+  prepared.heuristic_seconds = phase.Seconds();
+  phase.Reset();
 
   prepared.ordering = ComputeOrdering(g, spec, telemetry);
-  prepared.ordering_seconds = phases.Stop("ordering");
+  prepared.ordering_seconds = phase.Seconds();
+  phase.Reset();
 
   prepared.dag = Directionalize(g, prepared.ordering.ranks, telemetry);
   prepared.max_out_degree = MaxOutDegree(prepared.dag);
-  prepared.directionalize_seconds = phases.Stop("directionalize");
+  prepared.directionalize_seconds = phase.Seconds();
   return prepared;
 }
 
@@ -53,9 +54,6 @@ PivotScaleResult CountKCliques(const Graph& g,
 
   CountOptions count_options = options.count;
   count_options.k = options.k;
-  // Force kAllK only when asked for; otherwise the caller's mode (e.g.
-  // kAllUpToK) flows through.
-  if (options.all_k) count_options.mode = CountMode::kAllK;
   if (count_options.telemetry == nullptr)
     count_options.telemetry = telemetry;
   Timer count_timer;

@@ -54,11 +54,9 @@ struct PivotScaleOptions {
   // When set, skip the heuristic and use exactly this ordering.
   std::optional<OrderingSpec> forced_ordering;
   // Counting-phase options. `count.k` is overridden by this struct's `k`;
-  // `count.mode` is forced to kAllK when `all_k` is set and respected
-  // otherwise (so kAllUpToK is reachable through the pipeline).
+  // `count.mode` flows through (kAllK counts every clique size, kAllUpToK
+  // every size up to k).
   CountOptions count;
-  // Count every clique size up to the maximum instead of only k.
-  bool all_k = false;
   // When non-null, every phase records into this registry: "heuristic",
   // "ordering", "directionalize", and "counting" spans plus each stage's
   // probe/round/load-balance metrics (see docs/api_tour.md "Telemetry").

@@ -21,7 +21,6 @@
 #include "approx/approx_count.h"
 #include "baselines/enumeration.h"
 #include "baselines/gpu_pivot_model.h"
-#include "baselines/pivoter_naive.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/datasets.h"

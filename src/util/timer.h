@@ -1,16 +1,10 @@
-// Monotonic wall-clock timing utilities.
-//
-// Clique counting runs are reported as a breakdown of phases (heuristic,
-// ordering, directionalization, counting); PhaseTimer accumulates named
-// phases so every bench binary reports the same breakdown the paper uses.
+// Monotonic wall-clock timing: every phase breakdown (heuristic, ordering,
+// directionalization, counting) is measured with this one stopwatch.
 #ifndef PIVOTSCALE_UTIL_TIMER_H_
 #define PIVOTSCALE_UTIL_TIMER_H_
 
 #include <chrono>
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 namespace pivotscale {
 
@@ -38,54 +32,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulates named, ordered phase durations for a run.
-//
-// Usage:
-//   PhaseTimer pt;
-//   pt.Start();
-//   ... ordering ...
-//   pt.Stop("ordering");
-//   ... counting ...
-//   pt.Stop("counting");   // measures since the previous Stop()
-class PhaseTimer {
- public:
-  // Begins (or restarts) timing of the next phase.
-  void Start() { timer_.Reset(); }
-
-  // Ends the current phase, records it under `name`, and immediately starts
-  // timing the next phase. Returns the recorded duration in seconds.
-  double Stop(std::string name) {
-    const double s = timer_.Seconds();
-    phases_.emplace_back(std::move(name), s);
-    timer_.Reset();
-    return s;
-  }
-
-  // Sum of all recorded phases, in seconds.
-  double TotalSeconds() const {
-    double total = 0;
-    for (const auto& [name, secs] : phases_) total += secs;
-    return total;
-  }
-
-  // Seconds recorded for `name` (summed if recorded multiple times);
-  // 0 if never recorded.
-  double SecondsFor(const std::string& name) const {
-    double total = 0;
-    for (const auto& [phase, secs] : phases_)
-      if (phase == name) total += secs;
-    return total;
-  }
-
-  const std::vector<std::pair<std::string, double>>& phases() const {
-    return phases_;
-  }
-
- private:
-  Timer timer_;
-  std::vector<std::pair<std::string, double>> phases_;
 };
 
 }  // namespace pivotscale

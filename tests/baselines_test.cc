@@ -1,12 +1,11 @@
-// Cross-validation of the baseline counters (enumeration, naive Pivoter,
-// GPU-Pivot model) against brute force and against PivotScale.
+// Cross-validation of the baseline counters (enumeration, GPU-Pivot model)
+// against brute force and against PivotScale.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "baselines/enumeration.h"
 #include "baselines/gpu_pivot_model.h"
-#include "baselines/pivoter_naive.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
@@ -92,38 +91,6 @@ TEST(Enumeration, RejectsUndirectedAndZeroK) {
   EnumerationOptions options;
   options.k = 0;
   EXPECT_THROW(CountCliquesEnumeration(dag, options), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------- naive pivoter
-
-TEST(PivoterNaive, MatchesBruteForceSweep) {
-  for (int seed : {71, 72, 73}) {
-    const Graph g = BuildGraph(ErdosRenyi(25, 0.4, seed));
-    for (std::uint32_t k : {3u, 4u, 5u}) {
-      const PivoterNaiveResult result = RunPivoterNaive(g, k);
-      EXPECT_EQ(result.total.value(),
-                static_cast<uint128>(BruteForceCount(g, k)))
-          << "seed=" << seed << " k=" << k;
-    }
-  }
-}
-
-TEST(PivoterNaive, ReportsPhases) {
-  const Graph g = BuildGraph(Rmat(9, 6.0, 77));
-  const PivoterNaiveResult result = RunPivoterNaive(g, 5);
-  EXPECT_GE(result.ordering_seconds, 0.0);
-  EXPECT_GT(result.total_seconds, 0.0);
-  EXPECT_GT(result.max_out_degree, 0u);
-}
-
-TEST(PivoterNaive, UsesCoreQualityOrdering) {
-  // Its max out-degree must match the exact core ordering's.
-  EdgeList edges = GnM(200, 900, 79);
-  PlantCliques(&edges, 200, 2, 8, 10, 80);
-  const Graph g = BuildGraph(std::move(edges));
-  const Graph core_dag = MakeDag(g, OrderingKind::kCore);
-  const PivoterNaiveResult result = RunPivoterNaive(g, 4);
-  EXPECT_EQ(result.max_out_degree, MaxOutDegree(core_dag));
 }
 
 // ---------------------------------------------------------------- gpu model
@@ -219,7 +186,6 @@ TEST(AllCounters, AgreeOnDatasetStyleGraph) {
   enum_options.k = k;
   EXPECT_EQ(CountCliquesEnumeration(dag, enum_options).total, reference);
   EXPECT_EQ(CountCliquesGpuPivotModel(dag, k).total, reference);
-  EXPECT_EQ(RunPivoterNaive(g, k).total, reference);
 }
 
 }  // namespace

@@ -887,19 +887,6 @@ TEST(PipelineMode, DefaultRemainsSingleK) {
   EXPECT_EQ(result.total.value(), BinomialChoose(10, 3));
 }
 
-TEST(PipelineMode, AllKStillForcesAllK) {
-  const Graph g = BuildGraph(CompleteGraph(10));
-  PivotScaleOptions options;
-  options.k = 3;
-  options.all_k = true;
-  options.count.mode = CountMode::kSingleK;  // all_k must win
-  options.forced_ordering = OrderingSpec{OrderingKind::kDegree};
-  const PivotScaleResult result = CountKCliques(g, options);
-  for (std::uint32_t s = 1; s <= 10; ++s)
-    EXPECT_EQ(result.count.per_size[s].value(), BinomialChoose(10, s))
-        << s;
-}
-
 // --------------------------------- busy-time team sizing (regression)
 
 TEST(ThreadBusySeconds, SizedToActualTeamNotRequest) {

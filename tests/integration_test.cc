@@ -126,19 +126,6 @@ TEST(CounterReuse, ThreadCountDoesNotChangeCounts) {
 
 // ---------------------------------------------------------------- timers
 
-TEST(Timers, PhaseTimerAccumulates) {
-  PhaseTimer pt;
-  pt.Start();
-  pt.Stop("a");
-  pt.Stop("b");
-  pt.Stop("a");
-  EXPECT_EQ(pt.phases().size(), 3u);
-  EXPECT_GE(pt.SecondsFor("a"), 0.0);
-  EXPECT_DOUBLE_EQ(pt.SecondsFor("missing"), 0.0);
-  EXPECT_NEAR(pt.TotalSeconds(),
-              pt.SecondsFor("a") + pt.SecondsFor("b"), 1e-12);
-}
-
 TEST(Timers, TimerMonotone) {
   Timer t;
   const double a = t.Seconds();

@@ -118,6 +118,15 @@ TEST(ReadBinaryGraph, RoundTripsValidGraph) {
   EXPECT_EQ(back.neighbor_array(), g.neighbor_array());
 }
 
+TEST(ReadBinaryGraph, RoundTripsEmptyGraph) {
+  // A default-constructed Graph holds no offsets; it still writes one.
+  TempFile f("empty.psg");
+  WriteBinaryGraph(f.path(), Graph());
+  const Graph back = ReadBinaryGraph(f.path());
+  EXPECT_EQ(back.NumNodes(), 0u);
+  EXPECT_EQ(back.NumDirectedEdges(), 0u);
+}
+
 TEST(ReadBinaryGraph, RejectsDecreasingOffsets) {
   // 3 nodes, 4 entries, offsets dip at node 1 — pre-fix this produced a
   // Graph whose Degree() underflowed to ~2^64.
@@ -157,6 +166,20 @@ TEST(ReadBinaryGraph, RejectsHeaderBodySizeMismatch) {
   TempFile f("lying_header.psg");
   f.WriteBytes(bytes);
   EXPECT_THROW(ReadBinaryGraph(f.path()), std::runtime_error);
+}
+
+TEST(ReadBinaryGraph, RejectsTrailingBytes) {
+  // The header promises fewer entries than the body holds.
+  TempFile f("trailing.psg");
+  f.WriteBytes(PsgBytes(3, 4, {0, 2, 3, 4}, {1, 2, 0, 0}) + "xx");
+  try {
+    ReadBinaryGraph(f.path());
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("trailing bytes"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ReadBinaryGraph, RejectsNodeCountBeyondNodeIdRange) {

@@ -625,7 +625,7 @@ TEST(Pipeline, AllKMode) {
   const Graph g = BuildGraph(CompleteGraph(9));
   PivotScaleOptions options;
   options.k = 4;
-  options.all_k = true;
+  options.count.mode = CountMode::kAllK;
   const PivotScaleResult result = CountKCliques(g, options);
   EXPECT_EQ(result.total.value(), BinomialChoose(9, 4));
   EXPECT_EQ(result.count.per_size[2].value(), BinomialChoose(9, 2));

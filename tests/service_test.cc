@@ -138,7 +138,7 @@ TEST_F(ServiceTest, AllKAndPerVertexQueries) {
   EXPECT_EQ(r.total, Standalone(graph_, 5));
 
   PivotScaleOptions pipeline;
-  pipeline.all_k = true;
+  pipeline.count.mode = CountMode::kAllK;
   const PivotScaleResult direct = CountKCliques(graph_, pipeline);
   ASSERT_GE(r.per_size.size(), 4u);
   for (std::size_t s = 1; s < r.per_size.size(); ++s)

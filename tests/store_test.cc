@@ -208,6 +208,41 @@ class ArtifactFileTest : public ::testing::Test {
     }
   }
 
+  // Byte offsets of the fields the structural cases corrupt, from the
+  // layout in store/artifact.h.
+  static constexpr std::size_t kNumNodesAt = 16;
+  static constexpr std::size_t kGraphEntriesAt = 24;
+  static constexpr std::size_t kDagEntriesAt = 32;
+  static constexpr std::size_t kNameLenAt = 56;
+  std::uint64_t U64At(std::size_t pos) const {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes_.data() + pos, sizeof(v));
+    return v;
+  }
+  template <typename T>
+  void Put(std::size_t pos, T value) {
+    std::memcpy(bytes_.data() + pos, &value, sizeof(value));
+  }
+  std::size_t GraphOffsetsAt() const {
+    std::uint32_t name_len = 0;
+    std::memcpy(&name_len, bytes_.data() + kNameLenAt, sizeof(name_len));
+    return 64 + name_len;
+  }
+  std::size_t RanksAt() const {
+    return GraphOffsetsAt() + (U64At(kNumNodesAt) + 1) * sizeof(EdgeId) +
+           U64At(kGraphEntriesAt) * sizeof(NodeId);
+  }
+  std::size_t DagNeighborsAt() const {
+    const std::uint64_t n = U64At(kNumNodesAt);
+    return RanksAt() + n * sizeof(NodeId) + (n + 1) * sizeof(EdgeId);
+  }
+  // Recomputes the trailing crc64, so only the structural checks can
+  // reject the corruption.
+  void Reseal() {
+    const std::size_t body = bytes_.size() - sizeof(std::uint64_t);
+    Put(body, Crc64(bytes_.data(), body));
+  }
+
   std::unique_ptr<TempFile> file_;
   std::string bytes_;
 };
@@ -249,6 +284,34 @@ TEST_F(ArtifactFileTest, RejectsTruncation) {
 TEST_F(ArtifactFileTest, RejectsTruncatedHeader) {
   bytes_.resize(10);
   ExpectThrowContaining("truncated");
+}
+
+TEST_F(ArtifactFileTest, ResealedOutOfRangeDagNeighborIsRejected) {
+  Put(DagNeighborsAt(), static_cast<NodeId>(U64At(kNumNodesAt)));
+  Reseal();
+  ExpectThrowContaining("dag neighbor id");
+}
+
+TEST_F(ArtifactFileTest, ResealedDecreasingGraphOffsetsAreRejected) {
+  const std::size_t second = GraphOffsetsAt() + 2 * sizeof(EdgeId);
+  Put(GraphOffsetsAt() + sizeof(EdgeId), U64At(second) + 1);
+  Reseal();
+  ExpectThrowContaining("corrupt graph offsets (decreasing at 1)");
+}
+
+TEST_F(ArtifactFileTest, ResealedNonPermutationRanksAreRejected) {
+  NodeId second_rank = 0;
+  std::memcpy(&second_rank, bytes_.data() + RanksAt() + sizeof(NodeId),
+              sizeof(second_rank));
+  Put(RanksAt(), second_rank);
+  Reseal();
+  ExpectThrowContaining("stored ranks are not a permutation");
+}
+
+TEST_F(ArtifactFileTest, ResealedDisagreeingEdgeCountsAreRejected) {
+  Put(kDagEntriesAt, U64At(kDagEntriesAt) + 1);
+  Reseal();
+  ExpectThrowContaining("header edge counts disagree");
 }
 
 // ---------------------------------------------------------- atomic write
