@@ -103,7 +103,7 @@ struct OrderingRun {
 };
 
 // Per-round barrier latency charged by the 64-thread ordering model
-// (typical OpenMP barrier latency at this core count).
+// (a typical thread-team barrier latency at this core count).
 inline constexpr double kOrderingBarrierSeconds = 5e-6;
 
 // The 64-thread ordering model: the exact core peel (rounds < 0) stays

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark): the execution layer itself.
 // Measures what the scheduler adds and costs — chunk-bound construction
-// in both modes, self-scheduling overhead at different granularities,
-// reduction throughput, the thread-budget lease path, and the counting
-// driver on one whole-root task per vertex.
+// in both modes, region launch alone and with a trivial body at
+// different granularities, reduction throughput, the thread-budget lease
+// path, and the counting driver on one whole-root task per vertex.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -50,18 +50,33 @@ void BM_ThreadBudgetAcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_ThreadBudgetAcquireRelease);
 
 // Region launch + teardown overhead against a trivial body, across
-// self-scheduling granularities (arg = chunks_per_worker).
+// self-scheduling granularities (arg = chunks_per_worker). Each worker
+// folds into its own slot, so the body shares no cache line.
 void BM_ParallelForOverhead(benchmark::State& state) {
   ExecOptions options;
   options.chunks_per_worker = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    std::uint64_t sink = 0;
-    ParallelFor(1 << 14, options, [&sink](std::size_t i) {
-      benchmark::DoNotOptimize(sink += i);
-    });
+    ParallelForWorkers(
+        1 << 14, options, [](int) { return std::uint64_t{0}; },
+        [](std::uint64_t& acc, std::size_t i) {
+          acc += i;
+          benchmark::DoNotOptimize(acc);
+        },
+        [](std::uint64_t& acc) { benchmark::DoNotOptimize(acc); });
   }
 }
 BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(8)->Arg(64);
+
+// Region launch + teardown alone: a region over no items still starts
+// and joins its team.
+void BM_ParallelForEmpty(benchmark::State& state) {
+  ExecOptions options;
+  for (auto _ : state) {
+    const ExecStats stats = ParallelFor(0, options, [](std::size_t) {});
+    benchmark::DoNotOptimize(stats.team);
+  }
+}
+BENCHMARK(BM_ParallelForEmpty);
 
 void BM_ParallelReduceSum(benchmark::State& state) {
   ExecOptions options;

@@ -16,12 +16,13 @@
 #      linked against pivotscale_core alone must hold no DenseSubgraph,
 #      SparseSubgraph, RemapSubgraph, PivotCounter<, ApproxCoreOrdering,
 #      PrepareDag, BuildArtifact, Directionalize, BuildGraph or
-#      ReadEdgeList symbol), and the benchmark
+#      ReadEdgeList symbol, and no libgomp or OpenMP symbol in it or in
+#      pivotscale_prep), and the benchmark
 #      self-test (perfbench/run.py --smoke: exact counts on every
 #      workload, a corrupted reference that must fail, op counts that must
 #      repeat)
 #   3. clang-tidy over src/        when a clang-tidy binary exists
-#   4. TSan build + race shards    (build-check-tsan/)
+#   4. TSan build + race shards    (build-check-tsan/; no suppressions)
 # Stage 3 is skipped with a note on toolchains without clang-tidy (the
 # config is .clang-tidy; CI always runs it). Pass --fast to stop after
 # stage 2. Exits non-zero on the first failing stage.
@@ -75,10 +76,10 @@ else
   echo "    .github/workflows/analysis.yml)"
 fi
 
-echo "==> [4/4] TSan build + race/net/service shards"
+echo "==> [4/4] TSan build + race/net/service/check/exec shards"
 cmake -B build-check-tsan -S . -DPIVOTSCALE_TSAN=ON >/dev/null
 cmake --build build-check-tsan -j"${JOBS}"
-ctest --test-dir build-check-tsan -R 'race|net|service|check' \
+ctest --test-dir build-check-tsan -R 'race|net|service|check|exec' \
   --output-on-failure
 
 echo "==> all analysis stages passed"

@@ -19,7 +19,10 @@
 #     pivotscale_cli exit 1 with the id error, not a signal;
 #   - core split: pivotscale_served links pivotscale_core alone, so it
 #     must hold no paper structure, Pivoter recursion, ordering, pipeline
-#     prefix, artifact builder, DAG builder or edge-list loader symbol.
+#     prefix, artifact builder, DAG builder or edge-list loader symbol;
+#   - no OpenMP: the exec layer runs on its own pool, so neither
+#     pivotscale_served nor pivotscale_prep may need libgomp or hold a
+#     GOMP_ or omp_ symbol.
 #
 # Usage: scripts/cli_smokes.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -105,3 +108,11 @@ out=""
 n="$(nm -C "${served}" | grep -cE "${split_re}" || true)"
 [[ "${n}" == "0" ]] ||
   fail "pivotscale_served links ${n} symbols matching ${split_re}"
+
+echo "==> no OpenMP runtime in the production binaries"
+for bin in "${served}" "${prep}"; do
+  out="$(readelf -d "${bin}" | grep -i 'NEEDED.*libgomp' || true)"
+  [[ -z "${out}" ]] || fail "${bin} needs libgomp"
+  out="$(nm "${bin}" | awk '{print $NF}' | grep -E '^(GOMP_|omp_)' || true)"
+  [[ -z "${out}" ]] || fail "${bin} holds OpenMP symbols"
+done

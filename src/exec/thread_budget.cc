@@ -1,12 +1,38 @@
 #include "exec/thread_budget.h"
 
-#include <omp.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstdlib>
+#include <thread>
 
 #include "util/check.h"
+#include "util/cli.h"
 
 namespace pivotscale {
+namespace {
+
+// OMP_NUM_THREADS's first entry ("4" or "4,2") when it is a whole number
+// in [1, kMaxThreadsFlag], the --threads flags' range; otherwise the CPUs
+// this process may run on.
+int DefaultCapacity() {
+  if (const char* env = std::getenv("OMP_NUM_THREADS")) {
+    char* end = nullptr;
+    const long threads = std::strtol(env, &end, 10);
+    while (end != env && std::isspace(static_cast<unsigned char>(*end)))
+      ++end;
+    if (end != env && (*end == '\0' || *end == ',') && threads >= 1 &&
+        threads <= kMaxThreadsFlag)
+      return static_cast<int>(threads);
+  }
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) return CPU_COUNT(&cpus);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+}  // namespace
 
 void ThreadLease::Release() {
   if (budget_ != nullptr) budget_->Release(threads_);
@@ -14,16 +40,8 @@ void ThreadLease::Release() {
   threads_ = 0;
 }
 
-ThreadBudget::ThreadBudget(int capacity) : capacity_(capacity) {
-  if (capacity_ <= 0) {
-    // omp_get_max_threads() inside an active region reports the nested
-    // default (1 with nesting disabled), which would pin the budget of the
-    // whole process to a single thread forever.
-    capacity_ = omp_in_parallel() ? omp_get_num_procs()
-                                  : omp_get_max_threads();
-  }
-  capacity_ = std::max(1, capacity_);
-}
+ThreadBudget::ThreadBudget(int capacity)
+    : capacity_(std::max(1, capacity > 0 ? capacity : DefaultCapacity())) {}
 
 ThreadBudget& ThreadBudget::Global() {
   static ThreadBudget budget;

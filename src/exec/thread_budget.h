@@ -1,11 +1,11 @@
 // Process-wide thread-budget registry: the single owner of "how many
 // threads may be busy at once".
 //
-// Before this layer, every OpenMP site picked its own team size from
-// omp_get_max_threads() and the serving path multiplied that by the
-// worker-pool size, so N workers x T counting threads could oversubscribe
-// the machine N-fold. Now every parallel region (src/exec/executor.h) and
-// every long-lived worker pool first leases capacity here:
+// Without it, every parallel site would pick its own team size from the
+// machine and the serving path would multiply that by the worker-pool
+// size, so N workers x T counting threads could oversubscribe the machine
+// N-fold. Every parallel region (src/exec/executor.h) and every
+// long-lived worker pool first leases capacity here:
 //
 //   ThreadLease lease = ThreadBudget::Global().Acquire(requested);
 //   ... run a team of lease.threads() ...   // released by the destructor
@@ -65,10 +65,10 @@ class ThreadLease {
 
 class ThreadBudget {
  public:
-  // capacity 0 = derive from the environment: the OpenMP default team
-  // size (honors OMP_NUM_THREADS), or the processor count when the
-  // constructor runs inside an active parallel region (where the OpenMP
-  // default collapses to 1 and would starve the whole process).
+  // capacity 0 = derive from the environment: the first entry of
+  // OMP_NUM_THREADS when it is a thread count in [1, 4096] (so scripts
+  // that size OpenMP programs size this one too), otherwise the number
+  // of CPUs in the process's affinity mask.
   explicit ThreadBudget(int capacity = 0);
   ThreadBudget(const ThreadBudget&) = delete;
   ThreadBudget& operator=(const ThreadBudget&) = delete;

@@ -73,7 +73,8 @@ Graph CsrFileReader::ReadCsr(const std::string& what,
   std::vector<EdgeId> offsets = ReadVector<EdgeId>(num_nodes + 1);
   std::vector<NodeId> neighbors = ReadVector<NodeId>(num_entries);
   // The CSR invariants the whole pipeline assumes: monotone offsets that
-  // cover exactly the neighbor array, and every neighbor id in range.
+  // cover exactly the neighbor array, and rows of in-range ids, strictly
+  // increasing (sorted, no duplicate) and without self-loops.
   for (std::uint64_t u = 0; u < num_nodes; ++u)
     if (offsets[u] > offsets[u + 1])
       Fail("corrupt " + what + " offsets (decreasing at " +
@@ -83,11 +84,20 @@ Graph CsrFileReader::ReadCsr(const std::string& what,
          std::to_string(offsets[0]) + ", " +
          std::to_string(offsets[num_nodes]) + "] does not cover the " +
          std::to_string(num_entries) + " neighbor entries)");
-  for (std::uint64_t e = 0; e < num_entries; ++e)
-    if (neighbors[e] >= num_nodes)
-      Fail(what + " neighbor id " + std::to_string(neighbors[e]) +
-           " at entry " + std::to_string(e) + " is out of range (" +
-           std::to_string(num_nodes) + " nodes)");
+  for (std::uint64_t u = 0; u < num_nodes; ++u) {
+    for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e) {
+      const NodeId v = neighbors[e];
+      if (v >= num_nodes)
+        Fail(what + " neighbor id " + std::to_string(v) + " at entry " +
+             std::to_string(e) + " is out of range (" +
+             std::to_string(num_nodes) + " nodes)");
+      if (v == u)
+        Fail(what + " row " + std::to_string(u) + " holds a self-loop");
+      if (e > offsets[u] && v <= neighbors[e - 1])
+        Fail(what + " row " + std::to_string(u) +
+             " is not strictly increasing at entry " + std::to_string(e));
+    }
+  }
   return Graph(std::move(offsets), std::move(neighbors), undirected);
 }
 

@@ -81,8 +81,9 @@ struct CountResult {
   // footprints.
   std::size_t workspace_bytes = 0;
   // Per-thread busy seconds, for the load-balance CoV analysis (Section IV).
-  // Sized to the *actual* OpenMP team size (which may be smaller than the
-  // requested thread count), so imbalance stats carry no phantom zeros.
+  // Sized to the team the counting region actually ran (which may be
+  // smaller than the requested thread count, e.g. when the run is nested
+  // in another region), so imbalance stats carry no phantom zeros.
   std::vector<double> thread_busy_seconds;
 };
 

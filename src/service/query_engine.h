@@ -26,7 +26,7 @@
 // exec-layer scheduler, which leases its threads from the process-wide
 // ThreadBudget (exec/thread_budget.h): when several batches count at
 // once each run's team shrinks so the total stays within the machine,
-// rather than each run independently spinning up a full OpenMP pool.
+// and all runs share the exec layer's one pool of helper threads.
 //
 // Telemetry (when a registry is configured): "service.batch" and
 // "service.count" spans, and counters "service.queries",

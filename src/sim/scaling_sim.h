@@ -2,11 +2,11 @@
 //
 // This reproduction runs on a single core, so multi-thread speedups cannot
 // be measured directly. Instead, the real counter records a per-root work
-// trace (sim/work_trace.h) and this simulator replays it under an
-// OpenMP-style scheduler with T virtual threads:
+// trace (sim/work_trace.h) and this simulator replays it under a
+// self-scheduling scheduler with T virtual threads:
 //
 //  * scheduling: dynamic chunked self-scheduling (default; matches the
-//    driver's schedule(dynamic, chunk)) or static block partitioning (the
+//    exec layer's shared chunk cursor) or static block partitioning (the
 //    naive-parallel model). Each chunk goes to the earliest-available
 //    thread; makespan and per-thread busy times fall out.
 //  * memory contention: when the aggregate thread-local structure footprint

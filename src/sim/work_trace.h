@@ -1,8 +1,8 @@
 // Per-root work traces.
 //
 // The scaling study (Figure 11) needs the distribution of work across root
-// vertices: on real silicon that distribution is what the OpenMP dynamic
-// scheduler balances, and on this single-core reproduction it is the input
+// vertices: on real silicon that distribution is what the exec layer's
+// dynamic scheduler balances, and on this single-core reproduction it is the input
 // to the scheduler simulation in scaling_sim.h. A trace records, for every
 // root vertex processed, the measured nanoseconds and the adjacency-entry
 // operation count (a machine-independent work measure).

@@ -108,9 +108,10 @@ TEST(DcheckTest, CompiledOutDchecksSwallowStreamedMessages) {
 
 // ------------------------------------------------- guarded real invariants
 
-// Death tests that re-enter OpenMP regions must re-exec instead of fork:
-// a forked child of a process that already spawned a team can wedge inside
-// libgomp before reaching the expected abort.
+// Death tests that run parallel regions must re-exec instead of fork: a
+// forked child inherits the exec pool's bookkeeping but none of its helper
+// threads, so a region there would wait forever for helpers that do not
+// exist.
 class SeededCorruptionDeathTest : public ::testing::Test {
  protected:
   void SetUp() override {

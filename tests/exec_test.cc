@@ -1,10 +1,11 @@
 // Unit tests for the unified execution layer (src/exec/) and the shared
 // --threads flag validation (util/cli.h):
-//   * ThreadBudget lease accounting: grant rules, min-1 progress, release
+//   * ThreadBudget lease accounting: grant rules, min-1 progress, release,
+//     and the default capacity read from OMP_NUM_THREADS
 //   * BuildChunkBounds invariants in uniform and cost-weighted modes
 //   * ParallelFor / ParallelReduce / ParallelForWorkers correctness and
-//     realized-team-sized ExecStats, and worker slots on cache lines of
-//     their own
+//     realized-team-sized ExecStats, worker slots on cache lines of
+//     their own, and worker 0 on the calling thread
 //   * exec.* telemetry emitted by a region
 //   * ArgParser::GetThreads rejecting 0 / negative / absurd values,
 //     ArgParser::GetK rejecting k outside [1, 2^32 - 1], and
@@ -15,11 +16,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/executor.h"
@@ -92,6 +95,26 @@ TEST(ThreadBudget, SetCapacityAppliesToLaterLeases) {
 
 TEST(ThreadBudget, GlobalCapacityIsPositive) {
   EXPECT_GE(ThreadBudget::Global().capacity(), 1);
+}
+
+TEST(ThreadBudget, DefaultCapacityReadsOmpNumThreads) {
+  const char* env = std::getenv("OMP_NUM_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  ::unsetenv("OMP_NUM_THREADS");
+  const int cpus = ThreadBudget().capacity();
+  EXPECT_GE(cpus, 1);
+  const std::vector<std::pair<std::string, int>> cases = {
+      {"3", 3},    {" 5", 5},  {"6 ", 6},  {"2,1", 2},     {"4096", 4096},
+      {"0", cpus}, {"-2", cpus}, {"4097", cpus}, {"two", cpus}, {"", cpus},
+      {"3x", cpus}};
+  for (const auto& [value, want] : cases) {
+    ::setenv("OMP_NUM_THREADS", value.c_str(), 1);
+    EXPECT_EQ(ThreadBudget().capacity(), want) << '"' << value << '"';
+  }
+  if (env != nullptr)
+    ::setenv("OMP_NUM_THREADS", saved.c_str(), 1);
+  else
+    ::unsetenv("OMP_NUM_THREADS");
 }
 
 // --------------------------------------------------------- chunk geometry
@@ -258,6 +281,28 @@ TEST(Executor, WorkerSlotsDoNotShareCacheLines) {
     }
   }
   EXPECT_GE(recorded, std::min(stats.team, 2));
+}
+
+TEST(Executor, WorkerZeroIsTheCallingThread) {
+  // Worker 0's state is built on the caller, so its allocations stay in
+  // the caller's malloc arena; the other workers run on pool helpers.
+  ThreadBudget& budget = ThreadBudget::Global();
+  const int saved = budget.capacity();
+  budget.SetCapacity(4);
+  ExecOptions options;
+  options.num_threads = 4;
+  std::vector<std::thread::id> built_on(4);
+  const ExecStats stats = ParallelForWorkers(
+      64, options,
+      [&built_on](int tid) {
+        built_on[tid] = std::this_thread::get_id();
+        return 0;
+      },
+      [](int&, std::size_t) {}, [](int&) {});
+  budget.SetCapacity(saved);
+  EXPECT_EQ(built_on[0], std::this_thread::get_id());
+  for (int tid = 1; tid < stats.team; ++tid)
+    EXPECT_NE(built_on[tid], std::this_thread::get_id()) << tid;
 }
 
 TEST(Executor, EmptyRangeStillMergesWorkers) {

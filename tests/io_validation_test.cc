@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,32 @@ TEST(ReadBinaryGraph, RejectsOutOfRangeNeighbor) {
   TempFile f("bad_neighbor.psg");
   f.WriteBytes(PsgBytes(3, 4, {0, 2, 3, 4}, {1, 2, 7, 0}));
   EXPECT_THROW(ReadBinaryGraph(f.path()), std::runtime_error);
+}
+
+// Reads `bytes` as a .psg file and expects a rejection naming `what`.
+void ExpectPsgRejected(const std::string& name, const std::string& bytes,
+                       const std::string& what) {
+  TempFile f(name);
+  f.WriteBytes(bytes);
+  try {
+    ReadBinaryGraph(f.path());
+    ADD_FAILURE() << name << ": accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ReadBinaryGraph, RejectsDuplicateNeighbor) {
+  // Row 0 lists neighbor 1 twice: the counting kernels assume sorted,
+  // duplicate-free rows.
+  ExpectPsgRejected("duplicate.psg", PsgBytes(3, 4, {0, 2, 3, 4}, {1, 1, 0, 0}),
+                    "graph row 0 is not strictly increasing at entry 1");
+}
+
+TEST(ReadBinaryGraph, RejectsSelfLoop) {
+  ExpectPsgRejected("self_loop.psg", PsgBytes(3, 4, {0, 2, 3, 4}, {1, 2, 1, 0}),
+                    "graph row 1 holds a self-loop");
 }
 
 TEST(ReadBinaryGraph, RejectsHeaderBodySizeMismatch) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.h"
@@ -232,9 +233,27 @@ class ArtifactFileTest : public ::testing::Test {
     return GraphOffsetsAt() + (U64At(kNumNodesAt) + 1) * sizeof(EdgeId) +
            U64At(kGraphEntriesAt) * sizeof(NodeId);
   }
+  std::size_t DagOffsetsAt() const {
+    return RanksAt() + U64At(kNumNodesAt) * sizeof(NodeId);
+  }
   std::size_t DagNeighborsAt() const {
-    const std::uint64_t n = U64At(kNumNodesAt);
-    return RanksAt() + n * sizeof(NodeId) + (n + 1) * sizeof(EdgeId);
+    return DagOffsetsAt() + (U64At(kNumNodesAt) + 1) * sizeof(EdgeId);
+  }
+  // The first row of the CSR section whose offsets start at `offsets_at`
+  // with at least two entries: {row, offset of its first entry}.
+  std::pair<NodeId, EdgeId> FirstRowOfTwo(std::size_t offsets_at) const {
+    for (NodeId u = 0; u < U64At(kNumNodesAt); ++u) {
+      const EdgeId begin = U64At(offsets_at + u * sizeof(EdgeId));
+      if (U64At(offsets_at + (u + 1) * sizeof(EdgeId)) - begin >= 2)
+        return {u, begin};
+    }
+    ADD_FAILURE() << "no row with two entries";
+    return {0, 0};
+  }
+  NodeId NodeIdAt(std::size_t pos) const {
+    NodeId v = 0;
+    std::memcpy(&v, bytes_.data() + pos, sizeof(v));
+    return v;
   }
   // Recomputes the trailing crc64, so only the structural checks can
   // reject the corruption.
@@ -290,6 +309,41 @@ TEST_F(ArtifactFileTest, ResealedOutOfRangeDagNeighborIsRejected) {
   Put(DagNeighborsAt(), static_cast<NodeId>(U64At(kNumNodesAt)));
   Reseal();
   ExpectThrowContaining("dag neighbor id");
+}
+
+TEST_F(ArtifactFileTest, ResealedDuplicateDagNeighborIsRejected) {
+  // A repeated DAG neighbor would be counted as a clique of its own.
+  const auto [u, begin] = FirstRowOfTwo(DagOffsetsAt());
+  const std::size_t first = DagNeighborsAt() + begin * sizeof(NodeId);
+  Put(first + sizeof(NodeId), NodeIdAt(first));
+  Reseal();
+  ExpectThrowContaining("dag row " + std::to_string(u) +
+                        " is not strictly increasing at entry " +
+                        std::to_string(begin + 1));
+}
+
+TEST_F(ArtifactFileTest, ResealedUnsortedGraphRowIsRejected) {
+  const std::size_t neighbors_at =
+      GraphOffsetsAt() + (U64At(kNumNodesAt) + 1) * sizeof(EdgeId);
+  const auto [u, begin] = FirstRowOfTwo(GraphOffsetsAt());
+  const std::size_t first = neighbors_at + begin * sizeof(NodeId);
+  const NodeId a = NodeIdAt(first);
+  Put(first, NodeIdAt(first + sizeof(NodeId)));
+  Put(first + sizeof(NodeId), a);
+  Reseal();
+  ExpectThrowContaining("graph row " + std::to_string(u) +
+                        " is not strictly increasing at entry " +
+                        std::to_string(begin + 1));
+}
+
+TEST_F(ArtifactFileTest, ResealedSelfLoopIsRejected) {
+  const std::size_t neighbors_at =
+      GraphOffsetsAt() + (U64At(kNumNodesAt) + 1) * sizeof(EdgeId);
+  const auto [u, begin] = FirstRowOfTwo(GraphOffsetsAt());
+  Put(neighbors_at + begin * sizeof(NodeId), u);
+  Reseal();
+  ExpectThrowContaining("graph row " + std::to_string(u) +
+                        " holds a self-loop");
 }
 
 TEST_F(ArtifactFileTest, ResealedDecreasingGraphOffsetsAreRejected) {

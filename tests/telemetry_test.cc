@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/dag.h"
@@ -117,8 +119,12 @@ TEST(TelemetryRegistry, ScopedSpanRecordsAndNullIsNoop) {
 
 TEST(TelemetryRegistry, ConcurrentCountersAreExact) {
   TelemetryRegistry reg;
-#pragma omp parallel for
-  for (int i = 0; i < 1000; ++i) reg.AddCounter("hits", 1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&reg] {
+      for (int i = 0; i < 250; ++i) reg.AddCounter("hits", 1);
+    });
+  for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(reg.Counter("hits"), 1000u);
 }
 

@@ -17,12 +17,13 @@ Checks conventions a compiler cannot see:
                    mode) are only allowed inside util/atomic_file.cc; all
                    other writers must go through WriteFileAtomic so readers
                    can never observe a truncated artifact.
-  raw-omp-parallel `#pragma omp parallel` is banned outside the exec layer
-                   (src/exec/): every parallel region in src/, bench/, and examples/ must go through
-                   the Executor primitives (ParallelFor / ParallelReduce /
-                   ParallelForWorkers) so thread budgeting, chunking, and
-                   exec.* telemetry stay uniform (tests/ exempt: harness
-                   tests may open raw regions to probe executor behavior).
+  no-openmp        `#pragma omp`, an omp.h include and omp_* calls are
+                   banned in src/, tests/, bench/ and examples/, with no
+                   exemption: every parallel region runs on the exec
+                   layer's own pool through the Executor primitives
+                   (ParallelFor / ParallelReduce / ParallelForWorkers), so
+                   thread budgeting, chunking and exec.* telemetry stay
+                   uniform and no binary needs an OpenMP runtime.
   core-includes-repro
                    no file of the production library pivotscale_core may
                    include a header of the reproduction library
@@ -57,16 +58,13 @@ WRITE_HANDLE_RE = re.compile(
 # deliberately dynamic telemetry counter names.
 ATOMIC_WRITE_OWNER = "util/atomic_file.cc"
 
-OMP_PARALLEL_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
+OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
+OMP_CALL_RE = re.compile(r"(?<![\w.:>])omp_\w+\s*\(")
+OMP_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]omp\.h[>"]')
 
 LIBRARY_CMAKE = SRC_DIR / "CMakeLists.txt"
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 UMBRELLA_HEADER = "src/pivotscale.h"
-
-# Files allowed to open raw OpenMP parallel regions: the executor itself.
-OMP_PARALLEL_ALLOWLIST = (
-    "src/exec/",
-)
 
 
 def strip_comments_and_strings(text):
@@ -170,13 +168,15 @@ def iter_findings_for_file(path):
                        "^[a-z]+(\\.[a-z_]+)+$")
 
     in_src = rel.startswith("src/")
-    omp_enforced = (not is_test
-                    and not rel.startswith(OMP_PARALLEL_ALLOWLIST))
+    for lineno, line in enumerate(raw_lines, 1):
+        if OMP_INCLUDE_RE.match(line):
+            yield (rel, lineno, "no-openmp",
+                   "omp.h include; the tree uses no OpenMP")
     for lineno, line in enumerate(code_lines, 1):
-        if omp_enforced and OMP_PARALLEL_RE.search(line):
-            yield (rel, lineno, "raw-omp-parallel",
-                   "raw `#pragma omp parallel` outside src/exec/; "
-                   "use the Executor primitives (exec/executor.h)")
+        if OMP_PRAGMA_RE.search(line) or OMP_CALL_RE.search(line):
+            yield (rel, lineno, "no-openmp",
+                   "OpenMP pragma or omp_* call; use the Executor "
+                   "primitives (exec/executor.h)")
         if in_src and LIBC_RANDOM_RE.search(line):
             yield (rel, lineno, "no-libc-random",
                    "rand()/time( is banned; use the seeded generators")
@@ -247,7 +247,7 @@ def main(argv):
 
     if args.list_rules:
         print("telemetry-name no-libc-random no-naked-new include-guards "
-              "atomic-writes raw-omp-parallel core-includes-repro")
+              "atomic-writes no-openmp core-includes-repro")
         return 0
 
     if args.files:
