@@ -1,6 +1,9 @@
 #include "order/approx_core_order.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <limits>
 #include <vector>
 
@@ -10,20 +13,41 @@ namespace pivotscale {
 
 namespace {
 
-// Thread-local collect + worker-order merge; on one core this degenerates
-// to a plain loop, but the structure mirrors the algorithm.
+// A collect pass cuts the vertices into at most this many blocks, of at
+// least kMinCollectBlock vertices each.
+constexpr std::size_t kCollectBlocks = 64;
+constexpr std::size_t kMinCollectBlock = 1024;
+
+// Appends every u < n with keep(u) to `out`, in increasing order, in two
+// passes over fixed blocks: count each block's kept ids, then write them
+// at the block's prefix offset. What it allocates does not depend on
+// which worker ran which block: per-worker vectors grown by push_back
+// would land in the caller's heap or a helper's depending on how many
+// chunks each worker took, so the caller's heap layout, and with it peak
+// RSS, would depend on timing.
+// `keep` must give the same answer in both passes.
 template <typename Keep>
 void CollectIds(std::size_t n, std::vector<NodeId>* out, Keep&& keep) {
-  ExecOptions exec_options;
-  ParallelForWorkers(
-      n, exec_options, [](int) { return std::vector<NodeId>(); },
-      [&keep](std::vector<NodeId>& local, std::size_t i) {
-        const auto u = static_cast<NodeId>(i);
-        if (keep(u)) local.push_back(u);
-      },
-      [out](std::vector<NodeId>& local) {
-        out->insert(out->end(), local.begin(), local.end());
-      });
+  const std::size_t block = std::max(
+      kMinCollectBlock, (n + kCollectBlocks - 1) / kCollectBlocks);
+  const std::size_t blocks = (n + block - 1) / block;
+  std::array<std::size_t, kCollectBlocks + 1> offset{};
+  ParallelFor(blocks, ExecOptions{}, [&](std::size_t b) {
+    const std::size_t end = std::min(n, (b + 1) * block);
+    std::size_t kept = 0;
+    for (std::size_t i = b * block; i < end; ++i)
+      kept += keep(static_cast<NodeId>(i)) ? 1 : 0;
+    offset[b + 1] = kept;
+  });
+  for (std::size_t b = 0; b < blocks; ++b) offset[b + 1] += offset[b];
+  const std::size_t base = out->size();
+  out->resize(base + offset[blocks]);
+  ParallelFor(blocks, ExecOptions{}, [&](std::size_t b) {
+    const std::size_t end = std::min(n, (b + 1) * block);
+    NodeId* next = out->data() + base + offset[b];
+    for (std::size_t i = b * block; i < end; ++i)
+      if (keep(static_cast<NodeId>(i))) *next++ = static_cast<NodeId>(i);
+  });
 }
 
 }  // namespace
