@@ -13,7 +13,7 @@
 // busy-time CoV column checks the paper's load-balance claim (CoV ~ 0.03).
 //
 // --json <path> additionally re-runs each series for real (whole-machine
-// executor) and writes one JSON document pairing the simulated speedup
+// executor, after one untimed warm-up run) and writes one JSON document pairing the simulated speedup
 // curves with the measured scheduler stats: the realized team and its
 // busy-time CoV. docs/parallelism.md explains the fields.
 #include <iostream>
@@ -99,12 +99,15 @@ int main(int argc, char** argv) {
             cov64 = SimulateScaling(trace, config).busy_cov;
         }
         if (!json_path.empty()) {
-          // Real run (no trace, whole-machine budget):
-          // the simulated curves say how the trace *should* scale; these
-          // fields say what the scheduler actually did to it.
-          TelemetryRegistry measured;
+          // Real run (no trace, every free thread): the simulated curves
+          // say how the trace *should* scale; these fields say what the
+          // scheduler actually did to it. An untimed run first, so the
+          // pool's helpers, parked during the serial simulation above, are
+          // awake when the measured run starts.
           CountOptions measured_options;
           measured_options.k = k;
+          CountCliquesOn(dag, measured_options, kind);
+          TelemetryRegistry measured;
           measured_options.telemetry = &measured;
           CountCliquesOn(dag, measured_options, kind);
           json.BeginObject();

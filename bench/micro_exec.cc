@@ -1,14 +1,13 @@
 // Microbenchmarks (google-benchmark): the execution layer itself.
 // Measures what the scheduler adds and costs — chunk-bound construction
 // in both modes, region launch alone and with a trivial body at
-// different granularities, reduction throughput, the thread-budget lease
-// path, and the counting driver on one whole-root task per vertex.
+// different granularities, reduction throughput, and the counting driver
+// on one whole-root task per vertex.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
 #include "exec/executor.h"
-#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
@@ -40,14 +39,6 @@ void BM_BuildChunkBoundsCostWeighted(benchmark::State& state) {
         exec_detail::BuildChunkBounds(1 << 16, 8, options).size());
 }
 BENCHMARK(BM_BuildChunkBoundsCostWeighted);
-
-void BM_ThreadBudgetAcquireRelease(benchmark::State& state) {
-  for (auto _ : state) {
-    ThreadLease lease = ThreadBudget::Global().Acquire(0);
-    benchmark::DoNotOptimize(lease.threads());
-  }
-}
-BENCHMARK(BM_ThreadBudgetAcquireRelease);
 
 // Region launch + teardown overhead against a trivial body, across
 // self-scheduling granularities (arg = chunks_per_worker). Each worker

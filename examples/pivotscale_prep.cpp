@@ -14,7 +14,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "exec/thread_budget.h"
+#include "exec/executor.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -38,10 +38,9 @@ int main(int argc, char** argv) {
       return 0;
     }
     // Every flag is read (and a bad value rejected) before the graph load.
-    // The build pipeline's parallel phases take their teams from the
-    // shared budget, so capping the budget is the whole-binary --threads.
-    if (args.Has("threads"))
-      ThreadBudget::Global().SetCapacity(args.GetThreads());
+    // The build pipeline's parallel phases take their teams from the exec
+    // layer's thread capacity, so capping it is the whole-binary --threads.
+    if (args.Has("threads")) SetThreadCapacity(args.GetThreads());
     const std::string path = args.GetPath("graph", "");
     const std::string telemetry_path = args.GetPath("telemetry-json", "");
     const std::string out = args.GetPath("out", "graph.psx");

@@ -17,6 +17,9 @@
 #     "bad --top", each before any graph is loaded or generated;
 #   - NodeId max: an edge list naming vertex 4294967295 must make
 #     pivotscale_cli exit 1 with the id error, not a signal;
+#   - re-sealed 2-cycle: a K4 artifact whose DAG gains the arc v -> u
+#     next to u -> v, with its crc64 recomputed, must make
+#     pivotscale_served answer an error, not a wrong count;
 #   - core split: pivotscale_served links pivotscale_core alone, so it
 #     must hold no paper structure, Pivoter recursion, ordering, pipeline
 #     prefix, artifact builder, DAG builder or edge-list loader symbol;
@@ -99,6 +102,38 @@ out="$("${cli}" --graph "${tmp}/max_id.el" --k 3 2>&1)" || status=$?
 [[ "${status}" == "1" ]] || fail "vertex 4294967295: exit ${status}, not 1"
 grep -q 'vertex id 4294967295 exceeds the largest NodeId' <<<"${out}" ||
   fail "vertex 4294967295: wrong error"
+
+echo "==> re-sealed 2-cycle smoke (K4 artifact, pivotscale_served)"
+printf '0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n' > "${tmp}/k4.el"
+"${prep}" --graph "${tmp}/k4.el" --out "${tmp}/k4.psx" > /dev/null
+python3 - "${tmp}/k4.psx" <<'PY'
+# Row v of the DAG takes u in place of its first entry above u, for the
+# first arc u -> v where that keeps row v strictly increasing; then the
+# trailing CRC-64/XZ is recomputed (layout: src/store/artifact.h).
+import struct, sys
+path = sys.argv[1]
+b = bytearray(open(path, 'rb').read())
+n, graph_entries, dag_entries = struct.unpack_from('<QQQ', b, 16)
+name_len, = struct.unpack_from('<I', b, 56)
+dag_offsets_at = 64 + name_len + 8 * (n + 1) + 4 * graph_entries + 4 * n
+dag_at = dag_offsets_at + 8 * (n + 1)
+off = struct.unpack_from(f'<{n + 1}Q', b, dag_offsets_at)
+nb = list(struct.unpack_from(f'<{dag_entries}I', b, dag_at))
+u, v, e = next((u, v, e) for u in range(n) for v in nb[off[u]:off[u + 1]]
+               for e in range(off[v], off[v + 1]) if nb[e] > u)
+nb[e] = u
+struct.pack_into(f'<{dag_entries}I', b, dag_at, *nb)
+crc = 0xFFFFFFFFFFFFFFFF
+for x in b[:-8]:
+    crc ^= x
+    for _ in range(8):
+        crc = (crc >> 1) ^ (0xC96C5795D7870F42 if crc & 1 else 0)
+struct.pack_into('<Q', b, len(b) - 8, crc ^ 0xFFFFFFFFFFFFFFFF)
+open(path, 'wb').write(b)
+PY
+out="$(echo "{\"id\":1,\"graph\":\"${tmp}/k4.psx\",\"k\":3}" | "${served}")"
+grep -q '"ok":false,"error":".*dag row [0-9]* is not the graph neighbors' \
+  <<<"${out}" || fail "re-sealed 2-cycle K4: served did not answer an error"
 
 echo "==> core split (pivotscale_served links only the reader and counting)"
 split_re='DenseSubgraph|SparseSubgraph|RemapSubgraph|PivotCounter<'

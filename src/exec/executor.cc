@@ -1,10 +1,15 @@
 #include "exec/executor.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 
+#include "util/check.h"
 #include "util/cli.h"
 #include "util/stats.h"
 #include "util/telemetry.h"
@@ -112,6 +117,8 @@ std::uint32_t AwaitChange(const std::atomic<std::uint32_t>& word,
 // a caller while its region runs.
 thread_local bool t_in_region = false;
 
+}  // namespace
+
 // One helper's mailbox. A region claims the helper through `busy`,
 // writes the job and bumps `posted`; the helper runs the job and
 // publishes its sequence number in `finished`. Only the claimer clears
@@ -126,6 +133,10 @@ struct alignas(128) Helper {
   void* context = nullptr;
   int tid = 0;
   bool stop = false;
+  // Claimer-owned while `busy`: the next helper of its team and the job
+  // sequence number to wait for.
+  Helper* next = nullptr;
+  std::uint32_t awaited = 0;
 
   void Loop() {
     t_in_region = true;
@@ -139,26 +150,23 @@ struct alignas(128) Helper {
     }
   }
 
-  // Hands the claimed helper its job; returns the sequence number to wait
-  // for.
-  std::uint32_t Post(void (*job)(void*, int) noexcept, void* job_context,
-                     int job_tid) {
+  void Post(void (*job)(void*, int) noexcept, void* job_context,
+            int job_tid) {
     work = job;
     context = job_context;
     tid = job_tid;
-    const std::uint32_t seq = posted.load(std::memory_order_relaxed) + 1;
-    posted.store(seq);
+    awaited = posted.load(std::memory_order_relaxed) + 1;
+    posted.store(awaited);
     posted.notify_one();
-    return seq;
   }
 
-  // Waits for job `seq` and hands the helper back to the pool.
-  void AwaitAndRelease(std::uint32_t seq) {
+  void AwaitFinished() const {
     std::uint32_t done = finished.load(std::memory_order_acquire);
-    while (done != seq) done = AwaitChange(finished, done);
-    busy.store(false, std::memory_order_release);
+    while (done != awaited) done = AwaitChange(finished, done);
   }
 };
+
+namespace {
 
 // The mailboxes live in static storage, not on the heap: the pool starts
 // inside a process's first parallel region, and long-lived aligned blocks
@@ -168,14 +176,16 @@ struct alignas(128) Helper {
 // --threads flags' bound, so that many less one helpers suffice.
 constinit Helper g_helpers[kMaxThreadsFlag - 1];
 
-// The process-wide helper pool. A region that is not nested in another
-// starts helpers for whatever its grant finds no idle helper for, so the
-// pool grows to the peak number of helpers that concurrent regions hold,
-// which ThreadBudget keeps below its capacity. It never shrinks; its
-// helpers stop and are joined at exit.
+// The process-wide helper pool, and the one owner of the thread
+// capacity: Claim applies the grant rule (see Team) and starts helpers
+// under one lock. A region that is not nested in another starts helpers
+// for whatever its grant finds no idle helper for, so the pool grows to
+// the peak number of helpers that concurrent regions hold, which the
+// grant rule keeps below the capacity. It never shrinks; its helpers stop
+// and are joined at exit.
 class Pool {
  public:
-  Pool() = default;
+  Pool() : capacity_(std::max(1, DefaultThreadCapacity())) {}
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
   ~Pool() {
@@ -187,23 +197,58 @@ class Pool {
     }
   }
 
-  // Claims up to `want` helpers into `out`: idle ones first, then, if
-  // `may_start`, new ones. Never waits for a busy helper.
-  void Claim(std::size_t want, bool may_start, std::vector<Helper*>* out) {
+  // Grants a team for `requested` threads and links its helpers into
+  // *helpers: idle ones first, then, if `may_start`, new ones. Never
+  // waits for a busy helper. Returns the team size, which is now in use.
+  int Claim(int requested, bool may_start, Helper** helpers) {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t h = 0; h < threads_.size() && out->size() < want; ++h) {
+    const int want =
+        requested > 0 ? std::min(requested, capacity_) : capacity_;
+    const int grant = std::min(want, std::max(1, capacity_ - in_use_));
+    int team = 1;
+    Helper** tail = helpers;
+    const auto add = [&](Helper* helper) {
+      helper->next = nullptr;
+      *tail = helper;
+      tail = &helper->next;
+      ++team;
+    };
+    for (std::size_t h = 0; h < threads_.size() && team < grant; ++h) {
       bool idle = false;
       if (g_helpers[h].busy.compare_exchange_strong(
               idle, true, std::memory_order_acquire))
-        out->push_back(&g_helpers[h]);
+        add(&g_helpers[h]);
     }
-    while (may_start && out->size() < want &&
+    while (may_start && team < grant &&
            threads_.size() < std::size(g_helpers)) {
       Helper* helper = &g_helpers[threads_.size()];
       helper->busy.store(true, std::memory_order_relaxed);
       threads_.emplace_back([helper] { helper->Loop(); });
-      out->push_back(helper);
+      add(helper);
     }
+    in_use_ += team;
+    return team;
+  }
+
+  void Release(int team) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    in_use_ -= team;
+    DCHECK_GE(in_use_, 0);
+  }
+
+  int capacity() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return capacity_;
+  }
+
+  void SetCapacity(int capacity) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    capacity_ = capacity;
+  }
+
+  int in_use() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return in_use_;
   }
 
   std::size_t size() {
@@ -212,7 +257,9 @@ class Pool {
   }
 
  private:
-  std::mutex mutex_;  // guards threads_
+  std::mutex mutex_;  // guards everything below
+  int capacity_;
+  int in_use_ = 0;  // the sum of the running regions' teams
   std::vector<std::thread> threads_;  // threads_[h] runs g_helpers[h]
 };
 
@@ -223,27 +270,62 @@ Pool& ThePool() {
 
 }  // namespace
 
-int RunTeam(int granted, void (*work)(void* context, int tid) noexcept,
-            void* context) {
-  const bool nested = t_in_region;
-  std::vector<Helper*> helpers;
-  if (granted > 1) {
-    helpers.reserve(static_cast<std::size_t>(granted) - 1);
-    ThePool().Claim(static_cast<std::size_t>(granted) - 1, !nested,
-                    &helpers);
+Team::Team(int requested)
+    : size_(ThePool().Claim(requested, !t_in_region, &helpers_)) {}
+
+// Hands the helpers back to the pool, then the team's capacity: the other
+// order could let a region be granted threads whose helpers are still
+// busy, and start more helpers than the capacity needs. A region returns
+// only after this, so the caller's next region finds the helpers idle.
+Team::~Team() {
+  for (Helper* helper = helpers_; helper != nullptr;) {
+    Helper* next = helper->next;  // a new claimer may overwrite it
+    helper->busy.store(false, std::memory_order_release);
+    helper = next;
   }
-  std::vector<std::uint32_t> seqs(helpers.size());
-  for (std::size_t h = 0; h < helpers.size(); ++h)
-    seqs[h] = helpers[h]->Post(work, context, static_cast<int>(h) + 1);
+  ThePool().Release(size_);
+}
+
+void Team::Run(void (*work)(void* context, int tid) noexcept,
+               void* context) {
+  int tid = 1;
+  for (Helper* helper = helpers_; helper != nullptr; helper = helper->next)
+    helper->Post(work, context, tid++);
+  const bool nested = t_in_region;
   t_in_region = true;
   work(context, 0);
   t_in_region = nested;
-  for (std::size_t h = 0; h < helpers.size(); ++h)
-    helpers[h]->AwaitAndRelease(seqs[h]);
-  return static_cast<int>(helpers.size()) + 1;
+  for (Helper* helper = helpers_; helper != nullptr; helper = helper->next)
+    helper->AwaitFinished();
 }
+
+int DefaultThreadCapacity() {
+  if (const char* env = std::getenv("OMP_NUM_THREADS")) {
+    char* end = nullptr;
+    const long threads = std::strtol(env, &end, 10);
+    while (end != env && std::isspace(static_cast<unsigned char>(*end)))
+      ++end;
+    if (end != env && (*end == '\0' || *end == ',') && threads >= 1 &&
+        threads <= kMaxThreadsFlag)
+      return static_cast<int>(threads);
+  }
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) return CPU_COUNT(&cpus);
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
+int ThreadsInUse() { return ThePool().in_use(); }
 
 std::size_t PoolHelpers() { return ThePool().size(); }
 
 }  // namespace exec_detail
+
+int ThreadCapacity() { return exec_detail::ThePool().capacity(); }
+
+void SetThreadCapacity(int capacity) {
+  CHECK_GE(capacity, 1) << "thread capacity must be positive";
+  exec_detail::ThePool().SetCapacity(capacity);
+}
+
 }  // namespace pivotscale

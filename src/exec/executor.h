@@ -3,9 +3,9 @@
 // layer owns; the tree uses no OpenMP (tools/lint.py `no-openmp`).
 //
 // What this layer adds over a bare thread pool:
-//   * a team leased from the process-wide ThreadBudget, so concurrent
-//     regions (serving workers x counting teams) cannot oversubscribe the
-//     machine;
+//   * one process-wide thread capacity that every region's team comes
+//     out of, so concurrent regions (serving workers x counting teams)
+//     cannot oversubscribe the machine;
 //   * per-worker reduction slots: each worker gets a private accumulator
 //     built by a factory and the caller merges them serially after the
 //     region — no locks anywhere;
@@ -15,11 +15,11 @@
 //   * `exec.*` telemetry: tasks, chunks, per-worker busy-second
 //     and chunk-count series, team size, and busy-time CoV.
 //
-// Sizing is always realized-team authoritative: per-worker arrays are
-// sized to the team the region actually ran, never to the request (a
-// region that finds the budget taken, or one nested in another region
-// that finds the pool's helpers taken, runs with fewer, down to the
-// caller alone).
+// A region claims its team before it does anything else, so chunk bounds,
+// worker slots and per-worker stats are sized to the team that runs,
+// never to the request (a region that finds the capacity taken, or one
+// nested in another region that finds the pool's helpers taken, runs with
+// fewer, down to the caller alone).
 #ifndef PIVOTSCALE_EXEC_EXECUTOR_H_
 #define PIVOTSCALE_EXEC_EXECUTOR_H_
 
@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/thread_budget.h"
 #include "util/timer.h"
 
 namespace pivotscale {
@@ -39,8 +38,8 @@ namespace pivotscale {
 class TelemetryRegistry;
 
 struct ExecOptions {
-  // Requested team size; 0 = everything the budget has free. The actual
-  // grant comes from ThreadBudget::Global().
+  // Requested team size; 0 = every thread the capacity has free. The
+  // realized team is what the pool grants (see exec_detail::Team).
   int num_threads = 0;
   // Minimum items per chunk (uniform mode) / minimum items between two
   // cost-weighted cuts.
@@ -76,25 +75,67 @@ std::vector<std::size_t> BuildChunkBounds(std::size_t n, int team,
 void RecordExecTelemetry(TelemetryRegistry* telemetry,
                          const ExecStats& stats);
 
-// Runs work(context, tid) once for every tid of a team: tid 0 on the
-// calling thread, the others on helpers of the process-wide pool. The
-// team is the caller plus up to `granted` - 1 helpers: idle ones, and
-// unless the region is nested in another (opened by a worker of a
-// running region), new ones started for the rest. Claiming never waits
-// for a busy helper, so a nested region may run with fewer, down to the
-// caller alone. Returns the realized team size once every claimed helper
-// has finished and is idle again, so the caller's next region finds them
-// free. `work` must not throw: an exception leaving it ends the program.
-int RunTeam(int granted, void (*work)(void* context, int tid) noexcept,
-            void* context);
+struct Helper;
+
+// A region's team: the calling thread plus the pool helpers it claimed.
+// Claiming applies the grant rule under the pool's one lock:
+//   * a request of 0 means every free thread, and requests are capped at
+//     ThreadCapacity();
+//   * the grant is what is free, but never less than 1: a region never
+//     blocks and always runs at least its caller;
+//   * the caller claims grant - 1 helpers: idle ones, and unless the
+//     region is nested in another (opened by a worker of a running
+//     region), new ones started for the rest. Claiming never waits for a
+//     busy helper, so a nested region may run with fewer, down to the
+//     caller alone.
+// The team is what counts as in use, not the grant, so a region holds no
+// capacity it could not staff. Under full contention the threads in use
+// exceed the capacity by at most one per concurrent region. The
+// destructor gives the team back.
+class Team {
+ public:
+  explicit Team(int requested);
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+  ~Team();
+
+  int size() const { return size_; }
+
+  // Runs work(context, tid) once for every tid in [0, size()): tid 0 on
+  // the calling thread, the others on the claimed helpers. Returns once
+  // every helper has finished. `work` must not throw: an exception
+  // leaving it ends the program. Call at most once.
+  void Run(void (*work)(void* context, int tid) noexcept, void* context);
+
+ private:
+  Helper* helpers_ = nullptr;  // linked through Helper::next, tid order
+  int size_;
+};
+
+// ThreadCapacity()'s default, read from the environment on every call:
+// the first entry of OMP_NUM_THREADS when it is a thread count in
+// [1, kMaxThreadsFlag] (so scripts that size OpenMP programs size this one
+// too), otherwise the number of CPUs in the process's affinity mask.
+int DefaultThreadCapacity();
+
+// Threads the running regions hold: the sum of their teams.
+int ThreadsInUse();
 
 // How many helpers the pool has started so far.
 std::size_t PoolHelpers();
 
 }  // namespace exec_detail
 
+// How many threads the process's regions may keep busy at once (see
+// exec_detail::Team for the grant rule). Starts at
+// exec_detail::DefaultThreadCapacity().
+int ThreadCapacity();
+// Re-caps it (pivotscale_prep's --threads; tests). Must be >= 1. Applies
+// to regions that claim their team after the call.
+void SetThreadCapacity(int capacity);
+
 // The core primitive: runs `body(worker, item)` over items [0, n) on a
-// leased team. Each realized worker owns a private `Worker` built by
+// claimed team. Each realized worker owns a private `Worker` built by
 // `make_worker(tid)`; after the region, `merge(worker)` runs serially
 // (in tid order) over every constructed worker. Workers pull chunks off a
 // shared atomic cursor, so a worker finishing early keeps eating chunks.
@@ -104,20 +145,20 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
                              Merge&& merge) {
   using Worker = std::decay_t<decltype(make_worker(0))>;
 
-  ThreadLease lease = ThreadBudget::Global().Acquire(options.num_threads);
-  const int granted = lease.threads();
+  exec_detail::Team team(options.num_threads);
   const std::vector<std::size_t> bounds =
-      exec_detail::BuildChunkBounds(n, granted, options);
+      exec_detail::BuildChunkBounds(n, team.size(), options);
   const std::size_t num_chunks = bounds.empty() ? 0 : bounds.size() - 1;
 
   ExecStats stats;
+  stats.team = team.size();
   stats.tasks = n;
   stats.chunks = num_chunks;
-  // Sized here, on the calling thread, and only shrunk after the region:
-  // an allocation on a helper would land in that helper's malloc arena,
-  // so the caller's heap layout would depend on the team.
-  stats.worker_busy_seconds.assign(granted, 0.0);
-  stats.worker_chunks.assign(granted, 0);
+  // Sized here, on the calling thread: an allocation on a helper would
+  // land in that helper's malloc arena, so the caller's heap layout would
+  // depend on the team.
+  stats.worker_busy_seconds.assign(stats.team, 0.0);
+  stats.worker_chunks.assign(stats.team, 0);
 
   // Workers may write their slot on every item (an argmax, a counter), so
   // each slot gets cache lines of its own: 128 B also keeps the adjacent-
@@ -125,7 +166,7 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   struct alignas(128) Slot {
     std::optional<Worker> worker;
   };
-  std::vector<Slot> slots(static_cast<std::size_t>(granted));
+  std::vector<Slot> slots(static_cast<std::size_t>(stats.team));
   std::atomic<std::size_t> cursor{0};
   auto run_worker = [&](int tid) {
     slots[tid].worker.emplace(make_worker(tid));
@@ -143,15 +184,12 @@ ExecStats ParallelForWorkers(std::size_t n, const ExecOptions& options,
   };
   using RunWorker = decltype(run_worker);
   Timer wall;
-  stats.team = exec_detail::RunTeam(
-      granted,
+  team.Run(
       [](void* context, int tid) noexcept {
         (*static_cast<RunWorker*>(context))(tid);
       },
       &run_worker);
   stats.seconds = wall.Seconds();
-  stats.worker_busy_seconds.resize(stats.team);
-  stats.worker_chunks.resize(stats.team);
 
   for (Slot& slot : slots)
     if (slot.worker.has_value()) merge(*slot.worker);

@@ -98,6 +98,30 @@ Graph CsrFileReader::ReadCsr(const std::string& what,
              " is not strictly increasing at entry " + std::to_string(e));
     }
   }
+  if (undirected) {
+    // Every edge must be listed in both rows. Rows are sorted, so the
+    // entries below v in row v are met in order as u = 0, 1, ... visits
+    // their reverses: matched[v] counts those met so far, one O(E) pass.
+    std::vector<NodeId> matched(num_nodes, 0);
+    const auto asymmetric = [&](std::uint64_t a, NodeId b) {
+      Fail(what + " is not symmetric: row " + std::to_string(a) +
+           " lists " + std::to_string(b) + " but row " + std::to_string(b) +
+           " does not list " + std::to_string(a));
+    };
+    for (std::uint64_t u = 0; u < num_nodes; ++u) {
+      // Entries of row u below u left unmatched miss their reverse.
+      const EdgeId above = offsets[u] + matched[u];
+      if (above < offsets[u + 1] && neighbors[above] < u)
+        asymmetric(u, neighbors[above]);
+      for (EdgeId e = above; e < offsets[u + 1]; ++e) {
+        const NodeId v = neighbors[e];
+        const EdgeId back = offsets[v] + matched[v];
+        if (back == offsets[v + 1] || neighbors[back] > u) asymmetric(u, v);
+        if (neighbors[back] < u) asymmetric(v, neighbors[back]);
+        ++matched[v];
+      }
+    }
+  }
   return Graph(std::move(offsets), std::move(neighbors), undirected);
 }
 

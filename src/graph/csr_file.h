@@ -76,9 +76,10 @@ class CsrFileReader {
 
   // Reads a CSR section of `num_nodes` rows and `num_entries` neighbors
   // and validates it: offsets start at 0, never decrease and end at
-  // num_entries, every neighbor id is below num_nodes, and every row is
-  // strictly increasing and holds no self-loop. `what` names the section
-  // in errors ("graph", "dag").
+  // num_entries, every neighbor id is below num_nodes, every row is
+  // strictly increasing and holds no self-loop, and, when `undirected`,
+  // every edge is listed in both of its rows. `what` names the section in
+  // errors ("graph", "dag").
   Graph ReadCsr(const std::string& what, std::uint64_t num_nodes,
                 std::uint64_t num_entries, bool undirected);
 

@@ -5,7 +5,7 @@
 #include <map>
 #include <ostream>
 
-#include "exec/thread_budget.h"
+#include "exec/executor.h"
 #include "service/protocol.h"
 #include "util/check.h"
 #include "util/telemetry.h"
@@ -144,12 +144,11 @@ WorkerPool::WorkerPool(
   CHECK(engine_ != nullptr) << "WorkerPool needs a QueryEngine";
   CHECK(on_complete_) << "WorkerPool needs a completion callback";
   // Serving concurrency draws from the same machine as counting: cap the
-  // worker count at the shared budget's capacity so `workers` x counting
-  // threads cannot be provisioned past the core count. Each worker's
-  // counting runs then acquire their threads as executor leases, which
-  // shrink dynamically when several workers count at once.
-  options_.workers = std::clamp(options_.workers, 1,
-                                ThreadBudget::Global().capacity());
+  // worker count at the exec layer's thread capacity so `workers` x
+  // counting threads cannot be provisioned past the core count. Each
+  // worker's counting runs then claim their teams from that capacity, and
+  // the teams shrink when several workers count at once.
+  options_.workers = std::clamp(options_.workers, 1, ThreadCapacity());
   options_.queue_depth = std::max<std::size_t>(1, options_.queue_depth);
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w)

@@ -95,9 +95,9 @@ void ServeStream(std::istream& in, std::ostream& out, QueryEngine& engine,
 struct WorkerPoolOptions {
   std::size_t queue_depth = 64;  // max batches waiting (not running)
   // Fixed worker-thread count. Clamped at construction to
-  // [1, ThreadBudget::Global().capacity()] so serving concurrency and
-  // per-run counting threads draw from one machine-wide budget (see
-  // exec/thread_budget.h and docs/parallelism.md).
+  // [1, ThreadCapacity()] so serving concurrency and per-run counting
+  // threads draw from one machine-wide capacity (see exec/executor.h and
+  // docs/parallelism.md).
   int workers = 2;
   TelemetryRegistry* telemetry = nullptr;  // not owned; may be null
 };

@@ -41,9 +41,9 @@ struct CountOptions {
   bool early_termination = true;
   // Count recursion operations (Table II proxy); small overhead.
   bool collect_op_stats = false;
-  // 0 = lease everything the process thread budget has free
-  // (exec/thread_budget.h); explicit requests are also capped by the
-  // budget, so concurrent callers cannot oversubscribe the machine.
+  // 0 = every thread the process's thread capacity has free
+  // (exec/executor.h); explicit requests are also capped by it, so
+  // concurrent callers cannot oversubscribe the machine.
   int num_threads = 0;
   // When non-null, the driver records "count.*" metrics into this registry:
   // per-thread busy-second and chunk-count series, work-item and dynamic-

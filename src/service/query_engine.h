@@ -23,10 +23,10 @@
 // mutex held while counting on that artifact, so concurrent batches on
 // one graph serialize (the second gets memo hits) while batches on
 // different graphs count in parallel. Each counting run goes through the
-// exec-layer scheduler, which leases its threads from the process-wide
-// ThreadBudget (exec/thread_budget.h): when several batches count at
-// once each run's team shrinks so the total stays within the machine,
-// and all runs share the exec layer's one pool of helper threads.
+// exec-layer scheduler, which claims its team from the process-wide
+// thread capacity (exec/executor.h): when several batches count at once
+// each run's team shrinks so the total stays within the machine, and all
+// runs share the exec layer's one pool of helper threads.
 //
 // Telemetry (when a registry is configured): "service.batch" and
 // "service.count" spans, and counters "service.queries",
@@ -84,8 +84,8 @@ struct QueryEngineOptions {
   // Cache byte budget over GraphArtifact::HeapBytes() of resident entries.
   std::size_t cache_byte_budget = std::size_t{1} << 30;
   // Requested threads per counting run; 0 = whole machine. The realized
-  // team per run is whatever the shared ThreadBudget grants (at least 1),
-  // so concurrent runs divide the machine instead of oversubscribing it.
+  // team per run is whatever the exec layer grants (at least 1), so
+  // concurrent runs divide the machine instead of oversubscribing it.
   int num_threads = 0;
   // Not owned; must outlive the engine.
   TelemetryRegistry* telemetry = nullptr;

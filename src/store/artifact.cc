@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "graph/csr_file.h"
@@ -134,6 +135,32 @@ GraphArtifact ReadArtifact(const std::string& path) {
   artifact.dag = reader.ReadCsr("dag", num_nodes, num_dag_entries,
                                 /*undirected=*/false);
   reader.ExpectEnd();
+  // The DAG must be Directionalize(graph, ranks): each row u holds exactly
+  // the graph neighbors of u ranked above u, both rows in id order, so one
+  // merge per row checks it. Anything else (a 2-cycle, an arc against the
+  // ranks or off the graph) would make the counts wrong, not fail. The
+  // merge has no branch on the ranks: which neighbors rank above u is a
+  // coin toss that would mispredict about once per edge.
+  const std::vector<NodeId>& ranks = artifact.ranks;
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    const std::span<const NodeId> out = artifact.dag.Neighbors(u);
+    std::size_t next = 0;
+    bool differs = false;
+    for (const NodeId v : artifact.graph.Neighbors(u)) {
+      const bool above = ranks[v] > ranks[u];
+      const NodeId arc = next < out.size() ? out[next] : u;
+      differs |= above & (arc != v);
+      next += above;
+    }
+    if (differs || next != out.size())
+      reader.Fail("dag row " + std::to_string(u) +
+                  " is not the graph neighbors ranked above " +
+                  std::to_string(u));
+  }
+  if (artifact.dag.MaxDegree() != max_out_degree)
+    reader.Fail("header max_out_degree " + std::to_string(max_out_degree) +
+                " differs from the dag's " +
+                std::to_string(artifact.dag.MaxDegree()));
   return artifact;
 }
 

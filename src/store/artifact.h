@@ -30,8 +30,9 @@
 //   crc64                   u64 over every preceding byte (incl. magic)
 // Files are written atomically (temp + rename); the reader verifies magic,
 // version, endianness, and checksum before parsing, then re-validates every
-// structural invariant (CSR monotonicity, in-range neighbors, rank
-// permutation) so a crafted file cannot reach the counting kernels.
+// structural invariant (CSR monotonicity, in-range neighbors, a symmetric
+// graph, rank permutation, the DAG equal to Directionalize(graph, ranks),
+// max_out_degree) so a crafted file cannot reach the counting kernels.
 #ifndef PIVOTSCALE_STORE_ARTIFACT_H_
 #define PIVOTSCALE_STORE_ARTIFACT_H_
 

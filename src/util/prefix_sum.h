@@ -5,7 +5,7 @@
 // ParallelFor scans each block locally, a serial pass scans the block
 // totals, and a second ParallelFor adds each block's offset. The blocks do
 // not depend on the team, so neither does the output, and both passes run
-// on a team leased from the ThreadBudget like every other region.
+// on a team claimed from the exec layer like every other region.
 #ifndef PIVOTSCALE_UTIL_PREFIX_SUM_H_
 #define PIVOTSCALE_UTIL_PREFIX_SUM_H_
 

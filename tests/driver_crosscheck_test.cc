@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "pivot/bitmap_counter.h"
@@ -890,7 +889,7 @@ TEST(PipelineMode, DefaultRemainsSingleK) {
 // --------------------------------- busy-time team sizing (regression)
 
 TEST(ThreadBusySeconds, SizedToActualTeamNotRequest) {
-  // An outer region claims every pool helper, and the budget keeps as
+  // An outer region claims every pool helper, and the capacity keeps as
   // many threads free again, so each of its workers' counting runs is
   // granted more than one thread. Nested in a region, such a run starts
   // no helpers and finds none idle: it runs on the caller alone. Pre-fix
@@ -906,14 +905,13 @@ TEST(ThreadBusySeconds, SizedToActualTeamNotRequest) {
   outer.num_threads =
       std::max(4, static_cast<int>(exec_detail::PoolHelpers()) + 1);
   outer.chunks_per_worker = 1;
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(2 * outer.num_threads);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(2 * outer.num_threads);
   std::vector<CountResult> results(outer.num_threads);
   const ExecStats stats = ParallelFor(
       results.size(), outer,
       [&](std::size_t i) { results[i] = CountCliques(dag, options); });
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
 
   EXPECT_EQ(stats.team, outer.num_threads);
   for (const CountResult& result : results) {

@@ -1,7 +1,8 @@
 // Unit tests for the unified execution layer (src/exec/) and the shared
 // --threads flag validation (util/cli.h):
-//   * ThreadBudget lease accounting: grant rules, min-1 progress, release,
-//     and the default capacity read from OMP_NUM_THREADS
+//   * the grant rule through the exec API: request 0, the capacity cap,
+//     min-1 progress, realized-team accounting, SetThreadCapacity, and
+//     the default capacity read from OMP_NUM_THREADS
 //   * BuildChunkBounds invariants in uniform and cost-weighted modes
 //   * ParallelFor / ParallelReduce / ParallelForWorkers correctness and
 //     realized-team-sized ExecStats, worker slots on cache lines of
@@ -26,82 +27,95 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "exec/thread_budget.h"
 #include "util/cli.h"
 #include "util/telemetry.h"
 
 namespace pivotscale {
 namespace {
 
-// ------------------------------------------------------------ ThreadBudget
+// ------------------------------------------------------------ grant rule
 
-TEST(ThreadBudget, GrantsUpToCapacityAndReleasesOnDestruction) {
-  ThreadBudget budget(4);
-  EXPECT_EQ(budget.capacity(), 4);
-  EXPECT_EQ(budget.in_use(), 0);
-  {
-    ThreadLease lease = budget.Acquire(3);
-    EXPECT_EQ(lease.threads(), 3);
-    EXPECT_EQ(budget.in_use(), 3);
+// Sets the thread capacity for one test and puts the old one back.
+class ScopedCapacity {
+ public:
+  explicit ScopedCapacity(int capacity) : saved_(ThreadCapacity()) {
+    SetThreadCapacity(capacity);
   }
-  EXPECT_EQ(budget.in_use(), 0);
+  ~ScopedCapacity() { SetThreadCapacity(saved_); }
+
+ private:
+  int saved_;
+};
+
+// Runs a region of `team` requested threads on its own std::thread and
+// holds it open until Release(), so the caller's regions see its team in
+// use.
+class HeldRegion {
+ public:
+  explicit HeldRegion(int team)
+      : thread_([this, team] {
+          ExecOptions options;
+          options.num_threads = team;
+          ParallelForWorkers(
+              1, options,
+              [this](int tid) {
+                if (tid == 0) {
+                  in_use_.store(exec_detail::ThreadsInUse());
+                  held_.store(true);
+                  held_.notify_all();
+                  release_.wait(false);
+                }
+                return 0;
+              },
+              [](int&, std::size_t) {}, [](int&) {});
+        }) {
+    held_.wait(false);
+  }
+  ~HeldRegion() { Release(); }
+
+  // Threads in use, seen inside the held region.
+  int in_use() const { return in_use_.load(); }
+
+  void Release() {
+    release_.store(true);
+    release_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> held_{false};
+  std::atomic<bool> release_{false};
+  std::atomic<int> in_use_{0};
+  std::thread thread_;
+};
+
+// The team a region of `requested` threads realizes, and the threads in
+// use seen from inside it.
+std::pair<int, int> RegionTeamAndInUse(int requested) {
+  ExecOptions options;
+  options.num_threads = requested;
+  std::atomic<int> in_use{0};
+  const ExecStats stats = ParallelForWorkers(
+      1, options,
+      [&in_use](int tid) {
+        if (tid == 0) in_use.store(exec_detail::ThreadsInUse());
+        return 0;
+      },
+      [](int&, std::size_t) {}, [](int&) {});
+  return {stats.team, in_use.load()};
 }
 
-TEST(ThreadBudget, RequestZeroMeansEverythingFree) {
-  ThreadBudget budget(4);
-  ThreadLease first = budget.Acquire(1);
-  ThreadLease rest = budget.Acquire(0);
-  EXPECT_EQ(rest.threads(), 3);
-  EXPECT_EQ(budget.in_use(), 4);
+TEST(GrantRule, DefaultCapacityIsTheEnvironments) {
+  EXPECT_GE(ThreadCapacity(), 1);
+  EXPECT_EQ(ThreadCapacity(), exec_detail::DefaultThreadCapacity());
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
 }
 
-TEST(ThreadBudget, AbsurdRequestIsCappedAtCapacity) {
-  ThreadBudget budget(2);
-  ThreadLease lease = budget.Acquire(1'000'000);
-  EXPECT_EQ(lease.threads(), 2);
-}
-
-TEST(ThreadBudget, ExhaustedBudgetStillGrantsOneThread) {
-  // The min-1 progress rule: a lease is never 0 threads, so a counting
-  // run that arrives while the machine is fully leased still advances
-  // (the busy total may exceed capacity by one per concurrent lease —
-  // never multiplicatively).
-  ThreadBudget budget(2);
-  ThreadLease all = budget.Acquire(0);
-  EXPECT_EQ(all.threads(), 2);
-  ThreadLease extra = budget.Acquire(2);
-  EXPECT_EQ(extra.threads(), 1);
-  EXPECT_EQ(budget.in_use(), 3);
-}
-
-TEST(ThreadBudget, MoveTransfersTheGrant) {
-  ThreadBudget budget(4);
-  ThreadLease a = budget.Acquire(2);
-  ThreadLease b = std::move(a);
-  EXPECT_EQ(a.threads(), 0);
-  EXPECT_EQ(b.threads(), 2);
-  EXPECT_EQ(budget.in_use(), 2);
-  b = ThreadLease();
-  EXPECT_EQ(budget.in_use(), 0);
-}
-
-TEST(ThreadBudget, SetCapacityAppliesToLaterLeases) {
-  ThreadBudget budget(8);
-  budget.SetCapacity(2);
-  EXPECT_EQ(budget.capacity(), 2);
-  ThreadLease lease = budget.Acquire(0);
-  EXPECT_EQ(lease.threads(), 2);
-}
-
-TEST(ThreadBudget, GlobalCapacityIsPositive) {
-  EXPECT_GE(ThreadBudget::Global().capacity(), 1);
-}
-
-TEST(ThreadBudget, DefaultCapacityReadsOmpNumThreads) {
+TEST(GrantRule, DefaultCapacityReadsOmpNumThreads) {
   const char* env = std::getenv("OMP_NUM_THREADS");
   const std::string saved = env != nullptr ? env : "";
   ::unsetenv("OMP_NUM_THREADS");
-  const int cpus = ThreadBudget().capacity();
+  const int cpus = exec_detail::DefaultThreadCapacity();
   EXPECT_GE(cpus, 1);
   const std::vector<std::pair<std::string, int>> cases = {
       {"3", 3},    {" 5", 5},  {"6 ", 6},  {"2,1", 2},     {"4096", 4096},
@@ -109,12 +123,89 @@ TEST(ThreadBudget, DefaultCapacityReadsOmpNumThreads) {
       {"3x", cpus}};
   for (const auto& [value, want] : cases) {
     ::setenv("OMP_NUM_THREADS", value.c_str(), 1);
-    EXPECT_EQ(ThreadBudget().capacity(), want) << '"' << value << '"';
+    EXPECT_EQ(exec_detail::DefaultThreadCapacity(), want)
+        << '"' << value << '"';
   }
   if (env != nullptr)
     ::setenv("OMP_NUM_THREADS", saved.c_str(), 1);
   else
     ::unsetenv("OMP_NUM_THREADS");
+}
+
+TEST(GrantRule, RequestZeroGetsEveryFreeThread) {
+  ScopedCapacity capacity(4);
+  EXPECT_EQ(RegionTeamAndInUse(0), std::make_pair(4, 4));
+  HeldRegion other(1);
+  EXPECT_EQ(other.in_use(), 1);
+  EXPECT_EQ(RegionTeamAndInUse(0), std::make_pair(3, 4));
+  other.Release();
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
+}
+
+TEST(GrantRule, RequestsAreCappedAtCapacity) {
+  ScopedCapacity capacity(2);
+  EXPECT_EQ(RegionTeamAndInUse(1'000'000), std::make_pair(2, 2));
+  EXPECT_EQ(RegionTeamAndInUse(kMaxThreadsFlag), std::make_pair(2, 2));
+}
+
+TEST(GrantRule, ExhaustedCapacityStillRunsTheCaller) {
+  // Min-1 progress: a region that arrives while the whole capacity is in
+  // use neither blocks nor runs with 0 threads, so threads in use exceed
+  // the capacity by one per such region, never multiplicatively.
+  ScopedCapacity capacity(2);
+  HeldRegion all(0);
+  EXPECT_EQ(all.in_use(), 2);
+  EXPECT_EQ(RegionTeamAndInUse(2), std::make_pair(1, 3));
+  EXPECT_EQ(RegionTeamAndInUse(0), std::make_pair(1, 3));
+  all.Release();
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
+}
+
+TEST(GrantRule, RegionThatFindsNoIdleHelperHoldsOne) {
+  // The outer region claims every helper the pool has, and the capacity
+  // keeps more threads free. A region nested in it starts no helpers and
+  // finds none idle, so it runs on its caller alone and holds exactly
+  // that one thread, not the four it was granted.
+  const int outer_team = static_cast<int>(exec_detail::PoolHelpers()) + 1;
+  ScopedCapacity capacity(outer_team + 8);
+  ExecOptions outer;
+  outer.num_threads = outer_team;
+  std::pair<int, int> inner{0, 0};
+  const ExecStats stats = ParallelForWorkers(
+      1, outer,
+      [&inner](int tid) {
+        if (tid == 0) inner = RegionTeamAndInUse(4);
+        return 0;
+      },
+      [](int&, std::size_t) {}, [](int&) {});
+  EXPECT_EQ(stats.team, outer_team);
+  EXPECT_EQ(inner, std::make_pair(1, outer_team + 1));
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
+}
+
+TEST(GrantRule, SetThreadCapacityAppliesToLaterRegions) {
+  ScopedCapacity capacity(2);
+  EXPECT_EQ(ThreadCapacity(), 2);
+  EXPECT_EQ(RegionTeamAndInUse(0).first, 2);
+  SetThreadCapacity(3);
+  EXPECT_EQ(ThreadCapacity(), 3);
+  EXPECT_EQ(RegionTeamAndInUse(0).first, 3);
+  EXPECT_EQ(RegionTeamAndInUse(4).first, 3);
+}
+
+TEST(GrantRule, UnrunTeamGivesItsThreadsBack) {
+  ScopedCapacity capacity(3);
+  {
+    exec_detail::Team team(0);
+    EXPECT_EQ(team.size(), 3);
+    EXPECT_EQ(exec_detail::ThreadsInUse(), 3);
+  }
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
+  EXPECT_EQ(RegionTeamAndInUse(0).first, 3);
+}
+
+TEST(GrantRuleDeathTest, SetThreadCapacityRejectsZero) {
+  EXPECT_DEATH(SetThreadCapacity(0), "thread capacity must be positive");
 }
 
 // --------------------------------------------------------- chunk geometry
@@ -253,9 +344,7 @@ TEST(Executor, WorkerSlotsDoNotShareCacheLines) {
     int tid;
     std::uint64_t best;
   };
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(4);
+  ScopedCapacity capacity(4);
   ExecOptions options;
   options.num_threads = 4;
   std::vector<std::uintptr_t> seen(4, 0);
@@ -268,7 +357,6 @@ TEST(Executor, WorkerSlotsDoNotShareCacheLines) {
         seen[acc.tid] = reinterpret_cast<std::uintptr_t>(&acc);
       },
       [](Acc&) {});
-  budget.SetCapacity(saved);
   int recorded = 0;
   for (std::size_t a = 0; a < seen.size(); ++a) {
     if (seen[a] == 0) continue;
@@ -286,9 +374,7 @@ TEST(Executor, WorkerSlotsDoNotShareCacheLines) {
 TEST(Executor, WorkerZeroIsTheCallingThread) {
   // Worker 0's state is built on the caller, so its allocations stay in
   // the caller's malloc arena; the other workers run on pool helpers.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(4);
+  ScopedCapacity capacity(4);
   ExecOptions options;
   options.num_threads = 4;
   std::vector<std::thread::id> built_on(4);
@@ -299,7 +385,6 @@ TEST(Executor, WorkerZeroIsTheCallingThread) {
         return 0;
       },
       [](int&, std::size_t) {}, [](int&) {});
-  budget.SetCapacity(saved);
   EXPECT_EQ(built_on[0], std::this_thread::get_id());
   for (int tid = 1; tid < stats.team; ++tid)
     EXPECT_NE(built_on[tid], std::this_thread::get_id()) << tid;

@@ -4,7 +4,7 @@
 #include <iterator>
 #include <set>
 
-#include "exec/thread_budget.h"
+#include "exec/executor.h"
 #include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -108,14 +108,13 @@ TEST(Generators, RmatIdenticalAtEveryTeamSize) {
   const EdgeList want =
       SerialReferenceRmat(17, 15.9, 0.50, 0.22, 0.19, 0xf41e);
   ASSERT_EQ(want.size(), 1'042'022u);
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
+  const int saved = ThreadCapacity();
   for (int team = 1; team <= 4; ++team) {
-    budget.SetCapacity(team);
+    SetThreadCapacity(team);
     EXPECT_EQ(Rmat(17, 15.9, 0.50, 0.22, 0.19, 0xf41e), want)
         << "team " << team;
   }
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   // Graph500 constants, one partial chunk.
   EXPECT_EQ(Rmat(10, 8.0, 17), SerialReferenceRmat(10, 8.0, 0.57, 0.19,
                                                     0.19, 17));

@@ -8,7 +8,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "exec/thread_budget.h"
+#include "exec/executor.h"
 #include "graph/builder.h"
 #include "graph/dag.h"
 #include "graph/generators.h"
@@ -164,10 +164,9 @@ TEST(Builder, ParallelBuildMatchesSortedReference) {
   cases.push_back({"fr-like rmat", Rmat(14, 18.0, 0.50, 0.22, 0.19, 0xf41e),
                    NodeId{1} << 14});
 
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
+  const int saved = ThreadCapacity();
   for (const int team : {1, 4}) {
-    budget.SetCapacity(team);
+    SetThreadCapacity(team);
     for (const Case& c : cases) {
       SCOPED_TRACE(std::string(c.name) + ", team " + std::to_string(team));
       const Graph want = SortedReferenceBuild(c.edges, c.num_nodes);
@@ -178,7 +177,7 @@ TEST(Builder, ParallelBuildMatchesSortedReference) {
       EXPECT_TRUE(got.undirected());
     }
   }
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
 }
 
 TEST(Graph, MaxDegree) {

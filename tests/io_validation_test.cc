@@ -183,6 +183,20 @@ TEST(ReadBinaryGraph, RejectsSelfLoop) {
                     "graph row 1 holds a self-loop");
 }
 
+TEST(ReadBinaryGraph, RejectsAsymmetricRows) {
+  // K4 whose row 3 lacks its entry for 2: pre-fix it loaded and counted 2
+  // triangles instead of 4.
+  ExpectPsgRejected(
+      "asymmetric.psg",
+      PsgBytes(4, 11, {0, 3, 6, 9, 11}, {1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1}),
+      "graph is not symmetric: row 2 lists 3 but row 3 does not list 2");
+  // Row 2 lists 0 but row 0 does not list 2.
+  ExpectPsgRejected("asymmetric_back.psg",
+                    PsgBytes(3, 3, {0, 1, 2, 3}, {1, 0, 0}),
+                    "graph is not symmetric: row 2 lists 0 but row 0 does "
+                    "not list 2");
+}
+
 TEST(ReadBinaryGraph, RejectsHeaderBodySizeMismatch) {
   // Header promises 100 entries but the body holds 4: must error before
   // allocating or reading.

@@ -26,6 +26,7 @@ namespace pivotscale {
 namespace {
 
 using testing_helpers::BruteForceCount;
+using testing_helpers::BruteForceCountsUpTo;
 using testing_helpers::kAllSubgraphKinds;
 using testing_helpers::BruteForcePerVertex;
 using testing_helpers::KernelTotals;
@@ -170,8 +171,9 @@ TEST_P(KernelSweep, BitmapMatchesRemapAndBruteForceInEveryMode) {
   if (g.NumNodes() == 0) GTEST_SKIP() << "degenerate empty instance";
   const Graph dag = MakeDag(g, OrderingKind::kCore);
 
+  const std::vector<std::uint64_t> truths = BruteForceCountsUpTo(g, 7);
   for (std::uint32_t k = 1; k <= 7; ++k) {
-    const auto truth = static_cast<uint128>(BruteForceCount(g, k));
+    const auto truth = static_cast<uint128>(truths[k]);
     for (const bool early : {true, false}) {
       const KernelTotals remap =
           RunKernel<Remap>(dag, CountMode::kSingleK, k, false, early);
@@ -202,6 +204,29 @@ TEST_P(KernelSweep, BitmapMatchesRemapAndBruteForceInEveryMode) {
     for (NodeId v = 0; v < g.NumNodes(); ++v)
       EXPECT_EQ(bitmap.per_vertex[v].value(), static_cast<uint128>(truth[v]))
           << "k=" << k << " v=" << v;
+  }
+}
+
+TEST(BruteForce, CountsUpToMatchesOneSizeAtATime) {
+  // The one-pass tally KernelSweep uses as its truth, against the
+  // per-size enumeration on small instances, the empty graph and a
+  // complete one.
+  std::vector<Graph> graphs = {BuildGraph(EdgeList{}, 0),
+                               BuildGraph(CompleteGraph(9))};
+  for (const int n : {1, 8, 14, 22})
+    for (const double p : {0.2, 0.5, 0.9})
+      for (const int seed : {1, 2})
+        graphs.push_back(BuildGraph(ErdosRenyi(
+            static_cast<NodeId>(n), p, static_cast<std::uint64_t>(seed))));
+  for (const Graph& g : graphs) {
+    for (const std::uint32_t max_k : {0u, 1u, 3u, 7u}) {
+      const std::vector<std::uint64_t> counts = BruteForceCountsUpTo(g, max_k);
+      ASSERT_EQ(counts.size(), max_k + 1);
+      for (std::uint32_t k = 0; k <= max_k; ++k)
+        EXPECT_EQ(counts[k], BruteForceCount(g, k))
+            << "n=" << g.NumNodes() << " m=" << g.NumUndirectedEdges() << " k=" << k
+            << " max_k=" << max_k;
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 //     budget too small for the working set
 //   * WorkerPool admission-queue shed/drain accounting
 //   * concurrent executor counting runs (per-thread subgraph pools)
-//   * executor reduction slots + chunk cursor + thread-budget ledger
+//   * executor reduction slots + chunk cursor + thread-capacity ledger
 //     under concurrent ParallelReduce runs
 //   * the exec layer's helper pool: many tiny regions from several
 //     threads at once, one of them nested; one caller's back-to-back
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "exec/executor.h"
-#include "exec/thread_budget.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "net/worker_pool.h"
@@ -299,7 +298,7 @@ TEST(RaceTest, ReductionSlotsAccumulateExactlyUnderContention) {
   // Per-worker reduction slots: each worker owns one slot, the merge
   // walks them serially after the region. Several std::threads run
   // reductions simultaneously so the slots, the atomic chunk cursor, and
-  // the thread-budget ledger all see contention — each reduction must
+  // the thread-capacity ledger all see contention — each reduction must
   // still produce the exact closed-form total, and TSan must see no
   // conflicting access.
   constexpr int kThreads = 4;
@@ -344,9 +343,8 @@ TEST(RaceTest, TinyRegionsFromManyThreadsVisitEveryItemOnce) {
   // item. Every item of every region must be visited exactly once (a
   // second visit would also be a write-write race), and no region may
   // realize a team larger than it asked for.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(4);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(4);
 
   constexpr int kThreads = 4;
   constexpr int kRegionsPerThread = 200;
@@ -393,18 +391,17 @@ TEST(RaceTest, TinyRegionsFromManyThreadsVisitEveryItemOnce) {
     });
   }
   JoinAll(threads);
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(budget.in_use(), 0);
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
 }
 
 TEST(RaceTest, BackToBackRegionsOfOneCallerGetTheFullGrant) {
   // A region returns only once every helper it claimed is idle again, so
   // with no other region running, each of one caller's regions finds the
   // helpers of the last one free: every region realizes the whole grant.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(4);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(4);
   ExecOptions options;
   options.num_threads = 4;
   int short_teams = 0;
@@ -418,7 +415,7 @@ TEST(RaceTest, BackToBackRegionsOfOneCallerGetTheFullGrant) {
     if (stats.team != 4) ++short_teams;
     if (sum != 64 * 63 / 2) ++wrong_sums;
   }
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(short_teams, 0);
   EXPECT_EQ(wrong_sums, 0u);
 }
@@ -430,10 +427,9 @@ TEST(RaceTest, OverlappingRegionsEachGetTheirGrant) {
   // more than twice what it holds. A region that finds too few idle
   // helpers starts new ones, so every region realizes its whole grant, as
   // two serving workers' concurrent counts must.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
+  const int saved = ThreadCapacity();
   const int team = static_cast<int>(exec_detail::PoolHelpers()) + 2;
-  budget.SetCapacity(2 * team);
+  SetThreadCapacity(2 * team);
   constexpr int kRegions = 100;
   std::barrier both(2);
   std::atomic<int> short_teams{0};
@@ -455,9 +451,9 @@ TEST(RaceTest, OverlappingRegionsEachGetTheirGrant) {
     });
   }
   JoinAll(threads);
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(short_teams.load(), 0);
-  EXPECT_EQ(budget.in_use(), 0);
+  EXPECT_EQ(exec_detail::ThreadsInUse(), 0);
 }
 
 TEST(RaceTest, WaitsPastTheSpinAreAllWoken) {
@@ -466,9 +462,8 @@ TEST(RaceTest, WaitsPastTheSpinAreAllWoken) {
   // caller's own work outlasts the 1 ms spin: the caller parks waiting
   // for its helper, or the idle helper parks waiting for its next job.
   // Every park must be woken, or the test hangs.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(4);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(4);
   constexpr int kRegions = 40;
   std::atomic<int> short_teams{0};
   std::vector<std::thread> threads;
@@ -491,7 +486,7 @@ TEST(RaceTest, WaitsPastTheSpinAreAllWoken) {
     });
   }
   JoinAll(threads);
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(short_teams.load(), 0);
 }
 
@@ -502,15 +497,14 @@ TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
   // own: workers share the scatter buffer and the row cursors in offsets,
   // each writing only the slots of its chunk's cursor row or its bucket.
   // Two std::threads build at once, so teams also contend for the
-  // budget; every graph must equal the one-thread build exactly.
+  // capacity; every graph must equal the one-thread build exactly.
   // 71,680 edges: two scatter chunks, each writing into all 1,024
   // one-vertex buckets.
   const EdgeList edges = Rmat(10, 140.0, 0.50, 0.22, 0.19, 0xb11d);
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(1);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(1);
   const Graph want = BuildGraph(edges);
-  budget.SetCapacity(4);
+  SetThreadCapacity(4);
 
   constexpr int kThreads = 2;
   constexpr int kBuildsPerThread = 2;
@@ -528,7 +522,7 @@ TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
     });
   }
   JoinAll(threads);
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(mismatches.load(), 0);
 }
 
@@ -537,14 +531,13 @@ TEST(RaceTest, ConcurrentGraphBuildsMatchSerialBuild) {
 TEST(RaceTest, ConcurrentRmatMatchesSerial) {
   // Each call fills its own edge list from per-chunk generator copies;
   // the chunk start states are written before the region and only read
-  // inside it. Four std::threads generate at once under one budget, so
+  // inside it. Four std::threads generate at once under one capacity, so
   // their teams contend for it; every list must equal the team-1 one.
   // 147,456 edges: three chunks, so two starts come from the jump matrix.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(1);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(1);
   const EdgeList want = Rmat(14, 18.0, 0.50, 0.22, 0.19, 0xf41e);
-  budget.SetCapacity(4);
+  SetThreadCapacity(4);
 
   constexpr int kThreads = 4;
   std::atomic<int> mismatches{0};
@@ -557,7 +550,7 @@ TEST(RaceTest, ConcurrentRmatMatchesSerial) {
     });
   }
   JoinAll(threads);
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(mismatches.load(), 0);
 }
 
@@ -566,7 +559,7 @@ TEST(RaceTest, ConcurrentRmatMatchesSerial) {
 TEST(RaceTest, ConcurrentPrefixSumsMatchSerialScan) {
   // Each scan's first region writes one total per block, the caller scans
   // the totals, and the second region reads them to offset its blocks.
-  // Four std::threads scan at once on one budget, half of them in place,
+  // Four std::threads scan at once on one capacity, half of them in place,
   // so the teams contend for it; every scan must equal the serial one.
   constexpr std::size_t kN = 4 * kPrefixSumBlock + 5;
   std::vector<std::uint64_t> in(kN);
@@ -577,9 +570,8 @@ TEST(RaceTest, ConcurrentPrefixSumsMatchSerialScan) {
     want[i] = run;
     run += in[i];
   }
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
-  budget.SetCapacity(4);
+  const int saved = ThreadCapacity();
+  SetThreadCapacity(4);
 
   constexpr int kThreads = 4;
   constexpr int kScansPerThread = 4;
@@ -601,7 +593,7 @@ TEST(RaceTest, ConcurrentPrefixSumsMatchSerialScan) {
     });
   }
   JoinAll(threads);
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
   EXPECT_EQ(mismatches.load(), 0);
 }
 
@@ -609,7 +601,7 @@ TEST(RaceTest, ConcurrentPrefixSumsMatchSerialScan) {
 
 TEST(RaceTest, ConcurrentCountingRunsAgree) {
   // Two std::threads each running the executor-backed counting driver:
-  // concurrent leases over the per-thread subgraph pools. Every run must
+  // concurrent teams over the per-thread subgraph pools. Every run must
   // land on the brute-force count regardless of interleaving.
   const Graph g = SmallCliqueGraph(55);
   const Graph dag = testing_helpers::MakeDag(g, OrderingKind::kCore);

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -69,6 +72,34 @@ TEST(Crc64, KnownVectorAndIncrementalAgree) {
   state = Crc64Update(state, check, 4);
   state = Crc64Update(state, check + 4, 5);
   EXPECT_EQ(Crc64Final(state), Crc64(check, 9));
+}
+
+TEST(Crc64, MatchesTheBitwiseDefinitionAtEveryLengthAndSplit) {
+  // The eight-byte fold against the polynomial applied bit by bit, over
+  // every length up to 40, from unaligned starts, fed in two pieces.
+  const auto bitwise = [](const unsigned char* p, std::size_t n) {
+    std::uint64_t crc = ~0ull;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int bit = 0; bit < 8; ++bit)
+        crc = (crc >> 1) ^ ((crc & 1) ? 0xC96C5795D7870F42ull : 0);
+    }
+    return ~crc;
+  };
+  std::vector<unsigned char> bytes(48);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 151 + 7);
+  for (std::size_t start = 0; start < 3; ++start) {
+    for (std::size_t n = 0; n + start <= 43; ++n) {
+      const unsigned char* p = bytes.data() + start;
+      const std::uint64_t want = bitwise(p, n);
+      EXPECT_EQ(Crc64(p, n), want) << start << " " << n;
+      const std::size_t half = n / 3;
+      const std::uint64_t state = Crc64Update(Crc64Init(), p, half);
+      EXPECT_EQ(Crc64Final(Crc64Update(state, p + half, n - half)), want)
+          << start << " " << n;
+    }
+  }
 }
 
 TEST(Crc64, DetectsEverySingleBitFlipOfASmallPayload) {
@@ -193,7 +224,8 @@ class ArtifactFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
     file_ = std::make_unique<TempFile>("reject.psx");
-    WriteArtifact(file_->path(), BuildArtifact(TestGraph()));
+    built_ = BuildArtifact(TestGraph());
+    WriteArtifact(file_->path(), built_);
     bytes_ = ReadAll(file_->path());
     ASSERT_GT(bytes_.size(), 100u);
   }
@@ -214,6 +246,7 @@ class ArtifactFileTest : public ::testing::Test {
   static constexpr std::size_t kNumNodesAt = 16;
   static constexpr std::size_t kGraphEntriesAt = 24;
   static constexpr std::size_t kDagEntriesAt = 32;
+  static constexpr std::size_t kMaxOutDegreeAt = 48;
   static constexpr std::size_t kNameLenAt = 56;
   std::uint64_t U64At(std::size_t pos) const {
     std::uint64_t v = 0;
@@ -250,6 +283,24 @@ class ArtifactFileTest : public ::testing::Test {
     ADD_FAILURE() << "no row with two entries";
     return {0, 0};
   }
+  // The first entry of `csr` (the built graph or DAG) that a vertex w can
+  // replace while its row u stays strictly increasing, where w is neither
+  // u nor a graph neighbor of u: {u, entry, w}.
+  std::tuple<NodeId, EdgeId, NodeId> OffGraphReplacement(
+      const Graph& csr) const {
+    for (NodeId u = 0; u < csr.NumNodes(); ++u) {
+      const std::span<const NodeId> row = csr.Neighbors(u);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const NodeId lo = i == 0 ? 0 : row[i - 1] + 1;
+        const NodeId hi = i + 1 == row.size() ? csr.NumNodes() : row[i + 1];
+        for (NodeId w = lo; w < hi; ++w)
+          if (w != u && !built_.graph.HasEdge(u, w))
+            return {u, csr.offsets()[u] + i, w};
+      }
+    }
+    ADD_FAILURE() << "no replaceable entry";
+    return {0, 0, 0};
+  }
   NodeId NodeIdAt(std::size_t pos) const {
     NodeId v = 0;
     std::memcpy(&v, bytes_.data() + pos, sizeof(v));
@@ -263,6 +314,7 @@ class ArtifactFileTest : public ::testing::Test {
   }
 
   std::unique_ptr<TempFile> file_;
+  GraphArtifact built_;
   std::string bytes_;
 };
 
@@ -360,6 +412,80 @@ TEST_F(ArtifactFileTest, ResealedNonPermutationRanksAreRejected) {
   Put(RanksAt(), second_rank);
   Reseal();
   ExpectThrowContaining("stored ranks are not a permutation");
+}
+
+TEST_F(ArtifactFileTest, ResealedDagTwoCycleIsRejected) {
+  // Arc u -> v plus v -> u: row v takes u in place of its first entry
+  // above u, so it stays strictly increasing and the DAG keeps its size.
+  // Pre-fix the served counts came out wrong instead of failing.
+  const Graph& dag = built_.dag;
+  for (NodeId u = 0; u < dag.NumNodes(); ++u) {
+    for (const NodeId v : dag.Neighbors(u)) {
+      const std::span<const NodeId> row = dag.Neighbors(v);
+      const auto above = std::upper_bound(row.begin(), row.end(), u);
+      if (above == row.end()) continue;
+      const EdgeId entry = dag.offsets()[v] + (above - row.begin());
+      Put(DagNeighborsAt() + entry * sizeof(NodeId), u);
+      Reseal();
+      ExpectThrowContaining("dag row " + std::to_string(v) +
+                            " is not the graph neighbors ranked above " +
+                            std::to_string(v));
+      return;
+    }
+  }
+  FAIL() << "no arc to turn into a 2-cycle";
+}
+
+TEST_F(ArtifactFileTest, ResealedArcAgainstTheRanksIsRejected) {
+  // Swapping the ranks of an arc's ends that are next in rank order turns
+  // that arc, and only it, against the ranks; the ranks stay a
+  // permutation.
+  const Graph& dag = built_.dag;
+  const std::vector<NodeId>& ranks = built_.ranks;
+  for (NodeId u = 0; u < dag.NumNodes(); ++u) {
+    for (const NodeId v : dag.Neighbors(u)) {
+      if (ranks[v] != ranks[u] + 1) continue;
+      Put(RanksAt() + u * sizeof(NodeId), ranks[v]);
+      Put(RanksAt() + v * sizeof(NodeId), ranks[u]);
+      Reseal();
+      const NodeId first = std::min(u, v);
+      ExpectThrowContaining("dag row " + std::to_string(first) +
+                            " is not the graph neighbors ranked above " +
+                            std::to_string(first));
+      return;
+    }
+  }
+  FAIL() << "no arc between vertices next in rank order";
+}
+
+TEST_F(ArtifactFileTest, ResealedDagArcOffTheGraphIsRejected) {
+  const auto [u, entry, w] = OffGraphReplacement(built_.dag);
+  Put(DagNeighborsAt() + entry * sizeof(NodeId), w);
+  Reseal();
+  ExpectThrowContaining("dag row " + std::to_string(u) +
+                        " is not the graph neighbors ranked above " +
+                        std::to_string(u));
+}
+
+TEST_F(ArtifactFileTest, ResealedAsymmetricGraphIsRejected) {
+  // Row u lists w in place of a neighbor v: (u, w) and (v, u) each lose
+  // their reverse entry.
+  const auto [u, entry, w] = OffGraphReplacement(built_.graph);
+  const std::size_t neighbors_at =
+      GraphOffsetsAt() + (U64At(kNumNodesAt) + 1) * sizeof(EdgeId);
+  Put(neighbors_at + entry * sizeof(NodeId), w);
+  Reseal();
+  ExpectThrowContaining("graph is not symmetric: row ");
+}
+
+TEST_F(ArtifactFileTest, ResealedFalseMaxOutDegreeIsRejected) {
+  const std::uint64_t stored = U64At(kMaxOutDegreeAt);
+  ASSERT_EQ(stored, built_.dag.MaxDegree());
+  Put(kMaxOutDegreeAt, stored + 1);
+  Reseal();
+  ExpectThrowContaining("header max_out_degree " +
+                        std::to_string(stored + 1) + " differs from the dag's " +
+                        std::to_string(stored));
 }
 
 TEST_F(ArtifactFileTest, ResealedDisagreeingEdgeCountsAreRejected) {

@@ -54,6 +54,43 @@ inline std::uint64_t BruteForceCount(const Graph& g, std::uint32_t k) {
   return BruteForceCountRecurse(g, clique, 0, k);
 }
 
+// counts[s] = the number of s-cliques for every s in [0, max_k], from one
+// ordered-extension enumeration: each partial clique carries its
+// candidates (the higher-numbered vertices adjacent to every member), so
+// an extension filters that list instead of re-checking the members, and
+// the largest size is tallied from its parents' candidate counts. One
+// pass gives every size BruteForceCount enumerates one at a time.
+inline std::vector<std::uint64_t> BruteForceCountsUpTo(const Graph& g,
+                                                       std::uint32_t max_k) {
+  const std::size_t n = g.NumNodes();
+  std::vector<std::uint8_t> adjacent(n * n, 0);
+  for (NodeId u = 0; u < n; ++u)
+    for (const NodeId v : g.Neighbors(u)) adjacent[u * n + v] = 1;
+  std::vector<std::uint64_t> counts(max_k + 1, 0);
+  counts[0] = 1;
+  // Tallies the cliques that extend a `size`-clique whose candidates are
+  // `candidates`, and recurses into each.
+  const auto extend = [&](const auto& self,
+                          const std::vector<NodeId>& candidates,
+                          std::uint32_t size) -> void {
+    if (size == max_k) return;
+    counts[size + 1] += candidates.size();
+    if (size + 1 == max_k) return;
+    std::vector<NodeId> next;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      next.clear();
+      for (std::size_t j = i + 1; j < candidates.size(); ++j)
+        if (adjacent[candidates[i] * n + candidates[j]])
+          next.push_back(candidates[j]);
+      self(self, next, size + 1);
+    }
+  };
+  std::vector<NodeId> all(n);
+  for (NodeId v = 0; v < n; ++v) all[v] = v;
+  extend(extend, all, 0);
+  return counts;
+}
+
 // Brute-force per-vertex participation: clique counts that contain vertex v.
 inline std::vector<std::uint64_t> BruteForcePerVertex(const Graph& g,
                                                       std::uint32_t k) {

@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "exec/thread_budget.h"
+#include "exec/executor.h"
 #include "util/binomial.h"
 #include "util/bytemap.h"
 #include "util/cli.h"
@@ -319,8 +319,7 @@ TEST(PrefixSum, MatchesExclusiveScanAtEveryTeamSize) {
   // Sizes 0 and 1 scan serially; one item above three blocks runs both
   // parallel passes and leaves a one-item last block. Every team must
   // give std::exclusive_scan's output, into a second vector and in place.
-  ThreadBudget& budget = ThreadBudget::Global();
-  const int saved = budget.capacity();
+  const int saved = ThreadCapacity();
   Rng rng(21);
   for (const std::size_t n : {std::size_t{0}, std::size_t{1},
                               3 * kPrefixSumBlock + 1}) {
@@ -332,7 +331,7 @@ TEST(PrefixSum, MatchesExclusiveScanAtEveryTeamSize) {
     const std::uint64_t total =
         std::accumulate(in.begin(), in.end(), std::uint64_t{0});
     for (int team = 1; team <= 4; ++team) {
-      budget.SetCapacity(team);
+      SetThreadCapacity(team);
       std::vector<std::uint64_t> out;
       EXPECT_EQ(ParallelPrefixSum(in, &out), total) << n << " " << team;
       EXPECT_EQ(out, want) << n << " " << team;
@@ -342,7 +341,7 @@ TEST(PrefixSum, MatchesExclusiveScanAtEveryTeamSize) {
       EXPECT_EQ(aliased, want) << n << " " << team;
     }
   }
-  budget.SetCapacity(saved);
+  SetThreadCapacity(saved);
 }
 
 // ---------------------------------------------------------------- cli

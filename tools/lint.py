@@ -22,8 +22,15 @@ Checks conventions a compiler cannot see:
                    exemption: every parallel region runs on the exec
                    layer's own pool through the Executor primitives
                    (ParallelFor / ParallelReduce / ParallelForWorkers), so
-                   thread budgeting, chunking and exec.* telemetry stay
+                   the thread capacity, chunking and exec.* telemetry stay
                    uniform and no binary needs an OpenMP runtime.
+  thread-owner     std::thread, std::jthread and pthread_create are banned
+                   in src/ outside src/exec/ and src/net/: the exec
+                   layer's helper pool owns the threads that parallel
+                   work runs on (and the thread capacity they draw from),
+                   and the serving stack owns its event loop and workers,
+                   so no other module starts threads the capacity cannot
+                   see.
   core-includes-repro
                    no file of the production library pivotscale_core may
                    include a header of the reproduction library
@@ -61,6 +68,9 @@ ATOMIC_WRITE_OWNER = "util/atomic_file.cc"
 OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
 OMP_CALL_RE = re.compile(r"(?<![\w.:>])omp_\w+\s*\(")
 OMP_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]omp\.h[>"]')
+
+THREAD_RE = re.compile(r"\bstd::j?thread\b|(?<![\w.:])pthread_create\s*\(")
+THREAD_OWNERS = ("src/exec/", "src/net/")
 
 LIBRARY_CMAKE = SRC_DIR / "CMakeLists.txt"
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
@@ -177,6 +187,12 @@ def iter_findings_for_file(path):
             yield (rel, lineno, "no-openmp",
                    "OpenMP pragma or omp_* call; use the Executor "
                    "primitives (exec/executor.h)")
+        if (in_src and not rel.startswith(THREAD_OWNERS)
+                and THREAD_RE.search(line)):
+            yield (rel, lineno, "thread-owner",
+                   "thread started outside src/exec/ and src/net/; run "
+                   "parallel work through the Executor primitives "
+                   "(exec/executor.h)")
         if in_src and LIBC_RANDOM_RE.search(line):
             yield (rel, lineno, "no-libc-random",
                    "rand()/time( is banned; use the seeded generators")
@@ -247,7 +263,7 @@ def main(argv):
 
     if args.list_rules:
         print("telemetry-name no-libc-random no-naked-new include-guards "
-              "atomic-writes no-openmp core-includes-repro")
+              "atomic-writes no-openmp thread-owner core-includes-repro")
         return 0
 
     if args.files:
