@@ -9,6 +9,10 @@
 //                  [--save-binary out.psg] [--heuristic-min-nodes N]
 //                  [--telemetry-json out.json]
 //
+// --threads N caps the whole run — load, ordering, directionalize and
+// counting — at N threads (the exec layer's thread capacity), as in
+// pivotscale_prep; without it the default capacity applies
+// (OMP_NUM_THREADS, else every CPU).
 // --per-vertex prints the --top N most clique-active vertices (default 10)
 // and, with --telemetry-json, records them as the "per_vertex.top_vertex_ids"
 // / "per_vertex.top_counts" series. --telemetry-json writes the full run
@@ -21,6 +25,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exec/executor.h"
 #include "pivotscale.h"
 #include "util/cli.h"
 #include "util/mem.h"
@@ -42,6 +47,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     // Every flag is read (and a bad value rejected) before the graph load.
+    if (args.Has("threads")) SetThreadCapacity(args.GetThreads());
     const std::string path = args.GetPath("graph", "");
     const std::string telemetry_path = args.GetPath("telemetry-json", "");
     const std::string save_path = args.GetPath("save-binary", "");
@@ -49,7 +55,6 @@ int main(int argc, char** argv) {
     options.k = args.GetK(8);
     if (args.GetBool("all-k", false)) options.count.mode = CountMode::kAllK;
     options.count.per_vertex = args.GetBool("per-vertex", false);
-    options.count.num_threads = args.GetThreads();
     options.count.collect_op_stats = args.GetBool("stats", false);
     options.heuristic.min_nodes = static_cast<NodeId>(args.GetIntInRange(
         "heuristic-min-nodes", 15'000, 0, std::numeric_limits<NodeId>::max()));

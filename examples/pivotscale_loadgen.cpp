@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -43,6 +42,7 @@
 #include <vector>
 
 #include "net/framer.h"
+#include "util/atomic_file.h"
 #include "util/cli.h"
 #include "util/json_writer.h"
 #include "util/version.h"
@@ -380,10 +380,7 @@ int main(int argc, char** argv) {
     const std::string report = w.str();
     const std::string json_path = args.GetPath("json", "");
     if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out)
-        throw std::runtime_error("cannot write --json " + json_path);
-      out << report << "\n";
+      WriteFileAtomic(json_path, report + "\n");
       std::cerr << "loadgen report written to " << json_path << "\n";
     }
     std::cout << report << std::endl;

@@ -31,7 +31,6 @@
 #include <unistd.h>
 
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -39,6 +38,7 @@
 
 #include "net/event_loop.h"
 #include "service/query_engine.h"
+#include "util/atomic_file.h"
 #include "util/cli.h"
 #include "util/telemetry.h"
 #include "util/version.h"
@@ -133,12 +133,8 @@ int main(int argc, char** argv) {
       std::signal(SIGTERM, HandleSignal);
       std::signal(SIGINT, HandleSignal);
 
-      if (!port_file.empty()) {
-        std::ofstream out(port_file);
-        if (!out)
-          throw std::runtime_error("cannot write --port-file " + port_file);
-        out << server.port() << "\n";
-      }
+      if (!port_file.empty())
+        WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
       std::cout << "pivotscale_served: listening on " << options.bind_address
                 << ":" << server.port() << " (workers=" << options.workers
                 << ", queue-depth=" << options.queue_depth << ")"

@@ -249,8 +249,8 @@ void NetServer::HandleReadable(std::uint64_t conn_id) {
 
 void NetServer::ProcessLine(std::uint64_t conn_id, Connection& conn,
                             FramedLine&& line) {
-  std::optional<NetRequest> req =
-      ToNetRequest(std::move(line), options_.max_line_bytes);
+  std::optional<ProtocolRequest> req =
+      ToRequest(std::move(line), options_.max_line_bytes);
   if (req)
     conn.pending.push_back(std::move(*req));
   else
@@ -270,7 +270,7 @@ void NetServer::FlushBatch(std::uint64_t conn_id, Connection& conn) {
   // Admission queue full: shed the whole batch with immediate errors
   // instead of queueing it — bounded memory, bounded latency.
   AddCounter("net.shed", batch.requests.size());
-  for (const NetRequest& req : batch.requests) {
+  for (const ProtocolRequest& req : batch.requests) {
     conn.out += SerializeError(req.id, "overloaded");
     conn.out += '\n';
   }

@@ -78,7 +78,7 @@ class NetServer {
   struct Connection {
     int fd = -1;
     ReadLineFramer framer;
-    std::vector<NetRequest> pending;  // lines awaiting the batch flush
+    std::vector<ProtocolRequest> pending;  // lines awaiting the flush
     std::string out;                  // unwritten response bytes
     std::size_t out_offset = 0;
     std::uint64_t inflight = 0;       // batches in the pool

@@ -2,85 +2,53 @@
 
 #include <algorithm>
 #include <istream>
-#include <map>
 #include <ostream>
 
 #include "exec/executor.h"
-#include "service/protocol.h"
 #include "util/check.h"
 #include "util/telemetry.h"
 
 namespace pivotscale {
 
-std::optional<NetRequest> ToNetRequest(FramedLine&& line,
-                                       std::size_t max_line_bytes) {
-  NetRequest req;
+std::optional<ProtocolRequest> ToRequest(FramedLine&& line,
+                                         std::size_t max_line_bytes) {
+  ProtocolRequest req;
   if (line.oversized) {
-    req.parse_error =
-        "line exceeds " + std::to_string(max_line_bytes) + " bytes";
+    req.error = "line exceeds " + std::to_string(max_line_bytes) + " bytes";
     return req;
   }
   if (line.text.empty()) return std::nullopt;
   try {
-    ProtocolRequest parsed = ParseRequest(line.text);
-    req.parsed = true;
-    req.id = parsed.id;
-    req.query = std::move(parsed.query);
-    if (parsed.deadline_ms >= 0)
-      req.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(parsed.deadline_ms);
+    req = ParseRequest(line.text);
   } catch (const std::exception& e) {
-    req.parse_error = e.what();
+    req.error = e.what();
   }
   return req;
 }
 
 std::string ServeNetBatch(QueryEngine& engine,
-                          std::vector<NetRequest>& requests,
+                          const std::vector<ProtocolRequest>& requests,
                           TelemetryRegistry* telemetry) {
   TelemetryRegistry::ScopedSpan span(telemetry, "net.batch");
-  std::vector<std::string> responses(requests.size());
-
-  // Group parseable requests by artifact, preserving first-appearance
-  // order so the per-group deadline checks walk the batch front to back.
-  std::map<std::string, std::vector<std::size_t>> by_graph;
-  std::vector<std::string> group_order;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const NetRequest& req = requests[i];
-    if (!req.parsed) {
-      responses[i] = SerializeError(req.id, req.parse_error);
-      continue;
-    }
-    auto [it, inserted] = by_graph.try_emplace(req.query.graph);
-    if (inserted) group_order.push_back(req.query.graph);
-    it->second.push_back(i);
-  }
+  std::vector<ServiceQuery> queries;
+  for (const ProtocolRequest& req : requests)
+    if (req.error.empty()) queries.push_back(req.query);
+  const std::vector<ServiceResult> results = engine.RunBatch(queries);
+  // The engine's contract: results align positionally with the queries.
+  CHECK_EQ(results.size(), queries.size());
 
   std::uint64_t timed_out = 0;
-  for (const std::string& graph : group_order) {
-    const std::vector<std::size_t>& members = by_graph[graph];
-    // The batch-group boundary: everything already past its deadline is
-    // answered without counting; the rest run as one deduplicated group.
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<ServiceQuery> live;
-    std::vector<std::size_t> live_indices;
-    live.reserve(members.size());
-    for (std::size_t i : members) {
-      if (requests[i].deadline <= now) {
-        responses[i] = SerializeError(requests[i].id, "deadline exceeded");
-        ++timed_out;
-      } else {
-        live.push_back(requests[i].query);
-        live_indices.push_back(i);
-      }
+  std::string block;
+  std::size_t next = 0;
+  for (const ProtocolRequest& req : requests) {
+    if (!req.error.empty()) {
+      block += SerializeError(req.id, req.error);
+    } else {
+      const ServiceResult& result = results[next++];
+      if (result.deadline_exceeded) ++timed_out;
+      block += SerializeResponse(req.id, result);
     }
-    if (live.empty()) continue;
-    const std::vector<ServiceResult> results = engine.RunBatch(live);
-    // The engine's contract: results align positionally with the queries.
-    CHECK_EQ(results.size(), live_indices.size());
-    for (std::size_t j = 0; j < live_indices.size(); ++j)
-      responses[live_indices[j]] =
-          SerializeResponse(requests[live_indices[j]].id, results[j]);
+    block += '\n';
   }
 
   if (telemetry != nullptr) {
@@ -88,19 +56,13 @@ std::string ServeNetBatch(QueryEngine& engine,
     telemetry->AddCounter("net.requests", requests.size());
     if (timed_out > 0) telemetry->AddCounter("net.timed_out", timed_out);
   }
-
-  std::string block;
-  for (std::string& line : responses) {
-    block += line;
-    block += '\n';
-  }
   return block;
 }
 
 void ServeStream(std::istream& in, std::ostream& out, QueryEngine& engine,
                  std::size_t max_line_bytes, TelemetryRegistry* telemetry) {
   ReadLineFramer framer(max_line_bytes);
-  std::vector<NetRequest> pending;
+  std::vector<ProtocolRequest> pending;
   const auto flush = [&] {
     if (pending.empty()) return;
     out << ServeNetBatch(engine, pending, telemetry);
@@ -108,8 +70,8 @@ void ServeStream(std::istream& in, std::ostream& out, QueryEngine& engine,
     pending.clear();
   };
   const auto process = [&](FramedLine&& line) {
-    std::optional<NetRequest> req =
-        ToNetRequest(std::move(line), max_line_bytes);
+    std::optional<ProtocolRequest> req =
+        ToRequest(std::move(line), max_line_bytes);
     if (req)
       pending.push_back(std::move(*req));
     else

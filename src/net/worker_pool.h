@@ -5,32 +5,24 @@
 // The epoll thread (src/net/event_loop.*) parses request lines and
 // submits whole batches here; workers run them through a shared
 // QueryEngine and hand the serialized NDJSON response block to a
-// completion callback. Two properties carry the load-shedding story:
+// completion callback. Admission is TrySubmit, never blocking: when
+// `queue_depth` batches are already waiting the submit fails and the
+// caller answers every request in the batch with
+// {"ok":false,"error":"overloaded"} right away — bounded memory and
+// bounded queueing delay instead of an unbounded backlog.
 //
-//  * Admission is TrySubmit, never blocking. When `queue_depth` batches
-//    are already waiting the submit fails and the caller answers every
-//    request in the batch with {"ok":false,"error":"overloaded"} right
-//    away — bounded memory and bounded queueing delay instead of an
-//    unbounded backlog.
-//
-//  * Each request may carry an absolute steady-clock deadline. Deadlines
-//    are checked at batch-group boundaries (once per same-graph group,
-//    just before its counting run): expired requests get
-//    {"ok":false,"error":"deadline exceeded"} instead of being counted.
-//    A request that expires *while* its group is counting still gets its
-//    answer — counting runs are not interruptible.
-//
-// The stdin front end (ServeStream) skips the pool and the queue but runs
-// the same line conversion (ToNetRequest) and batch step (ServeNetBatch),
-// so deadlines hold there too.
+// Grouping by graph and deadline checks belong to QueryEngine::RunBatch
+// (service/query_engine.h). The stdin front end (ServeStream) skips the
+// pool and the queue but runs the same line conversion (ToRequest) and
+// batch step (ServeNetBatch), so both front ends answer alike.
 //
 // Telemetry (when a registry is configured): counters "net.batches",
-// "net.requests", "net.timed_out" and span "net.batch" per executed batch
-// (both front ends); gauge "net.queue_depth_high_water" (pool only).
+// "net.requests", "net.timed_out" (requests answered "deadline exceeded")
+// and span "net.batch" per executed batch (both front ends); gauge
+// "net.queue_depth_high_water" (pool only).
 #ifndef PIVOTSCALE_NET_WORKER_POOL_H_
 #define PIVOTSCALE_NET_WORKER_POOL_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -43,46 +35,32 @@
 #include <vector>
 
 #include "net/framer.h"
+#include "service/protocol.h"
 #include "service/query_engine.h"
 
 namespace pivotscale {
 
 class TelemetryRegistry;
 
-// One request line of a batch, as admitted by the I/O thread. Lines that
-// failed parsing (or were oversized) ride along unparsed so the response
-// block preserves request order.
-struct NetRequest {
-  bool parsed = false;
-  std::int64_t id = -1;
-  std::string parse_error;  // response payload when !parsed
-  ServiceQuery query;
-  // Absolute deadline; time_point::max() when the request carried none.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-};
-
 // Turns one framed line into the request it carries: an oversized line or
-// a parse error becomes an unparsed request holding its error message, a
-// parsed query gets its absolute deadline (relative to now). Returns
+// a parse error becomes a request holding its error message. Returns
 // nullopt for the blank line, the batch-flush marker.
-std::optional<NetRequest> ToNetRequest(FramedLine&& line,
-                                       std::size_t max_line_bytes);
+std::optional<ProtocolRequest> ToRequest(FramedLine&& line,
+                                         std::size_t max_line_bytes);
 
 // A flushed batch from one connection.
 struct NetBatch {
   std::uint64_t connection_id = 0;
-  std::vector<NetRequest> requests;
+  std::vector<ProtocolRequest> requests;
 };
 
 // Runs one batch through the engine and returns the response block: one
 // serialized NDJSON line per request, each '\n'-terminated, in request
-// order. Parse errors become error lines; parsed requests are grouped by
-// graph (the engine dedups each group into at most one counting run) with
-// the deadline check at every group boundary. The worker pool and
-// ServeStream both call it, so TCP and stdin answer identically.
+// order. Unparsed lines answer their error; the parsed queries go to the
+// engine as one RunBatch. The worker pool and ServeStream both call it,
+// so TCP and stdin answer identically.
 std::string ServeNetBatch(QueryEngine& engine,
-                          std::vector<NetRequest>& requests,
+                          const std::vector<ProtocolRequest>& requests,
                           TelemetryRegistry* telemetry);
 
 // The stdin front end: frames `in` with a ReadLineFramer, collects request

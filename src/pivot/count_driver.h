@@ -27,10 +27,11 @@ void ValidateCountArgs(const Graph& dag, const CountOptions& options,
                        const char* entry);
 
 // Dumps one finished driver run into options.telemetry (a no-op when it is
-// null): per-thread series, op totals and load-balance gauges.
+// null): the root count, op totals and workspace bytes. The region's
+// per-worker series, chunk counts and load-balance gauges are its exec.*
+// records (RecordExecTelemetry, exec/executor.h).
 void RecordCountTelemetry(const CountOptions& options,
-                          const CountResult& result,
-                          const ExecStats& exec_stats, std::uint64_t roots);
+                          const CountResult& result, std::uint64_t roots);
 
 // Runs every root of `dag` through `step(counter, root)` on one Counter
 // per worker, weighted by the estimate (out_degree + 1)^2 for the chunking
@@ -90,7 +91,7 @@ CountResult RunCountDriver(const Graph& dag, const CountOptions& options,
   if (options.mode != CountMode::kSingleK)
     result.total = options.k <= max_size ? result.per_size[options.k]
                                          : BigCount{};
-  RecordCountTelemetry(options, result, exec_stats, n);
+  RecordCountTelemetry(options, result, n);
   return result;
 }
 

@@ -10,12 +10,16 @@ namespace pivotscale {
 
 namespace {
 
-// Integral-number extraction with range checks: telemetry-grade doubles
-// are exact up to 2^53, far beyond any valid id/k/top.
+// Integral-number extraction: doubles are exact up to 2^53, far beyond
+// any valid id/k/top, and a larger magnitude (up to infinity) is rejected
+// before the cast, which would be undefined out of int64 range.
 std::int64_t RequireInt(const JsonValue& v, const char* key) {
   if (!v.IsNumber() || v.number != std::floor(v.number))
     throw std::runtime_error(std::string("request key \"") + key +
                              "\" must be an integer");
+  if (std::fabs(v.number) > 0x1p53)
+    throw std::runtime_error(std::string("request key \"") + key +
+                             "\" out of range");
   return static_cast<std::int64_t>(v.number);
 }
 
@@ -42,10 +46,11 @@ ProtocolRequest ParseRequest(const std::string& line) {
         throw std::runtime_error("request key \"id\" must be >= 0");
       has_id = true;
     } else if (key == "deadline_ms") {
-      req.deadline_ms = RequireInt(value, "deadline_ms");
-      if (req.deadline_ms < 0)
+      const std::int64_t ms = RequireInt(value, "deadline_ms");
+      if (ms < 0)
         throw std::runtime_error(
             "request key \"deadline_ms\" must be >= 0");
+      req.query.deadline = DeadlineAfter(ms);
     } else if (key == "graph") {
       if (!value.IsString())
         throw std::runtime_error("request key \"graph\" must be a string");

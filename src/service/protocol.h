@@ -8,8 +8,10 @@
 //   {"id": 3, "graph": "web.psx", "all_k": true, "deadline_ms": 250}
 // Accepted keys: id (number >= 0, required), graph (string, required),
 // k (number >= 1), all_k (bool), per_vertex (bool), top (number >= 1),
-// deadline_ms (number >= 0 — a soft per-request deadline, enforced in
-// both modes at batch-group boundaries).
+// deadline_ms (number >= 0 — a soft per-request deadline, relative to
+// the moment the line is parsed; the query engine enforces it at
+// batch-group boundaries). Integers beyond 2^53 in magnitude are out of
+// range, and a deadline past what the steady clock can hold means none.
 // Unknown keys are rejected so a typo like "per_vertx" fails loudly
 // instead of silently serving the default.
 //
@@ -29,17 +31,20 @@
 
 namespace pivotscale {
 
-// A parsed request line: the query, the correlation id, and the optional
-// relative deadline (-1 when the request carried none).
+// One request line of a batch: the correlation id and the query, or the
+// error that is its whole response when the line did not parse (then the
+// id is -1). Unparsed lines ride along so a response block keeps request
+// order.
 struct ProtocolRequest {
   std::int64_t id = -1;
-  std::int64_t deadline_ms = -1;
+  std::string error;  // non-empty when the line did not parse
   ServiceQuery query;
 };
 
-// Parses one NDJSON request line. Throws std::runtime_error on malformed
-// JSON, a missing/negative "id", a missing/empty "graph", out-of-range
-// values, or unknown keys.
+// Parses one NDJSON request line; the query's deadline is `deadline_ms`
+// from now. Throws std::runtime_error on malformed JSON, a
+// missing/negative "id", a missing/empty "graph", out-of-range values, or
+// unknown keys.
 ProtocolRequest ParseRequest(const std::string& line);
 
 // Serializes one response line (no trailing newline).

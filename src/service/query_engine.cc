@@ -1,7 +1,10 @@
 #include "service/query_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/check.h"
 #include "util/telemetry.h"
@@ -21,6 +24,15 @@ std::size_t LastNonZeroSize(const std::vector<BigCount>& per_size) {
 }
 
 }  // namespace
+
+std::chrono::steady_clock::time_point DeadlineAfter(std::int64_t ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  if (ms >= headroom.count()) return Clock::time_point::max();
+  return now + std::chrono::milliseconds(ms);
+}
 
 QueryEngine::QueryEngine(const QueryEngineOptions& options)
     : options_(options) {}
@@ -51,37 +63,54 @@ std::vector<ServiceResult> QueryEngine::RunBatch(
   if (telemetry != nullptr)
     telemetry->AddCounter("service.queries", queries.size());
 
-  std::vector<ServiceResult> results(queries.size());
   // Dedup: all queries against one artifact are served as one group from
-  // (at most) one shared counting run.
-  std::map<std::string, std::vector<std::size_t>> groups;
+  // (at most) one shared counting run. Groups keep first-appearance order,
+  // so the deadline checks walk the batch front to back.
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<std::string_view, std::size_t> group_of_graph;
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const ServiceQuery& q = queries[i];
-    results[i].k = q.k;
-    results[i].all_k = q.all_k;
-    if (q.graph.empty()) {
-      results[i].error = "query has no graph path";
-    } else if (q.k < 1) {
-      results[i].error = "k must be >= 1";
-    } else if (q.per_vertex && q.all_k) {
-      results[i].error = "per_vertex and all_k are mutually exclusive";
-    } else {
-      groups[q.graph].push_back(i);
-    }
+    const auto [it, inserted] =
+        group_of_graph.try_emplace(queries[i].graph, groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
-  for (const auto& [path, indices] : groups) {
+  std::vector<ServiceResult> results(queries.size());
+  for (const std::vector<std::size_t>& members : groups) {
+    // The group boundary: everything already past its deadline is
+    // answered without loading or counting.
+    const auto now = std::chrono::steady_clock::now();
+    std::vector<std::size_t> live;
+    for (std::size_t i : members) {
+      const ServiceQuery& q = queries[i];
+      ServiceResult& res = results[i];
+      res.k = q.k;
+      res.all_k = q.all_k;
+      if (q.deadline <= now) {
+        res.error = "deadline exceeded";
+        res.deadline_exceeded = true;
+      } else if (q.graph.empty()) {
+        res.error = "query has no graph path";
+      } else if (q.k < 1) {
+        res.error = "k must be >= 1";
+      } else if (q.per_vertex && q.all_k) {
+        res.error = "per_vertex and all_k are mutually exclusive";
+      } else {
+        live.push_back(i);
+      }
+    }
+    if (live.empty()) continue;
+
     bool cache_hit = false;
     std::shared_ptr<Entry> entry;
     try {
-      entry = GetOrLoad(path, &cache_hit);
+      entry = GetOrLoad(queries[live.front()].graph, &cache_hit);
     } catch (const std::exception& e) {
-      for (std::size_t i : indices) results[i].error = e.what();
+      for (std::size_t i : live) results[i].error = e.what();
       continue;
     }
-    for (std::size_t i : indices)
-      results[i].artifact_cache_hit = cache_hit;
-    ServeGroup(entry, queries, indices, &results);
+    for (std::size_t i : live) results[i].artifact_cache_hit = cache_hit;
+    ServeGroup(entry, queries, live, &results);
   }
 
   if (telemetry != nullptr) {
@@ -116,9 +145,8 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
       need_k = std::max(need_k, q.k);
   }
 
-  const bool run_needed =
-      !entry->all_k_covered &&
-      ((need_all_k) || (need_k > entry->covered_k));
+  const std::uint32_t need = need_all_k ? Entry::kAllSizes : need_k;
+  const bool run_needed = need > entry->exact_up_to;
   if (run_needed) {
     // One run answers every pending k-query on this graph: kAllUpToK at
     // the batch's largest k, upgraded to kAllK when an all-k query is
@@ -131,8 +159,7 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");
     const CountResult counted = CountCliques(entry->artifact.dag, copts);
     entry->per_size = counted.per_size;
-    entry->all_k_covered = need_all_k;
-    entry->covered_k = need_k;
+    entry->exact_up_to = need;
     if (telemetry != nullptr)
       telemetry->AddCounter("service.count_runs", 1);
   }

@@ -2,21 +2,30 @@
 //
 // The serving model: artifacts (src/store/) hold the query-independent
 // pipeline prefix — graph, ordering, DAG — so answering a query is only
-// the counting phase. The engine adds the two layers a serving system
-// needs on top:
+// the counting phase. The engine adds the layers a serving system needs
+// on top:
+//
+//  * Grouping and deadlines. RunBatch is the one place a batch is grouped
+//    by artifact: groups run in order of first appearance, and each group
+//    first answers its members whose deadline has passed with "deadline
+//    exceeded" (without loading or counting for them), then the invalid
+//    ones, then loads the artifact and counts for the rest. A query that
+//    expires *while* its group counts still gets its answer — counting
+//    runs are not interruptible.
 //
 //  * An LRU cache of loaded artifacts under a byte budget. Entries are
 //    shared_ptrs, so eviction never frees an artifact a running batch
 //    still uses; the budget is soft in exactly one way: the most recently
 //    touched artifact always stays resident even if it alone exceeds it.
 //
-//  * Per-artifact count memoization. A batch's same-graph k-queries are
-//    deduplicated into one counting run: a single kAllUpToK run at the
-//    batch's largest k answers every pending k-query on that graph (an
-//    all-k query upgrades the run to kAllK, which covers everything).
-//    The per-size table is memoized, so later batches whose k is already
-//    covered skip counting entirely. Per-vertex queries need kSingleK
-//    per-vertex runs; those memoize per (k).
+//  * Per-artifact count memoization. A group's k-queries are deduplicated
+//    into one counting run: a single kAllUpToK run at the group's largest
+//    k answers every pending k-query on that graph (an all-k query
+//    upgrades the run to kAllK, which covers every size). The per-size
+//    table is memoized with one coverage bound — the largest size it is
+//    exact for — so later batches whose k is already covered skip
+//    counting entirely. Per-vertex queries need kSingleK per-vertex runs;
+//    those memoize per (k).
 //
 // Thread safety: RunBatch may be called concurrently from any number of
 // threads. The cache map has its own mutex; each artifact entry has a
@@ -28,19 +37,21 @@
 // each run's team shrinks so the total stays within the machine, and all
 // runs share the exec layer's one pool of helper threads.
 //
-// Telemetry (when a registry is configured): "service.batch" and
-// "service.count" spans, and counters "service.queries",
-// "service.errors", "service.cache_hits" / "service.cache_misses",
-// "service.memo_hits", "service.count_runs",
-// "service.per_vertex_runs", "service.evictions", plus the
-// "service.cache_bytes" gauge. Because counting runs straight off the
-// stored DAG, a served batch records *no* "heuristic" / "ordering" /
-// "directionalize" spans — the acceptance signal that the preprocessed
-// phases were skipped.
+// Telemetry (when a registry is configured): one "service.batch" span per
+// RunBatch call and one "service.count" span per counting run, and
+// counters "service.queries" and "service.errors" (both include expired
+// queries), "service.cache_hits" / "service.cache_misses",
+// "service.memo_hits", "service.count_runs", "service.per_vertex_runs",
+// "service.evictions", plus the "service.cache_bytes" gauge. Because
+// counting runs straight off the stored DAG, a served batch records *no*
+// "heuristic" / "ordering" / "directionalize" spans — the acceptance
+// signal that the preprocessed phases were skipped.
 #ifndef PIVOTSCALE_SERVICE_QUERY_ENGINE_H_
 #define PIVOTSCALE_SERVICE_QUERY_ENGINE_H_
 
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -62,11 +73,19 @@ struct ServiceQuery {
   bool all_k = false;       // report every clique size instead of one k
   bool per_vertex = false;  // top-N per-vertex participation counts
   std::uint32_t top = 1;    // how many top vertices to report (per_vertex)
+  // Absolute deadline; time_point::max() means none.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
+
+// The deadline `ms` milliseconds from now (ms >= 0), or none
+// (time_point::max()) when that lies beyond what the steady clock holds.
+std::chrono::steady_clock::time_point DeadlineAfter(std::int64_t ms);
 
 struct ServiceResult {
   bool ok = false;
   std::string error;        // set when !ok
+  bool deadline_exceeded = false;  // expired before its group ran
   std::uint32_t k = 0;      // echo of the query
   bool all_k = false;
   BigCount total{};         // k-cliques at the query's k (all modes)
@@ -99,8 +118,9 @@ class QueryEngine {
   QueryEngine& operator=(const QueryEngine&) = delete;
 
   // Answers a batch. Results are positionally aligned with `queries`.
-  // Per-query failures (missing artifact, invalid k) come back as
-  // ok = false results; the call itself only throws on engine misuse.
+  // Per-query failures (expired deadline, missing artifact, invalid k)
+  // come back as ok = false results; the call itself only throws on
+  // engine misuse.
   std::vector<ServiceResult> RunBatch(
       const std::vector<ServiceQuery>& queries);
 
@@ -121,10 +141,11 @@ class QueryEngine {
     std::size_t bytes = 0;
     std::uint64_t last_used = 0;  // LRU stamp; guarded by cache_mutex_
 
-    // Memo: per_size[s] is valid for s <= covered_k, or for every size
-    // when all_k_covered. Guarded by count_mutex.
-    bool all_k_covered = false;
-    std::uint32_t covered_k = 0;
+    // Memo: per_size[s] is exact for s <= exact_up_to; kAllSizes after a
+    // kAllK run. Guarded by count_mutex.
+    static constexpr std::uint32_t kAllSizes =
+        std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t exact_up_to = 0;
     std::vector<BigCount> per_size;
     // Per-vertex participation runs memoized per k (kSingleK results).
     struct PerVertexMemo {

@@ -112,8 +112,7 @@ class TelemetryRegistry {
 std::string RunReportJson(const TelemetryRegistry& registry);
 
 // ASCII summary of every per-worker busy-time series (names ending in
-// "busy_seconds": "count.thread_busy_seconds",
-// "exec.worker_busy_seconds", ...): per-thread bars plus
+// "busy_seconds", such as "exec.worker_busy_seconds"): per-thread bars plus
 // min/max/mean/CoV, the Section IV load-balance readout. Series are
 // sized to the realized team by their writers, so the bars never include
 // phantom slots for undelivered threads. Empty string when no such

@@ -1,12 +1,13 @@
 // TCP serving layer tests: the shared line framer (CRLF stripping,
 // oversized-line shedding, arbitrary chunking, fuzz-lite garbage
-// streams), the bounded-admission worker pool (deterministic shed,
-// deadline checks at batch-group boundaries), the stdin front end
-// (ServeStream: same bytes as ServeNetBatch), and a loopback NetServer
-// driven by real concurrent sockets — counts bit-identical to standalone
-// runs, overloaded batches shed once --queue-depth is exceeded,
-// half-closed connections still get their responses, and drain flushes
-// everything.
+// streams), the protocol's number ranges, the batch step (deadline checks
+// at batch-group boundaries; a mixed corpus answered byte for byte as
+// recorded), the bounded-admission worker pool (deterministic shed), the
+// stdin front end (ServeStream: same bytes as ServeNetBatch), and a
+// loopback NetServer driven by real concurrent sockets — counts
+// bit-identical to standalone runs, overloaded batches shed once
+// --queue-depth is exceeded, half-closed connections still get their
+// responses, and drain flushes everything.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,12 +16,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -192,15 +195,55 @@ TEST(ProtocolId, NegativeIdIsAParseError) {
   EXPECT_EQ(ParseRequest("{\"id\":0,\"graph\":\"g.psx\"}").id, 0);
 }
 
+TEST(ProtocolId, MagnitudeBeyondTwoToThe53IsOutOfRange) {
+  for (const char* id : {"1e300", "-1e300", "1e16"}) {
+    try {
+      ParseRequest(std::string("{\"id\":") + id + ",\"graph\":\"g.psx\"}");
+      ADD_FAILURE() << "id " << id << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "request key \"id\" out of range")
+          << id;
+    }
+  }
+  EXPECT_EQ(
+      ParseRequest("{\"id\":9007199254740992,\"graph\":\"g.psx\"}").id,
+      std::int64_t{1} << 53);
+}
+
 TEST(ProtocolDeadline, ParsesAndValidatesDeadline) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point before = Clock::now();
   const ProtocolRequest req =
       ParseRequest("{\"id\":4,\"graph\":\"g.psx\",\"deadline_ms\":250}");
-  EXPECT_EQ(req.deadline_ms, 250);
-  EXPECT_EQ(ParseRequest("{\"id\":4,\"graph\":\"g.psx\"}").deadline_ms,
-            -1);
+  const Clock::time_point after = Clock::now();
+  EXPECT_GE(req.query.deadline, before + std::chrono::milliseconds(250));
+  EXPECT_LE(req.query.deadline, after + std::chrono::milliseconds(250));
+  EXPECT_EQ(ParseRequest("{\"id\":4,\"graph\":\"g.psx\"}").query.deadline,
+            Clock::time_point::max());
   EXPECT_THROW(
       ParseRequest("{\"id\":4,\"graph\":\"g.psx\",\"deadline_ms\":-5}"),
       std::runtime_error);
+}
+
+TEST(ProtocolDeadline, DeadlinePastTheClockRangeMeansNone) {
+  // About 317 years and 2^53 ms: both overflow a nanosecond time_point.
+  for (const char* ms : {"9999999999999", "9007199254740992"})
+    EXPECT_EQ(ParseRequest(std::string("{\"id\":4,\"graph\":\"g.psx\","
+                                       "\"deadline_ms\":") +
+                           ms + "}")
+                  .query.deadline,
+              std::chrono::steady_clock::time_point::max())
+        << ms;
+}
+
+TEST(ProtocolDeadline, MagnitudeBeyondTwoToThe53IsOutOfRange) {
+  try {
+    ParseRequest("{\"id\":4,\"graph\":\"g.psx\",\"deadline_ms\":1e300}");
+    ADD_FAILURE() << "deadline_ms 1e300 was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "request key \"deadline_ms\" out of range");
+  }
 }
 
 // ---------------------------------------------------- worker pool / batch
@@ -224,10 +267,9 @@ class NetTest : public ::testing::Test {
   std::string artifact_path_;
 };
 
-NetRequest MakeRequest(std::int64_t id, const std::string& graph,
-                       std::uint32_t k) {
-  NetRequest req;
-  req.parsed = true;
+ProtocolRequest MakeRequest(std::int64_t id, const std::string& graph,
+                            std::uint32_t k) {
+  ProtocolRequest req;
   req.id = id;
   req.query.graph = graph;
   req.query.k = k;
@@ -237,15 +279,15 @@ NetRequest MakeRequest(std::int64_t id, const std::string& graph,
 TEST_F(NetTest, ServeNetBatchPreservesOrderAndHonorsDeadlines) {
   QueryEngine engine;
   TelemetryRegistry telemetry;
-  std::vector<NetRequest> requests;
+  std::vector<ProtocolRequest> requests;
   requests.push_back(MakeRequest(10, artifact_path_, 4));
-  NetRequest bad;
+  ProtocolRequest bad;
   bad.id = 11;
-  bad.parse_error = "unknown request key \"kk\"";
+  bad.error = "unknown request key \"kk\"";
   requests.push_back(std::move(bad));
-  NetRequest expired = MakeRequest(12, artifact_path_, 5);
-  expired.deadline = std::chrono::steady_clock::now() -
-                     std::chrono::milliseconds(1);
+  ProtocolRequest expired = MakeRequest(12, artifact_path_, 5);
+  expired.query.deadline = std::chrono::steady_clock::now() -
+                           std::chrono::milliseconds(1);
   requests.push_back(std::move(expired));
   requests.push_back(MakeRequest(13, artifact_path_, 5));
 
@@ -349,7 +391,7 @@ TEST_F(NetTest, ServeStreamFramesParsesAndFlushesLikeServeNetBatch) {
   std::string reference;
   for (const std::vector<std::string>& batch_lines :
        {first, std::vector<std::string>{last}}) {
-    std::vector<NetRequest> batch;
+    std::vector<ProtocolRequest> batch;
     for (const std::string& text : batch_lines) {
       FramedLine line;
       if (text.size() > kMaxLineBytes)
@@ -357,11 +399,125 @@ TEST_F(NetTest, ServeStreamFramesParsesAndFlushesLikeServeNetBatch) {
       else
         line.text = text.back() == '\r' ? text.substr(0, text.size() - 1)
                                         : text;
-      batch.push_back(*ToNetRequest(std::move(line), kMaxLineBytes));
+      batch.push_back(*ToRequest(std::move(line), kMaxLineBytes));
     }
     reference += ServeNetBatch(reference_engine, batch, nullptr);
   }
   EXPECT_EQ(ZeroSeconds(out.str()), ZeroSeconds(reference));
+}
+
+// A two-batch corpus (split by the blank line) that mixes two graphs,
+// parse errors, a request invalid for the engine, expired requests — one
+// on a missing artifact, one with both per_vertex and all_k — and, in the
+// second batch, cache hits and a memo hit.
+std::string MixedCorpus(const std::string& path_a, const std::string& path_b) {
+  const std::string a = "\"graph\":\"" + path_a + "\"";
+  const std::string b = "\"graph\":\"" + path_b + "\"";
+  const std::string missing = "\"graph\":\"/nonexistent/missing.psx\"";
+  const std::vector<std::string> lines = {
+      "{\"id\":1," + a + ",\"k\":4}",
+      "{\"id\":2," + missing + ",\"k\":4,\"deadline_ms\":0}",
+      "{\"id\":3," + a + ",\"k\":5,\"per_vertex\":true,\"all_k\":true,"
+      "\"deadline_ms\":0}",
+      "{\"id\":4," + b + ",\"k\":3,\"deadline_ms\":60000}",
+      "{\"id\":5," + a + ",\"kk\":4}",
+      "not json",
+      "{\"id\":7," + a + ",\"k\":3,\"per_vertex\":true,\"all_k\":true}",
+      "{\"id\":8," + b + ",\"all_k\":true}",
+      "",
+      "{\"id\":9," + a + ",\"k\":3}",
+      "{\"id\":10," + b + ",\"k\":5}",
+      "{\"id\":11," + a + ",\"k\":4,\"per_vertex\":true,\"top\":3}",
+      "{\"id\":12," + missing + ",\"k\":4,\"deadline_ms\":0}",
+      "{\"id\":13," + a + ",\"k\":6}",
+      "{\"id\":14," + b + ",\"k\":4,\"per_vertex\":true,\"all_k\":true,"
+      "\"deadline_ms\":0}",
+  };
+  std::string corpus;
+  for (const std::string& line : lines) corpus += line + "\n";
+  return corpus;
+}
+
+TEST_F(NetTest, MixedCorpusAnswersAsRecorded) {
+  const std::string second_path =
+      ::testing::TempDir() + "/net_test_second.psx";
+  WriteArtifact(second_path, BuildArtifact(BuildGraph(Rmat(7, 4.0, 5))));
+  const std::string corpus = MixedCorpus(artifact_path_, second_path);
+  // Recorded from the server that grouped a batch in the net layer and
+  // again in the engine, "seconds" zeroed: grouping and deadline checks
+  // in the engine alone must answer the same bytes.
+  const std::vector<std::string> recorded = {
+      R"({"id":1,"ok":true,"k":4,"count":"2016","cache_hit":false,)"
+      R"("memo_hit":false,"seconds":0})",
+      R"({"id":2,"ok":false,"error":"deadline exceeded"})",
+      R"({"id":3,"ok":false,"error":"deadline exceeded"})",
+      R"({"id":4,"ok":true,"k":3,"count":"118","cache_hit":false,)"
+      R"("memo_hit":false,"seconds":0})",
+      R"({"id":-1,"ok":false,"error":"unknown request key \"kk\""})",
+      R"({"id":-1,"ok":false,)"
+      R"("error":"ParseJson: bad literal at byte 0"})",
+      R"({"id":7,"ok":false,)"
+      R"("error":"per_vertex and all_k are mutually exclusive"})",
+      R"({"id":8,"ok":true,"k":8,"count":"0","per_size":[{"size":1,)"
+      R"("count":"125"},{"size":2,"count":"204"},{"size":3,)"
+      R"("count":"118"},{"size":4,"count":"27"},{"size":5,)"
+      R"("count":"2"}],"cache_hit":false,"memo_hit":false,"seconds":0})",
+      R"({"id":9,"ok":true,"k":3,"count":"2086","cache_hit":true,)"
+      R"("memo_hit":false,"seconds":0})",
+      R"({"id":10,"ok":true,"k":5,"count":"2","cache_hit":true,)"
+      R"("memo_hit":true,"seconds":0})",
+      R"({"id":11,"ok":true,"k":4,"count":"2016",)"
+      R"("top_vertices":[{"vertex":0,"count":"851"},{"vertex":128,)"
+      R"("count":"479"},{"vertex":8,"count":"437"}],"cache_hit":true,)"
+      R"("memo_hit":false,"seconds":0})",
+      R"({"id":12,"ok":false,"error":"deadline exceeded"})",
+      R"({"id":13,"ok":true,"k":6,"count":"534","cache_hit":true,)"
+      R"("memo_hit":false,"seconds":0})",
+      R"({"id":14,"ok":false,"error":"deadline exceeded"})",
+  };
+  std::string expected;
+  for (const std::string& line : recorded) expected += line + "\n";
+
+  QueryEngine stream_engine;
+  std::istringstream in(corpus);
+  std::ostringstream out;
+  ServeStream(in, out, stream_engine, 1024, nullptr);
+  EXPECT_EQ(ZeroSeconds(out.str()), expected);
+
+  QueryEngine batch_engine;
+  std::string served;
+  std::vector<ProtocolRequest> batch;
+  std::istringstream lines(corpus);
+  for (std::string text; std::getline(lines, text);) {
+    FramedLine line;
+    line.text = text;
+    std::optional<ProtocolRequest> req = ToRequest(std::move(line), 1024);
+    if (req) {
+      batch.push_back(std::move(*req));
+    } else {
+      served += ServeNetBatch(batch_engine, batch, nullptr);
+      batch.clear();
+    }
+  }
+  served += ServeNetBatch(batch_engine, batch, nullptr);
+  EXPECT_EQ(ZeroSeconds(served), expected);
+  std::remove(second_path.c_str());
+}
+
+TEST_F(NetTest, ServeStreamCountsUnderAFarFutureDeadline) {
+  // 9999999999999 ms is about 317 years: past what the steady clock holds
+  // in nanoseconds, so the request carries no deadline and is counted.
+  std::istringstream in("{\"id\":1,\"graph\":\"" + artifact_path_ +
+                        "\",\"k\":4,\"deadline_ms\":9999999999999}\n");
+  std::ostringstream out;
+  QueryEngine engine;
+  ServeStream(in, out, engine, ReadLineFramer::kDefaultMaxLineBytes,
+              nullptr);
+  const std::vector<std::string> lines = SplitLines(out.str());
+  ASSERT_EQ(lines.size(), 1u);
+  const JsonValue served = ParseJson(lines[0]);
+  EXPECT_TRUE(served.Find("ok")->bool_value) << lines[0];
+  EXPECT_EQ(served.Find("count")->string_value, Standalone(4).ToString());
 }
 
 TEST(ServeStream, EmptyInputAndBlankLinesWriteNothing) {

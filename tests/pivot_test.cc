@@ -175,11 +175,15 @@ TEST_P(KernelSweep, BitmapMatchesRemapAndBruteForceInEveryMode) {
   for (std::uint32_t k = 1; k <= 7; ++k) {
     const auto truth = static_cast<uint128>(truths[k]);
     for (const bool early : {true, false}) {
-      const KernelTotals remap =
-          RunKernel<Remap>(dag, CountMode::kSingleK, k, false, early);
+      // Without early termination the remap kernel costs about the same
+      // at every k, so that path runs once, at the largest.
+      if (early || k == 7) {
+        const KernelTotals remap =
+            RunKernel<Remap>(dag, CountMode::kSingleK, k, false, early);
+        EXPECT_EQ(remap.total.value(), truth) << "k=" << k;
+      }
       const KernelTotals bitmap =
           RunKernel<Bitmap>(dag, CountMode::kSingleK, k, false, early);
-      EXPECT_EQ(remap.total.value(), truth) << "k=" << k;
       EXPECT_EQ(bitmap.total.value(), truth) << "k=" << k;
     }
     const KernelTotals remap_upto =

@@ -260,8 +260,7 @@ TEST(RaceTest, WorkerPoolShedsAndDrainsWithExactAccounting) {
         NetBatch batch;
         batch.connection_id =
             static_cast<std::uint64_t>(p) * kBatchesPerProducer + b;
-        NetRequest req;
-        req.parsed = true;
+        ProtocolRequest req;
         req.id = b;
         req.query.graph = artifact.path();
         req.query.k = 4;

@@ -180,7 +180,7 @@ TEST(RunReport, PipelineProducesFullSchema) {
 
   // Per-thread busy times land in a series of the actual team size.
   const JsonValue* busy =
-      doc.Find("series")->Find("count.thread_busy_seconds");
+      doc.Find("series")->Find("exec.worker_busy_seconds");
   ASSERT_NE(busy, nullptr);
   ASSERT_TRUE(busy->IsArray());
   EXPECT_EQ(busy->array.size(), result.count.thread_busy_seconds.size());
@@ -194,15 +194,15 @@ TEST(RunReport, PipelineProducesFullSchema) {
   ASSERT_NE(counters->Find("count.roots"), nullptr);
   EXPECT_DOUBLE_EQ(counters->Find("count.roots")->number,
                    static_cast<double>(g.NumNodes()));
-  ASSERT_NE(counters->Find("count.chunks"), nullptr);
-  EXPECT_GT(counters->Find("count.chunks")->number, 0);
+  ASSERT_NE(counters->Find("exec.chunks"), nullptr);
+  EXPECT_GT(counters->Find("exec.chunks")->number, 0);
 
   // Stage gauges: heuristic probes, ordering rounds, directionalize
   // quality.
   const JsonValue* gauges = doc.Find("gauges");
   for (const char* name :
        {"heuristic.max_degree", "heuristic.a_ratio", "ordering.rounds",
-        "directionalize.max_out_degree", "count.threads",
+        "directionalize.max_out_degree", "exec.team",
         "count.workspace_bytes"})
     ASSERT_NE(gauges->Find(name), nullptr) << name;
   EXPECT_DOUBLE_EQ(gauges->Find("directionalize.max_out_degree")->number,
@@ -223,17 +223,17 @@ TEST(RunReport, DriverRecordsCountTelemetry) {
 
   EXPECT_EQ(reg.Counter("count.roots"), 20u);
   EXPECT_GT(reg.Counter("count.recursion_calls"), 0u);
-  EXPECT_EQ(reg.Series("count.thread_busy_seconds").size(),
+  EXPECT_EQ(reg.Series("exec.worker_busy_seconds").size(),
             result.thread_busy_seconds.size());
 }
 
 TEST(RunReport, WriteAndImbalanceSummary) {
   TelemetryRegistry reg;
-  reg.SetSeries("count.thread_busy_seconds", {1.0, 0.5, 0.25});
+  reg.SetSeries("exec.worker_busy_seconds", {1.0, 0.5, 0.25});
   reg.AddCounter("count.roots", 10);
 
   const std::string summary = LoadImbalanceSummary(reg);
-  EXPECT_NE(summary.find("count.thread_busy_seconds"), std::string::npos);
+  EXPECT_NE(summary.find("exec.worker_busy_seconds"), std::string::npos);
   EXPECT_NE(summary.find("CoV"), std::string::npos);
   EXPECT_NE(summary.find("3 threads"), std::string::npos);
 

@@ -14,9 +14,11 @@ Checks conventions a compiler cannot see:
   include-guards   every header carries a PIVOTSCALE_*_H_ include guard
                    matching its path.
   atomic-writes    file-writing handles (std::ofstream, fopen with a write
-                   mode) are only allowed inside util/atomic_file.cc; all
-                   other writers must go through WriteFileAtomic so readers
-                   can never observe a truncated artifact.
+                   mode) in src/, examples/ and bench/ are only allowed
+                   inside util/atomic_file.cc; all other writers must go
+                   through WriteFileAtomic so readers can never observe a
+                   truncated file. tests/ is exempt: some tests write
+                   corrupt files on purpose.
   no-openmp        `#pragma omp`, an omp.h include and omp_* calls are
                    banned in src/, tests/, bench/ and examples/, with no
                    exemption: every parallel region runs on the exec
@@ -64,6 +66,7 @@ WRITE_HANDLE_RE = re.compile(
 # The one blessed write site (temp file + rename) and the module that owns
 # deliberately dynamic telemetry counter names.
 ATOMIC_WRITE_OWNER = "util/atomic_file.cc"
+ATOMIC_WRITE_SCOPE = ("src/", "examples/", "bench/")
 
 OMP_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\b")
 OMP_CALL_RE = re.compile(r"(?<![\w.:>])omp_\w+\s*\(")
@@ -199,7 +202,8 @@ def iter_findings_for_file(path):
         if in_src and NAKED_NEW_RE.search(line):
             yield (rel, lineno, "no-naked-new",
                    "naked new; use containers or make_unique/make_shared")
-        if (in_src and rel != f"src/{ATOMIC_WRITE_OWNER}"
+        if (rel.startswith(ATOMIC_WRITE_SCOPE)
+                and rel != f"src/{ATOMIC_WRITE_OWNER}"
                 and WRITE_HANDLE_RE.search(line)):
             yield (rel, lineno, "atomic-writes",
                    "file write outside util/atomic_file; "
