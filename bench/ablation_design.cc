@@ -11,7 +11,7 @@
 // Ablations 1 and 2 exit 1 when a count differs from the default single-k
 // run (for all-up-to-k, when any per_size[s], s <= k, differs from the
 // all-k run), and so does the all-size leaf histogram (a kAllK run's
-// per_size[k] and ComputeCliqueProfile's CountK(k)), so a small-scale run
+// per_size[k] and its profile's CountK(k)), so a small-scale run
 // (--scale 0.05) doubles as a CI exactness check of the early-termination,
 // closed-form tail and histogram rules. Those runs all share the
 // production kernels, so the default run is also checked against the
@@ -24,7 +24,6 @@
 #include "order/core_order.h"
 #include "pivot/count.h"
 #include "pivot/count_on.h"
-#include "pivot/profile.h"
 #include "sim/scaling_sim.h"
 #include "sim/work_trace.h"
 #include "util/table.h"
@@ -110,7 +109,7 @@ int main(int argc, char** argv) {
       std::cerr << "ALL-UP-TO-K MISMATCH on " << d.name << "\n";
       return 1;
     }
-    if (ComputeCliqueProfile(dag).CountK(k) != with_term.total) {
+    if (all_k.profile.CountK(k) != with_term.total) {
       std::cerr << "PROFILE MISMATCH on " << d.name << "\n";
       return 1;
     }

@@ -82,7 +82,7 @@ inline std::vector<NamedSpec> OrderingSweep() {
       {"approx(0.1)", {OrderingKind::kApproxCore, 0.1}},
       {"approx(50000)", {OrderingKind::kApproxCore, 50000}},
       {"kcore", {OrderingKind::kKCore}},
-      {"centrality", {OrderingKind::kCentrality, 0, 3}},
+      {"centrality", {OrderingKind::kCentrality}},
       {"degree", {OrderingKind::kDegree}},
   };
 }

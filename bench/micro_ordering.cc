@@ -50,7 +50,7 @@ BENCHMARK(BM_KCoreOrdering);
 void BM_CentralityOrdering(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        CentralityOrdering(BenchGraph(), 3).ranks.size());
+        CentralityOrdering(BenchGraph()).ranks.size());
 }
 BENCHMARK(BM_CentralityOrdering);
 

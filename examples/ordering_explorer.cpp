@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       {OrderingKind::kApproxCore, eps},
       {OrderingKind::kApproxCore, 0.1},
       {OrderingKind::kKCore},
-      {OrderingKind::kCentrality, 0, 3},
+      {OrderingKind::kCentrality},
       {OrderingKind::kDegree},
   };
 

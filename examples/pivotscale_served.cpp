@@ -28,6 +28,9 @@
 // and, with --port-file, written bare to that file (for scripts). The
 // TCP-only flags (--bind, --max-connections, --queue-depth, --workers,
 // --port-file) are validated in stdin mode too, but unused there.
+// --threads N caps every thread of the binary (the exec layer's thread
+// capacity), as in pivotscale_cli and pivotscale_prep; --workers is
+// clamped to it, and the "listening" line prints the workers that run.
 #include <unistd.h>
 
 #include <csignal>
@@ -36,6 +39,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exec/executor.h"
 #include "net/event_loop.h"
 #include "service/query_engine.h"
 #include "util/atomic_file.h"
@@ -93,6 +97,7 @@ int main(int argc, char** argv) {
     TelemetryRegistry telemetry;
 
     // Every flag is validated before anything is loaded, in both modes.
+    if (args.Has("threads")) SetThreadCapacity(args.GetThreads());
     NetServerOptions options;
     options.bind_address = args.GetString("bind", "127.0.0.1");
     options.port =
@@ -111,7 +116,6 @@ int main(int argc, char** argv) {
     QueryEngineOptions engine_options;
     engine_options.cache_byte_budget = static_cast<std::size_t>(
         args.GetIntInRange("cache-bytes", std::int64_t{1} << 30, 0));
-    engine_options.num_threads = args.GetThreads();
     engine_options.telemetry = options.telemetry;
     QueryEngine engine(engine_options);
 
@@ -136,7 +140,7 @@ int main(int argc, char** argv) {
       if (!port_file.empty())
         WriteFileAtomic(port_file, std::to_string(server.port()) + "\n");
       std::cout << "pivotscale_served: listening on " << options.bind_address
-                << ":" << server.port() << " (workers=" << options.workers
+                << ":" << server.port() << " (workers=" << server.workers()
                 << ", queue-depth=" << options.queue_depth << ")"
                 << std::endl;
 

@@ -11,8 +11,9 @@
 #      structure must match single-k on every suite graph at k = 3, 4, 5,
 #      8, and all-up-to-k every size up to k of all-k),
 #      scripts/cli_smokes.sh (the wide-path,
-#      clique-guard, demo-graph, flag-range and NodeId-max smokes of the
-#      shipped binaries, and the core-split check: the pivotscale_served
+#      clique-guard, demo-graph, flag-range, NodeId-max and served
+#      --threads smokes of the shipped binaries, and the core-split
+#      check: the pivotscale_served
 #      linked against pivotscale_core alone must hold no DenseSubgraph,
 #      SparseSubgraph, RemapSubgraph, PivotCounter<, ApproxCoreOrdering,
 #      PrepareDag, BuildArtifact, Directionalize, BuildGraph or

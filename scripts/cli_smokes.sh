@@ -20,6 +20,11 @@
 #   - re-sealed 2-cycle: a K4 artifact whose DAG gains the arc v -> u
 #     next to u -> v, with its crc64 recomputed, must make
 #     pivotscale_served answer an error, not a wrong count;
+#   - served --threads: it caps every thread of pivotscale_served, so
+#     --threads 1 --workers 2 over TCP must report workers=1 and a stdin
+#     batch must count on a team of 1 ("exec.team":1); a line of 30,000
+#     nested arrays must be answered with an error, over stdin and over
+#     TCP, and the next request still counted;
 #   - core split: pivotscale_served links pivotscale_core alone, so it
 #     must hold no paper structure, Pivoter recursion, ordering, pipeline
 #     prefix, artifact builder, DAG builder or edge-list loader symbol;
@@ -134,6 +139,53 @@ PY
 out="$(echo "{\"id\":1,\"graph\":\"${tmp}/k4.psx\",\"k\":3}" | "${served}")"
 grep -q '"ok":false,"error":".*dag row [0-9]* is not the graph neighbors' \
   <<<"${out}" || fail "re-sealed 2-cycle K4: served did not answer an error"
+
+echo "==> served --threads 1 (stdin: team of 1, deep nesting answered)"
+"${prep}" --graph "${k300}" --out "${tmp}/k300.psx" > /dev/null
+request="{\"id\":2,\"graph\":\"${tmp}/k300.psx\",\"k\":4}"
+deep="$(python3 -c "print('[' * 30000)")"
+out="$(printf '%s\n%s\n' "${deep}" "${request}" |
+       "${served}" --threads 1 --telemetry-json "${tmp}/threads1.json")"
+grep -q '"ok":false,"error":"ParseJson: nesting deeper than 64' \
+  <<<"${out}" || fail "stdin: the deep line was not answered with an error"
+grep -q '"id":2,"ok":true.*"count":"330791175"' <<<"${out}" ||
+  fail "stdin: the request after the deep line was not counted"
+grep -Eq '"exec.team":1[,}]' "${tmp}/threads1.json" ||
+  fail "stdin --threads 1: a counting run's team was not 1"
+
+echo "==> served --threads 1 --workers 2 (TCP: workers clamped, deep line)"
+"${served}" --threads 1 --workers 2 --port 0 > "${tmp}/served.log" &
+served_pid=$!
+trap 'kill -9 "${served_pid}" 2>/dev/null || true; rm -rf "${tmp}"' EXIT
+for _ in $(seq 1 100); do
+  grep -q 'listening' "${tmp}/served.log" && break
+  sleep 0.1
+done
+out="$(cat "${tmp}/served.log")"
+grep -q '(workers=1,' <<<"${out}" ||
+  fail "--threads 1 --workers 2: the listening line is not workers=1"
+port="$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\) .*/\1/p' <<<"${out}")"
+out="$(python3 - "${port}" "${deep}" "${request}" <<'PY'
+import socket, sys
+port, deep, request = sys.argv[1:]
+with socket.create_connection(("127.0.0.1", int(port)), timeout=30) as s:
+    s.sendall(f"{deep}\n{request}\n\n".encode())
+    data = b""
+    while data.count(b"\n") < 2:
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+print(data.decode(), end="")
+PY
+)"
+grep -q '"ok":false,"error":"ParseJson: nesting deeper than 64' \
+  <<<"${out}" || fail "TCP: the deep line was not answered with an error"
+grep -q '"id":2,"ok":true.*"count":"330791175"' <<<"${out}" ||
+  fail "TCP: the request after the deep line was not counted"
+kill -TERM "${served_pid}"
+wait "${served_pid}" || fail "served did not drain cleanly after SIGTERM"
+trap 'rm -rf "${tmp}"' EXIT
 
 echo "==> core split (pivotscale_served links only the reader and counting)"
 split_re='DenseSubgraph|SparseSubgraph|RemapSubgraph|PivotCounter<'

@@ -35,7 +35,6 @@ DensestSubgraphResult KCliqueDensestSubgraph(
     CountOptions options;
     options.k = k;
     options.per_vertex = true;
-    options.num_threads = config.num_threads;
     const CountResult counts = CountCliques(dag, options);
 
     const double density =

@@ -23,7 +23,6 @@ struct DensestSubgraphConfig {
   // trades approximation tightness for rounds (1 vertex/round is the
   // textbook scheme, far too slow for counting-based peeling).
   double peel_fraction = 0.1;
-  int num_threads = 0;
 };
 
 struct DensestSubgraphResult {

@@ -19,10 +19,15 @@ namespace pivotscale {
 
 namespace {
 
-int StratumOf(EdgeId out_degree, int max_strata) {
+// Out-degree strata are powers of two, the last one open-ended.
+constexpr int kStrata = 24;
+// At least this many samples per non-empty stratum.
+constexpr std::uint64_t kMinSamplesPerStratum = 8;
+
+int StratumOf(EdgeId out_degree) {
   int s = 0;
   EdgeId d = out_degree;
-  while (d > 0 && s < max_strata - 1) {
+  while (d > 0 && s < kStrata - 1) {
     d >>= 1;
     ++s;
   }
@@ -44,9 +49,9 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   const NodeId n = dag.NumNodes();
 
   // Partition roots into out-degree strata.
-  std::vector<std::vector<NodeId>> strata(config.max_strata);
+  std::vector<std::vector<NodeId>> strata(kStrata);
   for (NodeId v = 0; v < n; ++v)
-    strata[StratumOf(dag.Degree(v), config.max_strata)].push_back(v);
+    strata[StratumOf(dag.Degree(v))].push_back(v);
 
   // Choose per-stratum sample sets (partial Fisher-Yates prefix).
   Rng rng(config.seed);
@@ -55,15 +60,15 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
     int stratum;
   };
   std::vector<Sample> samples;
-  std::vector<std::uint64_t> stratum_size(config.max_strata, 0);
-  std::vector<std::uint64_t> stratum_samples(config.max_strata, 0);
-  for (int s = 0; s < config.max_strata; ++s) {
+  std::vector<std::uint64_t> stratum_size(kStrata, 0);
+  std::vector<std::uint64_t> stratum_samples(kStrata, 0);
+  for (int s = 0; s < kStrata; ++s) {
     auto& roots = strata[s];
     stratum_size[s] = roots.size();
     if (roots.empty()) continue;
     std::uint64_t m = static_cast<std::uint64_t>(
         std::ceil(config.sample_fraction * static_cast<double>(roots.size())));
-    m = std::max<std::uint64_t>(m, config.min_samples_per_stratum);
+    m = std::max(m, kMinSamplesPerStratum);
     m = std::min<std::uint64_t>(m, roots.size());
     stratum_samples[s] = m;
     for (std::uint64_t i = 0; i < m; ++i) {
@@ -79,7 +84,6 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   using Counter = PivotCounter<RemapSubgraph, NoStats, SingleKPolicy>;
   std::vector<double> counts(samples.size(), 0.0);
   ExecOptions exec_options;
-  exec_options.num_threads = config.num_threads;
   exec_options.grain = 16;
   exec_options.cost = [&](std::size_t i) {
     const auto d =
@@ -106,13 +110,13 @@ ApproxCountResult ApproxCountKCliques(const Graph& dag, std::uint32_t k,
   ApproxCountResult result;
   result.roots_total = n;
   double estimate = 0, variance = 0;
-  std::vector<double> stratum_sum(config.max_strata, 0.0);
-  std::vector<double> stratum_sum_sq(config.max_strata, 0.0);
+  std::vector<double> stratum_sum(kStrata, 0.0);
+  std::vector<double> stratum_sum_sq(kStrata, 0.0);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     stratum_sum[samples[i].stratum] += counts[i];
     stratum_sum_sq[samples[i].stratum] += counts[i] * counts[i];
   }
-  for (int s = 0; s < config.max_strata; ++s) {
+  for (int s = 0; s < kStrata; ++s) {
     const double m = static_cast<double>(stratum_samples[s]);
     const double N = static_cast<double>(stratum_size[s]);
     if (m == 0) continue;
@@ -167,7 +171,6 @@ ApproxCountResult ColorSamplingCount(const Graph& g, std::uint32_t k,
         Directionalize(sparse, DegreeOrdering(sparse).ranks);
     CountOptions options;
     options.k = k;
-    options.num_threads = config.num_threads;
     const BigCount mono = CountCliques(dag, options).total;
     estimates.push_back(ToDouble(mono.value()) * ToDouble(scale));
   }

@@ -21,12 +21,7 @@ struct ApproxCountConfig {
   // Fraction of roots counted exactly, in (0, 1]. 1.0 degenerates to the
   // exact count.
   double sample_fraction = 0.05;
-  // At least this many samples per non-empty stratum.
-  std::uint32_t min_samples_per_stratum = 8;
-  // Out-degree strata boundaries are powers of two up to this many strata.
-  int max_strata = 24;
   std::uint64_t seed = 1;
-  int num_threads = 0;
 };
 
 struct ApproxCountResult {
@@ -55,7 +50,6 @@ struct ColorSamplingConfig {
   std::uint32_t colors = 4;
   int repeats = 5;
   std::uint64_t seed = 1;
-  int num_threads = 0;
 };
 
 // Takes the *undirected* graph (sparsification changes the DAG).

@@ -111,7 +111,6 @@ EnumerationResult CountCliquesEnumeration(const Graph& dag,
 
   BigCount total{};
   ExecOptions exec_options;
-  exec_options.num_threads = options.num_threads;
   exec_options.grain = 64;
   exec_options.cost = [&dag](std::size_t v) {
     return static_cast<double>(dag.Degree(static_cast<NodeId>(v)) + 1);

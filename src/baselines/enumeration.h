@@ -19,7 +19,6 @@ namespace pivotscale {
 
 struct EnumerationOptions {
   std::uint32_t k = 8;
-  int num_threads = 0;             // 0 = every free thread
   double time_budget_seconds = 0;  // 0 = unlimited
 };
 

@@ -134,8 +134,7 @@ class GpuPivotWorker {
 }  // namespace
 
 GpuPivotModelResult CountCliquesGpuPivotModel(const Graph& dag,
-                                              std::uint32_t k,
-                                              int num_threads) {
+                                              std::uint32_t k) {
   if (dag.undirected())
     throw std::invalid_argument(
         "CountCliquesGpuPivotModel: expected a directionalized DAG");
@@ -158,7 +157,6 @@ GpuPivotModelResult CountCliquesGpuPivotModel(const Graph& dag,
   GpuPivotModelResult result;
   BigCount total{};
   ExecOptions exec_options;
-  exec_options.num_threads = num_threads;
   exec_options.grain = 64;
   exec_options.cost = [&dag](std::size_t v) {
     return static_cast<double>(dag.Degree(static_cast<NodeId>(v)) + 1);

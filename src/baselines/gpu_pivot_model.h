@@ -30,8 +30,7 @@ struct GpuPivotModelResult {
 // Counts k-cliques on a directionalized DAG with the bit-matrix
 // rebuild-per-level pivoting recursion.
 GpuPivotModelResult CountCliquesGpuPivotModel(const Graph& dag,
-                                              std::uint32_t k,
-                                              int num_threads = 0);
+                                              std::uint32_t k);
 
 }  // namespace pivotscale
 

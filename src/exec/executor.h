@@ -130,7 +130,7 @@ std::size_t PoolHelpers();
 // exec_detail::Team for the grant rule). Starts at
 // exec_detail::DefaultThreadCapacity().
 int ThreadCapacity();
-// Re-caps it (pivotscale_prep's --threads; tests). Must be >= 1. Applies
+// Re-caps it (every binary's --threads; tests). Must be >= 1. Applies
 // to regions that claim their team after the call.
 void SetThreadCapacity(int capacity);
 

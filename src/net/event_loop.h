@@ -66,6 +66,9 @@ class NetServer {
   // on socket failures. After Start(), port() returns the bound port.
   void Start();
   std::uint16_t port() const { return port_; }
+  // Worker threads the pool runs (NetServerOptions::workers after the
+  // clamp to the thread capacity). Valid after Start().
+  int workers() const { return pool_->workers(); }
 
   // Runs the event loop on the calling thread until a drain completes.
   void Run();

@@ -105,6 +105,9 @@ class WorkerPool {
   // Deepest the queue ever got (ops / tests).
   std::size_t queue_high_water() const;
 
+  // Worker threads running: options.workers after the capacity clamp.
+  int workers() const { return options_.workers; }
+
  private:
   void WorkerMain();
 

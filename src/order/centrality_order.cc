@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "exec/executor.h"
 
 namespace pivotscale {
 
-Ordering CentralityOrdering(const Graph& g, int iterations) {
-  if (iterations < 1)
-    throw std::invalid_argument("CentralityOrdering: iterations < 1");
+constexpr int kIterations = 3;
+
+Ordering CentralityOrdering(const Graph& g) {
   const NodeId n = g.NumNodes();
   std::vector<double> score(n, 1.0), next(n, 0.0);
 
-  for (int it = 0; it < iterations; ++it) {
+  for (int it = 0; it < kIterations; ++it) {
     ExecOptions sum_options;
     sum_options.grain = 1024;
     const double max_score = ParallelReduce(
@@ -45,8 +44,7 @@ Ordering CentralityOrdering(const Graph& g, int iterations) {
               std::min<std::uint64_t>(g.Degree(u),
                                       (std::uint64_t{1} << 24) - 1);
   });
-  return {"centrality(iters=" + std::to_string(iterations) + ")",
-          RanksFromKeys(keys), iterations};
+  return {"centrality(iters=3)", RanksFromKeys(keys), kIterations};
 }
 
 }  // namespace pivotscale

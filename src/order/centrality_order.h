@@ -5,7 +5,7 @@
 // and importance can be approximated fast. A few unnormalized power
 // iterations of eigenvector centrality — each just sums neighbor scores —
 // rank "important" vertices last, producing a maximum out-degree between
-// core's and degree's with only `iterations` parallel passes.
+// core's and degree's with only three parallel passes.
 #ifndef PIVOTSCALE_ORDER_CENTRALITY_ORDER_H_
 #define PIVOTSCALE_ORDER_CENTRALITY_ORDER_H_
 
@@ -14,10 +14,11 @@
 
 namespace pivotscale {
 
-// `iterations` power iterations (the paper uses 3). Scores are rescaled by
-// the maximum each iteration purely to avoid floating-point overflow; no
-// PageRank-style normalization is needed.
-Ordering CentralityOrdering(const Graph& g, int iterations = 3);
+// Three power iterations, as in the paper; the ordering is named
+// "centrality(iters=3)". Scores are rescaled by the maximum each iteration
+// purely to avoid floating-point overflow; no PageRank-style normalization
+// is needed.
+Ordering CentralityOrdering(const Graph& g);
 
 }  // namespace pivotscale
 

@@ -50,7 +50,7 @@ Ordering ComputeOrdering(const Graph& g, const OrderingSpec& spec,
       case OrderingKind::kKCore:
         return KCoreOrdering(g);
       case OrderingKind::kCentrality:
-        return CentralityOrdering(g, spec.iterations);
+        return CentralityOrdering(g);
     }
     throw std::invalid_argument("ComputeOrdering: unknown kind");
   }();
@@ -70,7 +70,7 @@ std::string OrderingSpecName(const OrderingSpec& spec) {
     case OrderingKind::kKCore:
       return "kcore";
     case OrderingKind::kCentrality:
-      return "centrality(iters=" + std::to_string(spec.iterations) + ")";
+      return "centrality(iters=3)";
   }
   return "unknown";
 }
@@ -79,7 +79,7 @@ OrderingSpec ParseOrderingSpec(const std::string& name, double eps) {
   if (name == "core") return {OrderingKind::kCore};
   if (name == "approx") return {OrderingKind::kApproxCore, eps};
   if (name == "kcore") return {OrderingKind::kKCore};
-  if (name == "centrality") return {OrderingKind::kCentrality, 0, 3};
+  if (name == "centrality") return {OrderingKind::kCentrality};
   if (name == "degree") return {OrderingKind::kDegree};
   throw std::runtime_error("unknown --ordering: " + name);
 }

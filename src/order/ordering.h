@@ -47,12 +47,10 @@ enum class OrderingKind {
   kCentrality,  // eigenvector-centrality ordering (Section III-C)
 };
 
-// Parameters for ComputeOrdering; epsilon only applies to kApproxCore and
-// iterations only to kCentrality.
+// Parameters for ComputeOrdering; epsilon only applies to kApproxCore.
 struct OrderingSpec {
   OrderingKind kind = OrderingKind::kCore;
   double epsilon = -0.5;
-  int iterations = 3;
 };
 
 // Dispatches to the matching implementation. Convenient for benches that
@@ -65,7 +63,7 @@ Ordering ComputeOrdering(const Graph& g, const OrderingSpec& spec,
 std::string OrderingSpecName(const OrderingSpec& spec);
 
 // Parses a command-line --ordering name: "core", "approx" (carries `eps`),
-// "kcore", "centrality" (3 iterations) or "degree". Throws
+// "kcore", "centrality" or "degree". Throws
 // std::runtime_error naming any other value.
 OrderingSpec ParseOrderingSpec(const std::string& name, double eps);
 

@@ -18,7 +18,6 @@ HybridResult CountKCliquesHybrid(const Graph& g, std::uint32_t k,
     PivotScaleOptions options;
     options.k = k;
     options.heuristic = config.heuristic;
-    options.count.num_threads = config.num_threads;
     const PivotScaleResult ps = CountKCliques(g, options);
     result.total = ps.total;
     result.strategy = "pivotscale(" + ps.ordering_name + ")";
@@ -29,7 +28,6 @@ HybridResult CountKCliquesHybrid(const Graph& g, std::uint32_t k,
     const Graph dag = Directionalize(g, core.ranks);
     EnumerationOptions options;
     options.k = k;
-    options.num_threads = config.num_threads;
     result.total = CountCliquesEnumeration(dag, options).total;
     result.strategy = "enumeration(core)";
   }

@@ -21,7 +21,6 @@ struct HybridConfig {
   std::uint32_t pivot_threshold = 8;
   // Heuristic thresholds for the pivoting path's ordering selection.
   HeuristicConfig heuristic;
-  int num_threads = 0;
 };
 
 struct HybridResult {

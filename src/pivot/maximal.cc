@@ -141,7 +141,7 @@ class BkWorker {
 
 }  // namespace
 
-MaximalCliqueStats CountMaximalCliques(const Graph& g, int num_threads) {
+MaximalCliqueStats CountMaximalCliques(const Graph& g) {
   Timer timer;
   const Ordering core = CoreOrdering(g);
   const NodeId n = g.NumNodes();
@@ -161,7 +161,6 @@ MaximalCliqueStats CountMaximalCliques(const Graph& g, int num_threads) {
   };
 
   ExecOptions exec_options;
-  exec_options.num_threads = num_threads;
   exec_options.cost = [&g](std::size_t v) {
     return static_cast<double>(g.Degree(static_cast<NodeId>(v)) + 1);
   };

@@ -29,7 +29,7 @@ struct MaximalCliqueStats {
 
 // Counts all maximal cliques of the undirected graph. Parallel over roots.
 // Isolated vertices count as maximal 1-cliques.
-MaximalCliqueStats CountMaximalCliques(const Graph& g, int num_threads = 0);
+MaximalCliqueStats CountMaximalCliques(const Graph& g);
 
 // Calls `fn` once per maximal clique with its (unsorted) member list.
 // Sequential — intended for listing/percolation workloads where the

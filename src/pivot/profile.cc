@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "pivot/count.h"
 #include "util/binomial.h"
 
 namespace pivotscale {
@@ -50,13 +49,6 @@ std::uint64_t CliqueProfile::TotalLeaves() const {
   std::uint64_t total = 0;
   for (const std::uint64_t leaves : cells_) total += leaves;
   return total;
-}
-
-CliqueProfile ComputeCliqueProfile(const Graph& dag, int num_threads) {
-  CountOptions options;
-  options.mode = CountMode::kAllK;
-  options.num_threads = num_threads;
-  return CountCliques(dag, options).profile;
 }
 
 }  // namespace pivotscale

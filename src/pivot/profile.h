@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/graph.h"
 #include "util/check.h"
 #include "util/uint128.h"
 
@@ -72,11 +71,6 @@ class CliqueProfile {
   std::uint32_t rows_ = 0;  // one past the largest s added
   std::vector<std::uint64_t> cells_;
 };
-
-// The profile of every clique of the DAG: result.profile of a kAllK
-// CountCliques run on the production path. Throws std::invalid_argument on
-// an undirected graph.
-CliqueProfile ComputeCliqueProfile(const Graph& dag, int num_threads = 0);
 
 }  // namespace pivotscale
 

@@ -154,7 +154,6 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     CountOptions copts;
     copts.k = std::max(need_k, 1u);
     copts.mode = need_all_k ? CountMode::kAllK : CountMode::kAllUpToK;
-    copts.num_threads = options_.num_threads;
     copts.telemetry = telemetry;
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");
     const CountResult counted = CountCliques(entry->artifact.dag, copts);
@@ -173,7 +172,6 @@ void QueryEngine::ServeGroup(const std::shared_ptr<Entry>& entry,
     copts.k = q.k;
     copts.mode = CountMode::kSingleK;
     copts.per_vertex = true;
-    copts.num_threads = options_.num_threads;
     copts.telemetry = telemetry;
     TelemetryRegistry::ScopedSpan count_span(telemetry, "service.count");
     CountResult counted = CountCliques(entry->artifact.dag, copts);

@@ -102,10 +102,6 @@ struct ServiceResult {
 struct QueryEngineOptions {
   // Cache byte budget over GraphArtifact::HeapBytes() of resident entries.
   std::size_t cache_byte_budget = std::size_t{1} << 30;
-  // Requested threads per counting run; 0 = whole machine. The realized
-  // team per run is whatever the exec layer grants (at least 1), so
-  // concurrent runs divide the machine instead of oversubscribing it.
-  int num_threads = 0;
   // Not owned; must outlive the engine.
   TelemetryRegistry* telemetry = nullptr;
 };

@@ -160,12 +160,17 @@ std::string JsonWriter::str() const {
 
 namespace {
 
+// Deepest array/object nesting ParseJson accepts. The parser recurses once
+// per level, and it reads lines from network clients, so an unbounded
+// depth would let one line overflow the stack. Run reports nest 3 deep.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue Parse() {
-    JsonValue v = ParseValue();
+    JsonValue v = ParseValue(0);
     SkipWhitespace();
     if (pos_ != text_.size()) Fail("trailing characters after document");
     return v;
@@ -202,15 +207,17 @@ class Parser {
     return false;
   }
 
-  JsonValue ParseValue() {
+  // `depth` counts the arrays and objects that enclose the value.
+  JsonValue ParseValue(int depth) {
     SkipWhitespace();
     const char c = Peek();
     JsonValue v;
     switch (c) {
       case '{':
-        return ParseObject();
       case '[':
-        return ParseArray();
+        if (depth == kMaxDepth)
+          Fail("nesting deeper than " + std::to_string(kMaxDepth));
+        return c == '{' ? ParseObject(depth + 1) : ParseArray(depth + 1);
       case '"':
         v.type = JsonValue::Type::kString;
         v.string_value = ParseString();
@@ -234,7 +241,7 @@ class Parser {
     }
   }
 
-  JsonValue ParseObject() {
+  JsonValue ParseObject(int depth) {
     Expect('{');
     JsonValue v;
     v.type = JsonValue::Type::kObject;
@@ -248,7 +255,7 @@ class Parser {
       std::string key = ParseString();
       SkipWhitespace();
       Expect(':');
-      v.object.emplace(std::move(key), ParseValue());
+      v.object.emplace(std::move(key), ParseValue(depth));
       SkipWhitespace();
       const char c = Peek();
       ++pos_;
@@ -257,7 +264,7 @@ class Parser {
     }
   }
 
-  JsonValue ParseArray() {
+  JsonValue ParseArray(int depth) {
     Expect('[');
     JsonValue v;
     v.type = JsonValue::Type::kArray;
@@ -267,7 +274,7 @@ class Parser {
       return v;
     }
     while (true) {
-      v.array.push_back(ParseValue());
+      v.array.push_back(ParseValue(depth));
       SkipWhitespace();
       const char c = Peek();
       ++pos_;

@@ -20,7 +20,7 @@ namespace pivotscale {
 //   JsonWriter w;
 //   w.BeginObject();
 //   w.Key("total"); w.Value(std::uint64_t{42});
-//   w.Key("spans"); w.BeginArray(); ... w.EndArray();
+//   w.Key("values"); w.BeginArray(); ... w.EndArray();
 //   w.EndObject();
 //   std::string doc = w.str();
 // Nesting is tracked; mismatched Begin/End or a Key outside an object
@@ -83,7 +83,8 @@ struct JsonValue {
 };
 
 // Parses a complete JSON document. Throws std::runtime_error (with a byte
-// offset) on malformed input or trailing garbage.
+// offset) on malformed input, trailing garbage, or arrays and objects
+// nested more than 64 deep.
 JsonValue ParseJson(const std::string& text);
 
 }  // namespace pivotscale

@@ -25,7 +25,9 @@ void TelemetryRegistry::SetGauge(const std::string& name, double value) {
 
 void TelemetryRegistry::RecordSpan(const std::string& name, double seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
-  data_.spans.push_back({name, seconds});
+  TelemetrySpan& span = data_.spans[name];
+  ++span.count;
+  span.seconds += seconds;
 }
 
 void TelemetryRegistry::SetSeries(const std::string& name,
@@ -48,10 +50,8 @@ double TelemetryRegistry::Gauge(const std::string& name) const {
 
 double TelemetryRegistry::SpanSeconds(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  double total = 0;
-  for (const TelemetrySpan& span : data_.spans)
-    if (span.name == name) total += span.seconds;
-  return total;
+  const auto it = data_.spans.find(name);
+  return it == data_.spans.end() ? 0 : it->second.seconds;
 }
 
 std::vector<double> TelemetryRegistry::Series(const std::string& name) const {
@@ -62,8 +62,7 @@ std::vector<double> TelemetryRegistry::Series(const std::string& name) const {
 
 bool TelemetryRegistry::HasSpan(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(data_.spans.begin(), data_.spans.end(),
-                     [&](const TelemetrySpan& s) { return s.name == name; });
+  return data_.spans.count(name) != 0;
 }
 
 TelemetrySnapshot TelemetryRegistry::Snapshot() const {
@@ -83,7 +82,7 @@ std::string RunReportJson(const TelemetryRegistry& registry) {
   w.Key("schema");
   w.Value("pivotscale.run_report");
   w.Key("version");
-  w.Value(std::uint64_t{1});
+  w.Value(std::uint64_t{2});
 
   w.Key("counters");
   w.BeginObject();
@@ -102,16 +101,17 @@ std::string RunReportJson(const TelemetryRegistry& registry) {
   w.EndObject();
 
   w.Key("spans");
-  w.BeginArray();
-  for (const TelemetrySpan& span : snap.spans) {
+  w.BeginObject();
+  for (const auto& [name, span] : snap.spans) {
+    w.Key(name);
     w.BeginObject();
-    w.Key("name");
-    w.Value(span.name);
+    w.Key("count");
+    w.Value(span.count);
     w.Key("seconds");
     w.Value(span.seconds);
     w.EndObject();
   }
-  w.EndArray();
+  w.EndObject();
 
   w.Key("series");
   w.BeginObject();

@@ -6,7 +6,7 @@
 // stage records into one TelemetryRegistry:
 //   counters  -- accumulating u64 totals (recursion calls, edge ops, ...)
 //   gauges    -- last-write doubles (max out-degree, probe ratios, ...)
-//   spans     -- ordered (name, wall seconds) phase records
+//   spans     -- per-name phase records: how many, total wall seconds
 //   series    -- named per-thread vectors (busy seconds, chunk counts)
 // A RunReport serializes the whole registry to one stable JSON document
 // (see docs/api_tour.md "Telemetry" for the schema) plus an ASCII
@@ -29,11 +29,12 @@
 
 namespace pivotscale {
 
-// One recorded phase: wall seconds under a stable name. Spans keep record
-// order (the pipeline's phase sequence), and names may repeat.
+// Every span recorded under one name, folded into one record, so a
+// long-running server that records a span per batch holds one record per
+// name, not one per call.
 struct TelemetrySpan {
-  std::string name;
-  double seconds = 0;
+  std::uint64_t count = 0;  // spans recorded
+  double seconds = 0;       // their total wall seconds
 };
 
 // A point-in-time copy of everything a registry holds; the unit RunReport
@@ -41,7 +42,7 @@ struct TelemetrySpan {
 struct TelemetrySnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::vector<TelemetrySpan> spans;
+  std::map<std::string, TelemetrySpan> spans;
   std::map<std::string, std::vector<double>> series;
 };
 
@@ -57,7 +58,7 @@ class TelemetryRegistry {
   // Sets the named gauge (last write wins).
   void SetGauge(const std::string& name, double value);
 
-  // Appends a phase span. Spans preserve record order.
+  // Folds one phase span into the record of its name.
   void RecordSpan(const std::string& name, double seconds);
 
   // Replaces the named series (e.g. one slot per thread).
@@ -103,12 +104,12 @@ class TelemetryRegistry {
 };
 
 // Serializes a registry snapshot as one JSON document:
-//   {"schema": "pivotscale.run_report", "version": 1,
+//   {"schema": "pivotscale.run_report", "version": 2,
 //    "counters": {...}, "gauges": {...},
-//    "spans": [{"name": ..., "seconds": ...}, ...],
+//    "spans": {name: {"count": ..., "seconds": ...}, ...},
 //    "series": {...}}
-// Key order inside counters/gauges/series is lexicographic (std::map), so
-// the output is byte-stable for identical registries.
+// Key order inside counters/gauges/spans/series is lexicographic
+// (std::map), so the output is byte-stable for identical registries.
 std::string RunReportJson(const TelemetryRegistry& registry);
 
 // ASCII summary of every per-worker busy-time series (names ending in

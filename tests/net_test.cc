@@ -359,8 +359,10 @@ TEST_F(NetTest, ServeStreamFramesParsesAndFlushesLikeServeNetBatch) {
   for (const std::string& line : first) input += line + "\n";
   input += "\n" + last;
 
-  QueryEngine engine;
   TelemetryRegistry telemetry;
+  QueryEngineOptions engine_options;
+  engine_options.telemetry = &telemetry;
+  QueryEngine engine(engine_options);
   std::istringstream in(input);
   std::ostringstream out;
   ServeStream(in, out, engine, kMaxLineBytes, &telemetry);
@@ -384,6 +386,12 @@ TEST_F(NetTest, ServeStreamFramesParsesAndFlushesLikeServeNetBatch) {
   EXPECT_EQ(eof.Find("count")->string_value, Standalone(5).ToString());
   EXPECT_EQ(telemetry.Counter("net.batches"), 2u);
   EXPECT_EQ(telemetry.Counter("net.timed_out"), 1u);
+  // Each span name holds one record however many batches ran.
+  const TelemetrySnapshot snap = telemetry.Snapshot();
+  for (const char* name : {"net.batch", "service.batch"}) {
+    ASSERT_EQ(snap.spans.count(name), 1u) << name;
+    EXPECT_EQ(snap.spans.at(name).count, 2u) << name;
+  }
 
   // The same lines handed straight to ServeNetBatch, batch by batch, on a
   // fresh engine: the stream adds framing and batching, nothing else.
@@ -518,6 +526,28 @@ TEST_F(NetTest, ServeStreamCountsUnderAFarFutureDeadline) {
   const JsonValue served = ParseJson(lines[0]);
   EXPECT_TRUE(served.Find("ok")->bool_value) << lines[0];
   EXPECT_EQ(served.Find("count")->string_value, Standalone(4).ToString());
+}
+
+TEST_F(NetTest, ServeStreamAnswersDeepNestingWithAnErrorAndGoesOn) {
+  // 100,000 nested arrays would overflow a parser that recursed without a
+  // limit; the line must get a parse error and the next request its count.
+  std::istringstream in(std::string(100000, '[') +
+                        "\n{\"id\":2,\"graph\":\"" + artifact_path_ +
+                        "\",\"k\":4}\n");
+  std::ostringstream out;
+  QueryEngine engine;
+  ServeStream(in, out, engine, ReadLineFramer::kDefaultMaxLineBytes,
+              nullptr);
+  const std::vector<std::string> lines = SplitLines(out.str());
+  ASSERT_EQ(lines.size(), 2u);
+  const JsonValue deep = ParseJson(lines[0]);
+  EXPECT_FALSE(deep.Find("ok")->bool_value);
+  EXPECT_NE(deep.Find("error")->string_value.find("nesting deeper than 64"),
+            std::string::npos)
+      << lines[0];
+  const JsonValue next = ParseJson(lines[1]);
+  EXPECT_TRUE(next.Find("ok")->bool_value) << lines[1];
+  EXPECT_EQ(next.Find("count")->string_value, Standalone(4).ToString());
 }
 
 TEST(ServeStream, EmptyInputAndBlankLinesWriteNothing) {

@@ -96,7 +96,7 @@ TEST(Orderings, AllProducePermutations) {
          {OrderingKind::kDegree, OrderingKind::kCore,
           OrderingKind::kApproxCore, OrderingKind::kKCore,
           OrderingKind::kCentrality}) {
-      const Ordering o = ComputeOrdering(g, {kind, -0.5, 3});
+      const Ordering o = ComputeOrdering(g, {kind, -0.5});
       EXPECT_EQ(o.ranks.size(), g.NumNodes());
       EXPECT_TRUE(IsPermutation(o.ranks)) << o.name;
     }
@@ -120,7 +120,7 @@ TEST(Orderings, RoundsFieldIsTheRoundsGauge) {
   };
   for (const auto& [kind, rounds] : expected) {
     TelemetryRegistry telemetry;
-    const Ordering o = ComputeOrdering(g, {kind, -0.5, 3}, &telemetry);
+    const Ordering o = ComputeOrdering(g, {kind, -0.5}, &telemetry);
     EXPECT_EQ(telemetry.Gauge("ordering.rounds"), o.rounds) << o.name;
     if (rounds == 0) {
       EXPECT_GT(o.rounds, 1) << o.name;
@@ -136,7 +136,7 @@ TEST(ParseOrderingSpec, MapsEveryNameAndRejectsOthers) {
   EXPECT_EQ(ParseOrderingSpec("kcore", 0.3).kind, OrderingKind::kKCore);
   const OrderingSpec centrality = ParseOrderingSpec("centrality", 0.3);
   EXPECT_EQ(centrality.kind, OrderingKind::kCentrality);
-  EXPECT_EQ(centrality.iterations, 3);
+  EXPECT_EQ(OrderingSpecName(centrality), "centrality(iters=3)");
   const OrderingSpec approx = ParseOrderingSpec("approx", 0.3);
   EXPECT_EQ(approx.kind, OrderingKind::kApproxCore);
   EXPECT_DOUBLE_EQ(approx.epsilon, 0.3);
@@ -231,7 +231,7 @@ TEST(CoreOrdering, NoOrderingBeatsDegeneracy) {
     for (auto kind : {OrderingKind::kDegree, OrderingKind::kApproxCore,
                       OrderingKind::kKCore, OrderingKind::kCentrality}) {
       const Graph dag =
-          Directionalize(g, ComputeOrdering(g, {kind, -0.5, 3}).ranks);
+          Directionalize(g, ComputeOrdering(g, {kind, -0.5}).ranks);
       EXPECT_GE(MaxOutDegree(dag), degeneracy)
           << OrderingSpecName({kind});
     }
@@ -323,13 +323,10 @@ TEST(KCore, MaxCorenessEqualsDegeneracy) {
 
 TEST(Centrality, HubRankedLast) {
   const Graph g = BuildGraph(StarGraph(20));
-  const Ordering o = CentralityOrdering(g, 3);
+  const Ordering o = CentralityOrdering(g);
   EXPECT_EQ(o.ranks[0], g.NumNodes() - 1);
-}
-
-TEST(Centrality, ValidatesIterations) {
-  const Graph g = BuildGraph(PathGraph(5));
-  EXPECT_THROW(CentralityOrdering(g, 0), std::invalid_argument);
+  EXPECT_EQ(o.name, "centrality(iters=3)");
+  EXPECT_EQ(o.rounds, 3);
 }
 
 TEST(Centrality, QualityBetweenCoreAndDegreeOnSocialGraph) {
@@ -339,7 +336,7 @@ TEST(Centrality, QualityBetweenCoreAndDegreeOnSocialGraph) {
   PlantCliques(&edges, 1024, 6, 6, 14, 18);
   const Graph g = BuildGraph(std::move(edges));
   const EdgeId centrality_quality = MaxOutDegree(
-      Directionalize(g, CentralityOrdering(g, 3).ranks));
+      Directionalize(g, CentralityOrdering(g).ranks));
   const EdgeId degree_quality =
       MaxOutDegree(Directionalize(g, DegreeOrdering(g).ranks));
   EXPECT_LE(centrality_quality, degree_quality * 2);

@@ -639,7 +639,7 @@ TEST(Pipeline, ForcedOrderingsAllAgree) {
         OrderingKind::kKCore, OrderingKind::kCentrality}) {
     PivotScaleOptions options;
     options.k = 5;
-    options.forced_ordering = OrderingSpec{kind, -0.5, 3};
+    options.forced_ordering = OrderingSpec{kind, -0.5};
     const PivotScaleResult result = CountKCliques(g, options);
     if (first) {
       reference = result.total;

@@ -17,6 +17,13 @@ namespace {
 using testing_helpers::BruteForceCount;
 using testing_helpers::MakeDag;
 
+// The profile of every clique of the DAG: a kAllK run's leaf histogram.
+CliqueProfile AllKProfile(const Graph& dag) {
+  CountOptions options;
+  options.mode = CountMode::kAllK;
+  return CountCliques(dag, options).profile;
+}
+
 // ---------------------------------------------------------------- profile
 
 TEST(CliqueProfile, MatchesAllKOnRandomGraphs) {
@@ -29,7 +36,7 @@ TEST(CliqueProfile, MatchesAllKOnRandomGraphs) {
     const Graph g = BuildGraph(std::move(edges));
     const Graph dag = MakeDag(g, OrderingKind::kCore);
 
-    const CliqueProfile profile = ComputeCliqueProfile(dag);
+    const CliqueProfile profile = AllKProfile(dag);
     const std::uint32_t omega = profile.MaxCliqueSize();
     ASSERT_GE(omega, 6u) << "seed=" << seed;
     const auto sizes = profile.PerSize(omega + 1);
@@ -47,7 +54,7 @@ TEST(CliqueProfile, CompleteGraphDigest) {
   // and np = out-degree, so the histogram is hist[1][d] = 1 for d = 0..n-1.
   const Graph g = BuildGraph(CompleteGraph(10));
   const Graph dag = MakeDag(g, OrderingKind::kDegree);
-  const CliqueProfile profile = ComputeCliqueProfile(dag);
+  const CliqueProfile profile = AllKProfile(dag);
   EXPECT_EQ(profile.TotalLeaves(), 10u);
   EXPECT_EQ(profile.MaxCliqueSize(), 10u);
   EXPECT_EQ(profile.CountK(5).value(), BinomialChoose(10, 5));
@@ -60,7 +67,7 @@ TEST(CliqueProfile, AnswersManyKWithoutRecount) {
   PlantCliques(&edges, 512, 3, 8, 14, 8);
   const Graph g = BuildGraph(std::move(edges));
   const Graph dag = MakeDag(g, OrderingKind::kCore);
-  const CliqueProfile profile = ComputeCliqueProfile(dag);
+  const CliqueProfile profile = AllKProfile(dag);
   for (std::uint32_t k = 1; k <= profile.MaxCliqueSize(); ++k) {
     CountOptions options;
     options.k = k;
@@ -72,7 +79,7 @@ TEST(CliqueProfile, AnswersManyKWithoutRecount) {
 
 TEST(CliqueProfile, RejectsUndirected) {
   const Graph g = BuildGraph(CompleteGraph(4));
-  EXPECT_THROW(ComputeCliqueProfile(g), std::invalid_argument);
+  EXPECT_THROW(AllKProfile(g), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- color sampling

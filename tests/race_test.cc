@@ -148,7 +148,6 @@ TEST_F(EngineRaceTest, MixedKBatchesUnderEvictionPressureStayCorrect) {
   TelemetryRegistry telemetry;
   QueryEngineOptions options;
   options.cache_byte_budget = BuildArtifact(graphs_[0]).HeapBytes() + 1024;
-  options.num_threads = 2;
   options.telemetry = &telemetry;
   QueryEngine engine(options);
 
@@ -229,9 +228,7 @@ TEST(RaceTest, WorkerPoolShedsAndDrainsWithExactAccounting) {
   WriteArtifact(artifact.path(), BuildArtifact(g));
   const BigCount truth = CountKCliquesSimple(g, 4);
 
-  QueryEngineOptions engine_options;
-  engine_options.num_threads = 1;
-  QueryEngine engine(engine_options);
+  QueryEngine engine;
   engine.Preload(artifact.path());
 
   std::mutex completions_mutex;

@@ -95,7 +95,7 @@ TEST(TelemetryRegistry, CountersAccumulateGaugesOverwrite) {
   EXPECT_DOUBLE_EQ(reg.Gauge("missing"), 0.0);
 }
 
-TEST(TelemetryRegistry, SpansKeepOrderAndSum) {
+TEST(TelemetryRegistry, SpansFoldIntoOneRecordPerName) {
   TelemetryRegistry reg;
   reg.RecordSpan("a", 1.0);
   reg.RecordSpan("b", 2.0);
@@ -103,11 +103,16 @@ TEST(TelemetryRegistry, SpansKeepOrderAndSum) {
   EXPECT_TRUE(reg.HasSpan("a"));
   EXPECT_FALSE(reg.HasSpan("c"));
   EXPECT_DOUBLE_EQ(reg.SpanSeconds("a"), 1.5);
+  EXPECT_DOUBLE_EQ(reg.SpanSeconds("c"), 0.0);
   const TelemetrySnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.spans.size(), 3u);
-  EXPECT_EQ(snap.spans[0].name, "a");
-  EXPECT_EQ(snap.spans[1].name, "b");
-  EXPECT_EQ(snap.spans[2].name, "a");
+  ASSERT_EQ(snap.spans.size(), 2u);
+  EXPECT_EQ(snap.spans.at("a").count, 2u);
+  EXPECT_DOUBLE_EQ(snap.spans.at("a").seconds, 1.5);
+  EXPECT_EQ(snap.spans.at("b").count, 1u);
+  EXPECT_DOUBLE_EQ(snap.spans.at("b").seconds, 2.0);
+  const JsonValue spans = *ParseJson(RunReportJson(reg)).Find("spans");
+  EXPECT_EQ(spans.Find("a")->Find("count")->number, 2);
+  EXPECT_DOUBLE_EQ(spans.Find("a")->Find("seconds")->number, 1.5);
 }
 
 TEST(TelemetryRegistry, ScopedSpanRecordsAndNullIsNoop) {
@@ -137,18 +142,19 @@ void CheckReportSchema(const JsonValue& doc) {
   ASSERT_NE(doc.Find("schema"), nullptr);
   EXPECT_EQ(doc.Find("schema")->string_value, "pivotscale.run_report");
   ASSERT_NE(doc.Find("version"), nullptr);
-  EXPECT_DOUBLE_EQ(doc.Find("version")->number, 1.0);
+  EXPECT_DOUBLE_EQ(doc.Find("version")->number, 2.0);
   ASSERT_NE(doc.Find("counters"), nullptr);
   EXPECT_TRUE(doc.Find("counters")->IsObject());
   ASSERT_NE(doc.Find("gauges"), nullptr);
   EXPECT_TRUE(doc.Find("gauges")->IsObject());
   ASSERT_NE(doc.Find("spans"), nullptr);
-  EXPECT_TRUE(doc.Find("spans")->IsArray());
-  for (const JsonValue& span : doc.Find("spans")->array) {
-    ASSERT_TRUE(span.IsObject());
-    ASSERT_NE(span.Find("name"), nullptr);
-    ASSERT_NE(span.Find("seconds"), nullptr);
-    EXPECT_TRUE(span.Find("seconds")->IsNumber());
+  EXPECT_TRUE(doc.Find("spans")->IsObject());
+  for (const auto& [name, span] : doc.Find("spans")->object) {
+    ASSERT_TRUE(span.IsObject()) << name;
+    ASSERT_NE(span.Find("count"), nullptr) << name;
+    EXPECT_TRUE(span.Find("count")->IsNumber()) << name;
+    ASSERT_NE(span.Find("seconds"), nullptr) << name;
+    EXPECT_TRUE(span.Find("seconds")->IsNumber()) << name;
   }
   ASSERT_NE(doc.Find("series"), nullptr);
   EXPECT_TRUE(doc.Find("series")->IsObject());

@@ -1,15 +1,19 @@
 // Unit tests for the utility substrate: RNG, 128-bit saturating counters,
-// binomial tables, byte maps, prefix sums, CLI parsing, stats.
+// binomial tables, byte maps, prefix sums, CLI parsing, stats, JSON nesting
+// limits.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/executor.h"
 #include "util/binomial.h"
 #include "util/bytemap.h"
 #include "util/cli.h"
+#include "util/json_writer.h"
 #include "util/prefix_sum.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -413,6 +417,27 @@ TEST(Table, HumanBytes) {
 TEST(Table, CellFormatting) {
   EXPECT_EQ(TablePrinter::Cell(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::Cell(std::int64_t{-5}), "-5");
+}
+
+// ---------------------------------------------------------------- json
+
+TEST(JsonParse, RejectsNestingDeeperThan64) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(ParseJson(nested(64)).IsArray());
+  EXPECT_TRUE(ParseJson("{\"a\":" + nested(63) + "}").IsObject());
+  // Far past the limit: an error, not a stack overflow.
+  for (const std::size_t depth : {65, 100000}) {
+    try {
+      ParseJson(nested(depth));
+      FAIL() << "depth " << depth << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("ParseJson: nesting deeper"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
